@@ -9,7 +9,7 @@ and emitted adversarial images are quantized back to whole values (truncating
 the perturbation toward zero) so the l-inf budget holds bit-exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,15 +24,10 @@ class AttackConfig:
     alpha: float = 1.0
     n_iter: int = 1
     targeted: bool = False
-    kind: str = "fgsm"
 
     def __post_init__(self):
         if self.eps <= 0 or self.alpha <= 0 or self.n_iter < 1:
             raise InputError("eps and alpha must be positive, n_iter >= 1")
-
-    def to_dict(self):
-        return {"kind": self.kind, "eps": self.eps, "alpha": self.alpha,
-                "n_iter": self.n_iter, "targeted": self.targeted}
 
 
 @dataclass
@@ -45,10 +40,6 @@ class SsmmConfig:
     def __post_init__(self):
         if not 0 < self.tau < 1:
             raise InputError("tau must lie in (0, 1)")
-
-    def to_dict(self):
-        return {"kind": "ssmm", "eps": self.eps, "alpha": self.alpha,
-                "n_iter": self.n_iter, "tau": self.tau}
 
 
 @dataclass
@@ -63,11 +54,6 @@ class DnnmConfig:
         if not 0 <= self.omega <= 1:
             raise InputError("omega must lie in [0, 1]")
 
-    def to_dict(self):
-        return {"kind": "dnnm", "hidden_class": self.hidden_class,
-                "omega": self.omega, "eps": self.eps, "alpha": self.alpha,
-                "n_iter": self.n_iter}
-
 
 @dataclass
 class PatchConfig:
@@ -77,11 +63,6 @@ class PatchConfig:
     placements: int = 8
     alpha: float = 2.0
     seed: int = 0
-
-    def to_dict(self):
-        return {"kind": "patch", "height": self.height, "width": self.width,
-                "n_iter": self.n_iter, "placements": self.placements,
-                "alpha": self.alpha, "seed": self.seed}
 
 
 @dataclass
@@ -113,11 +94,6 @@ def least_likely_target(probs):
     return np.argmin(probs, axis=2).astype(np.int32)
 
 
-def _finite_or_raise(grad):
-    if not np.all(np.isfinite(grad)):
-        raise AttackError("non-finite loss gradient")
-
-
 def _quantize(clean, adv):
     """Truncate the perturbation toward zero so x_adv stays whole-valued and
     strictly inside the budget, then clamp to the pixel range."""
@@ -125,49 +101,64 @@ def _quantize(clean, adv):
     return np.clip(clean.astype(np.float64) + delta, 0, 255).astype(np.float32)
 
 
-def fgsm(model, sample, cfg):
-    """Single-step sign attack; targeted variant steps toward the least
-    likely class of the clean prediction."""
-    x = sample.image
+def _echo(cfg, kind):
+    """The config as recorded beside an attack's outputs."""
+    return dict(asdict(cfg), kind=kind)
+
+
+def sign_tag(kind, spec):
+    """Tag of a sign attack spec or config: `<kind>_e<eps>`, or
+    `<kind>_ll_e<eps>` when it targets the least likely class."""
+    return f"{kind}{'_ll' if spec.get('targeted') else ''}_e{spec['eps']:g}"
+
+
+def _sign_descent(grad_fn, x0, step, project, n_iter):
+    """Projected sign descent: n_iter times x <- project(x + step * sign(grad_fn(x))).
+
+    A positive step ascends the loss, a negative one descends it. Every attack
+    family is a recipe over this loop: what it differentiates (target, pixel
+    weights, per-image or averaged gradient), the step and the projection."""
+    x = x0
+    for _ in range(n_iter):
+        grad = grad_fn(x)
+        if not np.all(np.isfinite(grad)):
+            raise AttackError("non-finite loss gradient")
+        x = project(x + np.float32(step) * np.sign(grad, dtype=np.float32))
+    return x
+
+
+def _eps_box(x, eps):
+    """Projection onto the eps-ball around x, within the pixel range."""
+    lo = np.maximum(x - eps, 0.0)
+    hi = np.minimum(x + eps, 255.0)
+    return lambda adv: np.clip(adv, lo, hi)
+
+
+def _sign_attack(model, sample, cfg, kind, alpha, n_iter):
+    """Per-image sign attack in the eps-box; the targeted variant descends
+    toward the least likely class of the clean prediction."""
+    x = sample.image.astype(np.float32)
+    target = least_likely_target(predict(model, x)) if cfg.targeted else None
+    labels, step = (sample.labels, alpha) if target is None else (target, -alpha)
     ones = np.ones(sample.labels.shape, np.float32)
-    if cfg.targeted:
-        target = least_likely_target(predict(model, x))
-        _, grad = loss_input_grad(model, x, target, ones)
-        _finite_or_raise(grad)
-        adv = x - cfg.eps * np.sign(grad)
-    else:
-        target = None
-        _, grad = loss_input_grad(model, x, sample.labels, ones)
-        _finite_or_raise(grad)
-        adv = x + cfg.eps * np.sign(grad)
-    adv = np.clip(adv, 0, 255)
-    tag = f"fgsm_ll_e{cfg.eps:g}" if cfg.targeted else f"fgsm_e{cfg.eps:g}"
-    return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id, attack=tag,
-                           config=cfg.to_dict(), target=target)
+    adv = _sign_descent(lambda a: loss_input_grad(model, a, labels, ones)[1], x, step,
+                        _eps_box(x, cfg.eps), n_iter)
+    echo = _echo(cfg, kind)
+    return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id,
+                           attack=sign_tag(kind, echo), config=echo, target=target)
+
+
+def fgsm(model, sample, cfg):
+    """Single-step sign attack: one step of size eps (cfg.alpha and
+    cfg.n_iter are not used)."""
+    return _sign_attack(model, sample, cfg, "fgsm", cfg.eps, 1)
 
 
 def ifgsm(model, sample, cfg):
     """Iterative sign attack with per-step clipping to the eps-ball around the
     clean image (and to [0, 255]). The targeted variant uses the least likely
     class of the clean prediction, fixed across iterations."""
-    x = sample.image.astype(np.float32)
-    ones = np.ones(sample.labels.shape, np.float32)
-    if cfg.targeted:
-        target = least_likely_target(predict(model, x))
-        labels, step_sign = target, -1.0
-    else:
-        target, labels, step_sign = None, sample.labels, 1.0
-    lo = np.maximum(x - cfg.eps, 0.0)
-    hi = np.minimum(x + cfg.eps, 255.0)
-    adv = x.copy()
-    for _ in range(cfg.n_iter):
-        _, grad = loss_input_grad(model, adv, labels, ones)
-        _finite_or_raise(grad)
-        adv = adv + np.float32(step_sign * cfg.alpha) * np.sign(grad, dtype=np.float32)
-        adv = np.clip(adv, lo, hi)
-    tag = f"ifgsm_ll_e{cfg.eps:g}" if cfg.targeted else f"ifgsm_e{cfg.eps:g}"
-    return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id, attack=tag,
-                           config=cfg.to_dict(), target=target)
+    return _sign_attack(model, sample, cfg, "ifgsm", cfg.alpha, cfg.n_iter)
 
 
 def ssmm_train(model, train_samples, targets, cfg):
@@ -183,9 +174,8 @@ def ssmm_train(model, train_samples, targets, cfg):
     for s in train_samples:
         if s.image.shape != shape:
             raise InputError("all ssmm training samples must share one image shape")
-    xi = np.zeros(shape, np.float32)
-    m = len(train_samples)
-    for _ in range(cfg.n_iter):
+
+    def mean_grad(xi):
         gsum = np.zeros(shape, np.float32)
         for s, tgt in zip(train_samples, targets):
             xadv = np.clip(s.image + xi, 0, 255).astype(np.float32)
@@ -194,12 +184,13 @@ def ssmm_train(model, train_samples, targets, cfg):
             ii, jj = np.indices(tgt.shape)
             conf = probs[ii, jj, tgt]
             weights = np.where((pred == tgt) & (conf > cfg.tau), 0.0, 1.0).astype(np.float32)
-            _, grad = loss_input_grad(model, xadv, tgt, weights)
-            _finite_or_raise(grad)
-            gsum += grad
-        xi = xi - np.float32(cfg.alpha) * np.sign(gsum / m, dtype=np.float32)
-        xi = np.clip(xi, -np.float32(cfg.eps), np.float32(cfg.eps))
-    return UniversalPerturbation(noise=xi, config=cfg.to_dict(), iterations_run=cfg.n_iter)
+            gsum += loss_input_grad(model, xadv, tgt, weights)[1]
+        return gsum / len(train_samples)
+
+    eps = np.float32(cfg.eps)
+    xi = _sign_descent(mean_grad, np.zeros(shape, np.float32), -cfg.alpha,
+                       lambda xi: np.clip(xi, -eps, eps), cfg.n_iter)
+    return UniversalPerturbation(noise=xi, config=_echo(cfg, "ssmm"), iterations_run=cfg.n_iter)
 
 
 def pick_ssmm_target(candidates, rng):
@@ -252,15 +243,10 @@ def dnnm_attack(model, sample, cfg):
     x = sample.image.astype(np.float32)
     pred = predicted_labels(model, x)
     target, weights = dnnm_target(pred, cfg.hidden_class, cfg.omega)
-    lo = np.maximum(x - cfg.eps, 0.0)
-    hi = np.minimum(x + cfg.eps, 255.0)
-    adv = x.copy()
-    for _ in range(cfg.n_iter):
-        _, grad = loss_input_grad(model, adv, target, weights)
-        _finite_or_raise(grad)
-        adv = np.clip(adv - np.float32(cfg.alpha) * np.sign(grad, dtype=np.float32), lo, hi)
+    adv = _sign_descent(lambda a: loss_input_grad(model, a, target, weights)[1], x,
+                        -cfg.alpha, _eps_box(x, cfg.eps), cfg.n_iter)
     return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id, attack="dnnm",
-                           config=cfg.to_dict(), target=target)
+                           config=_echo(cfg, "dnnm"), target=target)
 
 
 def patch_attack(model, train_samples, cfg):
@@ -272,8 +258,8 @@ def patch_attack(model, train_samples, cfg):
     if cfg.height > h or cfg.width > w:
         raise InputError(f"patch {cfg.height}x{cfg.width} larger than image {h}x{w}")
     rng = np.random.default_rng(cfg.seed)
-    patch = np.full((cfg.height, cfg.width, 3), 127.5, np.float32)
-    for _ in range(cfg.n_iter):
+
+    def mean_grad(patch):
         gsum = np.zeros_like(patch)
         for _ in range(cfg.placements):
             s = train_samples[int(rng.integers(len(train_samples)))]
@@ -282,12 +268,12 @@ def patch_attack(model, train_samples, cfg):
             patched = s.image.astype(np.float32).copy()
             patched[top:top + cfg.height, left:left + cfg.width] = patch
             ones = np.ones(s.labels.shape, np.float32)
-            _, grad = loss_input_grad(model, patched, s.labels, ones)
-            _finite_or_raise(grad)
+            grad = loss_input_grad(model, patched, s.labels, ones)[1]
             gsum += grad[top:top + cfg.height, left:left + cfg.width]
-        patch = np.clip(patch + np.float32(cfg.alpha)
-                        * np.sign(gsum / cfg.placements, dtype=np.float32), 0, 255)
-    return patch
+        return gsum / cfg.placements
+
+    gray = np.full((cfg.height, cfg.width, 3), 127.5, np.float32)
+    return _sign_descent(mean_grad, gray, cfg.alpha, lambda p: np.clip(p, 0, 255), cfg.n_iter)
 
 
 def apply_patch(sample, patch, cfg, top=None, left=None, rng=None):
@@ -301,7 +287,7 @@ def apply_patch(sample, patch, cfg, top=None, left=None, rng=None):
         left = int(rng.integers(0, w - pw + 1))
     adv = sample.image.astype(np.float32).copy()
     adv[top:top + ph, left:left + pw] = np.clip(np.rint(patch), 0, 255)
-    echo = dict(cfg.to_dict() if cfg is not None else {}, top=top, left=left)
+    echo = dict(_echo(cfg, "patch") if cfg is not None else {}, top=top, left=left)
     return PerturbedSample(image=adv, clean_id=sample.id, attack="patch", config=echo)
 
 

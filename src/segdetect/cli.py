@@ -113,10 +113,8 @@ def cmd_detect(cfg, args):
 
     model = detectors.load_detector(args.detector)
     feats = uncertainty.read_features(args.features)
-    for f in feats:
-        p = detectors.score(model, f)
-        verdict = detectors.classify(p, args.kappa)
-        print(f"{f.image_id},{p:.6f},{verdict}")
+    for f, p in zip(feats, detectors.score_many(model, feats)):
+        print(f"{f.image_id},{p:.6f},{detectors.classify(p, args.kappa)}")
 
 
 def cmd_evaluate(cfg, args):
@@ -177,9 +175,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = load_config(args)
     try:
-        COMMANDS[args.command](cfg, args)
+        COMMANDS[args.command](load_config(args), args)
     except Exception as exc:  # noqa: BLE001 - stage-tagged diagnostics on stderr
         print(f"segdetect: {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -6,24 +6,27 @@ with RBF kernel, and a Gaussian ellipse (Mahalanobis distance). An image is
 classified as perturbed when p(x) < kappa and clean when p(x) >= kappa.
 """
 
-import json
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensorio
 from .errors import InputError, TrainingError
 from .uncertainty import feature_matrix
 
-KINDS = ("entropy", "lasso", "ocsvm", "ellipse")
-
-
 def _hex_encode(arr):
+    """Arrays as exact float64 hex; any other value passes through."""
+    if not isinstance(arr, np.ndarray):
+        return arr
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     return {"shape": list(arr.shape), "data": arr.tobytes().hex()}
 
 
 def _hex_decode(obj):
+    if not (isinstance(obj, dict) and set(obj) == {"shape", "data"}):
+        return obj
     return np.frombuffer(bytes.fromhex(obj["data"]), dtype=np.float64).reshape(obj["shape"]).copy()
 
 
@@ -127,18 +130,18 @@ def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-8, max_iter=10_00
                          standardizer=std)
 
 
+def _sqdist(a, b):
+    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * a @ b.T
+
+
 def _rbf(a, b, gamma):
-    d2 = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    return np.exp(-gamma * np.maximum(_sqdist(a, b), 0.0))
 
 
 def median_heuristic_gamma(z):
     """gamma = 1 / (d * median pairwise squared distance)."""
     n, d = z.shape
-    d2 = (np.sum(z * z, axis=1)[:, None] + np.sum(z * z, axis=1)[None, :]
-          - 2.0 * z @ z.T)
-    med = float(np.median(d2[np.triu_indices(n, k=1)]))
+    med = float(np.median(_sqdist(z, z)[np.triu_indices(n, k=1)]))
     return 1.0 / (d * max(med, 1e-12))
 
 
@@ -208,13 +211,10 @@ def train_ellipse(clean_features, shrinkage=1e-3):
         precision = np.linalg.inv(cov_reg)
     except np.linalg.LinAlgError as exc:
         raise TrainingError("covariance singular after shrinkage") from exc
-    diffs = z - mu
-    m = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", diffs, precision, diffs), 0.0))
-    return DetectorModel(
-        kind="ellipse",
-        params={"mu": mu, "precision": precision, "shrinkage": shrinkage,
-                "train_m": np.sort(m)},
-        standardizer=std)
+    model = DetectorModel(kind="ellipse", standardizer=std,
+                          params={"mu": mu, "precision": precision, "shrinkage": shrinkage})
+    model.params["train_m"] = np.sort(mahalanobis(model, z))
+    return model
 
 
 def mahalanobis(model, z):
@@ -223,26 +223,73 @@ def mahalanobis(model, z):
         np.einsum("ij,jk,ik->i", diff, model.params["precision"], diff), 0.0))
 
 
+def _score_entropy(model, values):
+    return float(np.clip(1.0 - values[0] / model.params["ln_c"], 0.0, 1.0))
+
+
+def _score_lasso(model, z):
+    return float(_sigmoid(np.array([float(z @ model.params["w"] + model.params["b"])]))[0])
+
+
+def _score_ocsvm(model, z):
+    k = _rbf(z[None, :], model.params["sv"], model.params["gamma"])
+    d = float((k @ model.params["alpha"])[0] - model.params["rho"])
+    td = model.params["train_decisions"]
+    return float(np.searchsorted(td, d, side="right") / len(td))
+
+
+def _score_ellipse(model, z):
+    m = float(mahalanobis(model, z)[0])
+    tm = model.params["train_m"]
+    # fraction of training points at least as far out
+    return float((len(tm) - np.searchsorted(tm, m, side="left")) / len(tm))
+
+
+# kind -> (trainer, one-row scorer). Trainers are named, and looked up here
+# when called, so a wrapper set on the module attribute (perfbench/tracing.py)
+# runs. A trainer taking `adv_features` is supervised; its parameters after
+# the features are the detector spec's keys. Scorers see standardized
+# features when the model has a standardizer.
+DETECTORS = {
+    "entropy": ("train_entropy", _score_entropy),
+    "lasso": ("train_lasso", _score_lasso),
+    "ocsvm": ("train_ocsvm", _score_ocsvm),
+    "ellipse": ("train_ellipse", _score_ellipse),
+}
+
+
+def _trainer(kind, hyperparams):
+    """(trainer, supervised) of `kind`; raises InputError on an unknown kind or
+    hyperparameter."""
+    if kind not in DETECTORS:
+        raise InputError(f"unknown detector kind {kind!r}")
+    fn = globals()[DETECTORS[kind][0]]
+    args = set(inspect.signature(fn).parameters)
+    unknown = set(hyperparams) - (args - {"clean_features", "adv_features"})
+    if unknown:
+        raise InputError(f"detector {kind!r}: unknown key(s) {', '.join(sorted(unknown))}")
+    return fn, "adv_features" in args
+
+
+def is_supervised(kind, hyperparams=()):
+    """Whether `kind` also trains on the training attack's features."""
+    return _trainer(kind, hyperparams)[1]
+
+
+def train_detector(kind, clean_features, adv_features=None, **hyperparams):
+    """Trains a registered kind; adv_features reach only the supervised ones."""
+    fn, supervised = _trainer(kind, hyperparams)
+    return fn(clean_features, *([adv_features] if supervised else []), **hyperparams)
+
+
 def score(model, feature):
     """Probability of the image being clean, in [0, 1]."""
-    values = feature.values if hasattr(feature, "values") else np.asarray(feature)
-    if model.kind == "entropy":
-        return float(np.clip(1.0 - values[0] / model.params["ln_c"], 0.0, 1.0))
-    z = model.standardizer.transform(values[None, :])
-    if model.kind == "lasso":
-        t = float(z[0] @ model.params["w"] + model.params["b"])
-        return float(_sigmoid(np.array([t]))[0])
-    if model.kind == "ocsvm":
-        k = _rbf(z, model.params["sv"], model.params["gamma"])
-        d = float((k @ model.params["alpha"])[0] - model.params["rho"])
-        td = model.params["train_decisions"]
-        return float(np.searchsorted(td, d, side="right") / len(td))
-    if model.kind == "ellipse":
-        m = float(mahalanobis(model, z)[0])
-        tm = model.params["train_m"]
-        # fraction of training points at least as far out
-        return float((len(tm) - np.searchsorted(tm, m, side="left")) / len(tm))
-    raise InputError(f"unknown detector kind {model.kind!r}")
+    if model.kind not in DETECTORS:
+        raise InputError(f"unknown detector kind {model.kind!r}")
+    x = feature.values if hasattr(feature, "values") else np.asarray(feature)
+    if model.standardizer is not None:
+        x = model.standardizer.transform(x[None, :])[0]
+    return DETECTORS[model.kind][1](model, x)
 
 
 def score_many(model, features):
@@ -256,26 +303,15 @@ def classify(p, kappa):
     return "perturbed" if p < kappa else "clean"
 
 
-_ARRAY_PARAMS = {"w", "alpha", "sv", "train_decisions", "mu", "precision", "train_m"}
-
-
 def save_detector(model, path):
-    params = {}
-    for key, val in model.params.items():
-        params[key] = _hex_encode(val) if key in _ARRAY_PARAMS else val
-    doc = {"kind": model.kind, "params": params}
+    doc = {"kind": model.kind, "params": {k: _hex_encode(v) for k, v in model.params.items()}}
     if model.standardizer is not None:
         doc["standardizer"] = model.standardizer.to_dict()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tensorio.write_json(path, doc)
 
 
 def load_detector(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    params = {}
-    for key, val in doc["params"].items():
-        params[key] = _hex_decode(val) if key in _ARRAY_PARAMS else val
+    doc = tensorio.read_json(path)
+    params = {k: _hex_decode(v) for k, v in doc["params"].items()}
     std = Standardizer.from_dict(doc["standardizer"]) if "standardizer" in doc else None
     return DetectorModel(kind=doc["kind"], params=params, standardizer=std)

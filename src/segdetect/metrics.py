@@ -7,12 +7,11 @@ TPR5%: true positive rate at a threshold capping the clean FPR at 5%.
 """
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import detectors
+from . import detectors, tensorio
 from .errors import InputError
 
 KAPPA_GRID = np.arange(40) / 39.0
@@ -110,9 +109,7 @@ class EvalReport:
     def write_json(self, path):
         doc = [{f: getattr(r, f) for f in self._FIELDS}
                for r in sorted(self.rows, key=lambda r: (r.detector, r.attack))]
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        tensorio.write_json(path, doc)
 
 
 def make_folds(ids, folds, seed):
@@ -132,22 +129,6 @@ class DetectorSpec:
     hyperparams: dict = field(default_factory=dict)
 
 
-def _train_for_fold(spec, clean_train, adv_by_attack, train_ids):
-    if spec.kind == "entropy":
-        return detectors.train_entropy(clean_train)
-    if spec.kind == "ocsvm":
-        return detectors.train_ocsvm(clean_train, **spec.hyperparams)
-    if spec.kind == "ellipse":
-        return detectors.train_ellipse(clean_train, **spec.hyperparams)
-    if spec.kind == "lasso":
-        if spec.train_attack not in adv_by_attack:
-            raise InputError(f"training attack {spec.train_attack!r} has no features")
-        adv_train = [f for f in adv_by_attack[spec.train_attack]
-                     if f.image_id in train_ids]
-        return detectors.train_lasso(clean_train, adv_train, **spec.hyperparams)
-    raise InputError(f"unknown detector kind {spec.kind!r}")
-
-
 def cross_validate(clean_features, adv_by_attack, spec, apsr_by_attack=None,
                    folds=5, seed=0):
     """K-fold evaluation partitioned by image id (a clean image and its
@@ -156,6 +137,9 @@ def cross_validate(clean_features, adv_by_attack, spec, apsr_by_attack=None,
     ids = [f.image_id for f in clean_features]
     fold_ids = make_folds(ids, folds, seed)
     apsr_by_attack = apsr_by_attack or {}
+    if (detectors.is_supervised(spec.kind, spec.hyperparams)
+            and spec.train_attack not in adv_by_attack):
+        raise InputError(f"training attack {spec.train_attack!r} has no features")
     per_attack = {tag: {"ada": [], "kappa": [], "auroc": [], "tpr": []}
                   for tag in adv_by_attack}
     for test_ids in fold_ids:
@@ -163,7 +147,9 @@ def cross_validate(clean_features, adv_by_attack, spec, apsr_by_attack=None,
         train_ids = set(ids) - test_set
         clean_train = [f for f in clean_features if f.image_id in train_ids]
         clean_test = [f for f in clean_features if f.image_id in test_set]
-        model = _train_for_fold(spec, clean_train, adv_by_attack, train_ids)
+        adv_train = [f for f in adv_by_attack.get(spec.train_attack, [])
+                     if f.image_id in train_ids]
+        model = detectors.train_detector(spec.kind, clean_train, adv_train, **spec.hyperparams)
         clean_scores = detectors.score_many(model, clean_test)
         for tag, adv_features in adv_by_attack.items():
             adv_test = [f for f in adv_features if f.image_id in test_set]

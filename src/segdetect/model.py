@@ -4,7 +4,6 @@ Inputs are raw 0-255 images; normalization to (x - mean) / scale happens inside
 the model so attacks can work on the raw pixel scale.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,14 +232,11 @@ def save_model(model, tensor_path, sidecar_path):
         "mean": model.mean,
         "scale": model.scale,
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tensorio.write_json(sidecar_path, meta)
 
 
 def load_model(tensor_path, sidecar_path):
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
+    meta = tensorio.read_json(sidecar_path)
     arrays = tensorio.load_tensors(tensor_path)
     kernels = arrays[0::2]
     biases = arrays[1::2]

@@ -6,9 +6,8 @@ the config and the seed, skips itself when its outputs already exist, and can
 be re-run with force=True.
 """
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,41 +58,19 @@ class ExperimentConfig:
     ssmm_train_size: int = 20
 
     def to_dict(self):
-        return {
-            "dataset": self.dataset.to_dict(),
-            "train": {"epochs": self.train.epochs, "lr": self.train.lr,
-                      "batch_size": self.train.batch_size, "seed": self.train.seed},
-            "attack_list": self.attack_list,
-            "detector_list": self.detector_list,
-            "train_attack": self.train_attack,
-            "folds": self.folds,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "export_heatmaps": self.export_heatmaps,
-            "ssmm_train_size": self.ssmm_train_size,
-        }
+        return dict(asdict(self), dataset=self.dataset.to_dict())
 
     @classmethod
     def from_dict(cls, d):
-        cfg = cls()
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InputError(f"unknown config key(s) {', '.join(sorted(unknown))}")
+        d = dict(d)
         if "dataset" in d:
-            cfg.dataset = DatasetConfig.from_dict(d["dataset"])
+            d["dataset"] = DatasetConfig.from_dict(d["dataset"])
         if "train" in d:
-            cfg.train = TrainConfig(**d["train"])
-        for key in ("attack_list", "detector_list", "train_attack", "folds",
-                    "seed", "out_dir", "export_heatmaps", "ssmm_train_size"):
-            if key in d:
-                setattr(cfg, key, d[key])
-        return cfg
-
-
-def attack_tag(spec):
-    kind = spec["kind"]
-    if kind == "fgsm":
-        return f"fgsm_ll_e{spec['eps']:g}" if spec.get("targeted") else f"fgsm_e{spec['eps']:g}"
-    if kind == "ifgsm":
-        return f"ifgsm_ll_e{spec['eps']:g}" if spec.get("targeted") else f"ifgsm_e{spec['eps']:g}"
-    return kind
+            d["train"] = TrainConfig(**d["train"])
+        return cls(**d)
 
 
 def _done(path):
@@ -120,59 +97,90 @@ def stage_train_model(cfg, train_set, force=False):
 
 
 def stage_gradcheck(cfg, model, val_set, force=False):
+    """Finite-difference gradient check; raises InputError when it failed,
+    also when the failure was recorded by an earlier run."""
     path = os.path.join(cfg.out_dir, "gradcheck.json")
     if _done(path) and not force:
-        with open(path) as fh:
-            return json.load(fh)
-    sample = val_set[0]
-    report = grad_check(model, sample.image, sample.labels, seed=cfg.seed)
-    doc = {"passed": report.passed, "frac_within": report.frac_within,
-           "median_rel_err": report.median_rel_err,
-           "quantiles": {str(k): v for k, v in report.quantiles.items()}}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if not report.passed:
+        doc = tensorio.read_json(path)
+    else:
+        sample = val_set[0]
+        report = grad_check(model, sample.image, sample.labels, seed=cfg.seed)
+        doc = {"passed": report.passed, "frac_within": report.frac_within,
+               "median_rel_err": report.median_rel_err,
+               "quantiles": {str(k): v for k, v in report.quantiles.items()}}
+        tensorio.write_json(path, doc)
+    if not doc["passed"]:
         raise InputError("gradient check failed; see gradcheck.json")
     return doc
 
 
-def _run_one_attack(cfg, model, spec, train_set, val_set):
+def _run_fgsm(cfg, model, params, train_set, val_set):
+    acfg = attacks.AttackConfig(eps=params["eps"], targeted=bool(params.get("targeted")))
+    return [attacks.fgsm(model, s, acfg) for s in val_set]
+
+
+def _run_ifgsm(cfg, model, params, train_set, val_set):
+    n = params.get("n_iter") or attacks.iteration_count(params["eps"])
+    acfg = attacks.AttackConfig(eps=params["eps"], alpha=params.get("alpha", 1.0), n_iter=n,
+                                targeted=bool(params.get("targeted")))
+    return [attacks.ifgsm(model, s, acfg) for s in val_set]
+
+
+def _run_ssmm(cfg, model, params, train_set, val_set):
+    scfg = attacks.SsmmConfig(**params)
+    rng = np.random.default_rng([cfg.seed, 101])
+    subset = train_set[:cfg.ssmm_train_size]
+    candidates = train_set[cfg.ssmm_train_size:] or train_set
+    target = attacks.pick_ssmm_target(candidates, rng)
+    xi = attacks.ssmm_train(model, subset, [target] * len(subset), scfg)
+    tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_target.ten"), target)
+    tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"), xi.noise)
+    return [attacks.apply_universal(s, xi) for s in val_set]
+
+
+def _run_dnnm(cfg, model, params, train_set, val_set):
+    dcfg = attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **params})
+    return [attacks.dnnm_attack(model, s, dcfg) for s in val_set]
+
+
+def _run_patch(cfg, model, params, train_set, val_set):
+    pcfg = attacks.PatchConfig(**{"seed": cfg.seed, **params})
+    patch = attacks.patch_attack(model, train_set[:cfg.ssmm_train_size], pcfg)
+    tensorio.save_tensor(os.path.join(cfg.out_dir, "patch.ten"), patch)
+    rng = np.random.default_rng([cfg.seed, 202])
+    return [attacks.apply_patch(s, patch, pcfg, rng=rng) for s in val_set]
+
+
+# kind -> (config dataclass, runner, tag rule, config fields the runner sets
+# itself; the spec keys are the other fields). The runner maps (cfg, model,
+# params, train_set, val_set) to perturbed samples, the tag rule (kind, params)
+# to the output tag; without one the kind is the tag.
+ATTACKS = {
+    "fgsm": (attacks.AttackConfig, _run_fgsm, attacks.sign_tag, ("alpha", "n_iter")),
+    "ifgsm": (attacks.AttackConfig, _run_ifgsm, attacks.sign_tag, ()),
+    "ssmm": (attacks.SsmmConfig, _run_ssmm, None, ()),
+    "dnnm": (attacks.DnnmConfig, _run_dnnm, None, ()),
+    "patch": (attacks.PatchConfig, _run_patch, None, ()),
+}
+
+
+def _attack_spec(spec):
+    """(runner, params, tag) of an attack spec; raises InputError on an
+    unknown kind or key."""
     kind = spec["kind"]
-    if kind == "fgsm":
-        acfg = attacks.AttackConfig(eps=spec["eps"], targeted=bool(spec.get("targeted")),
-                                    kind="fgsm")
-        return [attacks.fgsm(model, s, acfg) for s in val_set]
-    if kind == "ifgsm":
-        n = spec.get("n_iter") or attacks.iteration_count(spec["eps"])
-        acfg = attacks.AttackConfig(eps=spec["eps"], alpha=spec.get("alpha", 1.0),
-                                    n_iter=n, targeted=bool(spec.get("targeted")),
-                                    kind="ifgsm")
-        return [attacks.ifgsm(model, s, acfg) for s in val_set]
-    if kind == "ssmm":
-        scfg = attacks.SsmmConfig(**{k: v for k, v in spec.items() if k != "kind"})
-        rng = np.random.default_rng([cfg.seed, 101])
-        subset = train_set[:cfg.ssmm_train_size]
-        candidates = train_set[cfg.ssmm_train_size:] or train_set
-        target = attacks.pick_ssmm_target(candidates, rng)
-        xi = attacks.ssmm_train(model, subset, [target] * len(subset), scfg)
-        tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_target.ten"), target)
-        tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"), xi.noise)
-        return [attacks.apply_universal(s, xi) for s in val_set]
-    if kind == "dnnm":
-        dcfg = attacks.DnnmConfig(hidden_class=spec.get("hidden_class", cfg.dataset.hidden_class),
-                                  **{k: v for k, v in spec.items()
-                                     if k not in ("kind", "hidden_class")})
-        return [attacks.dnnm_attack(model, s, dcfg) for s in val_set]
-    if kind == "patch":
-        pcfg = attacks.PatchConfig(seed=spec.get("seed", cfg.seed),
-                                   **{k: v for k, v in spec.items()
-                                      if k not in ("kind", "seed")})
-        patch = attacks.patch_attack(model, train_set[:cfg.ssmm_train_size], pcfg)
-        tensorio.save_tensor(os.path.join(cfg.out_dir, "patch.ten"), patch)
-        rng = np.random.default_rng([cfg.seed, 202])
-        return [attacks.apply_patch(s, patch, pcfg, rng=rng) for s in val_set]
-    raise InputError(f"unknown attack kind {kind!r}")
+    if kind not in ATTACKS:
+        raise InputError(f"unknown attack kind {kind!r}")
+    config, run, tag, fixed = ATTACKS[kind]
+    params = {k: v for k, v in spec.items() if k != "kind"}
+    unknown = set(params) - ({f.name for f in fields(config)} - set(fixed))
+    if unknown:
+        raise InputError(f"attack {kind!r}: unknown key(s) {', '.join(sorted(unknown))}")
+    return run, params, tag(kind, params) if tag else kind
+
+
+def attack_tag(spec):
+    """Directory and report tag of an attack spec."""
+    return _attack_spec(spec)[2]
 
 
 def stage_attack(cfg, model, train_set, val_set, force=False):
@@ -180,12 +188,11 @@ def stage_attack(cfg, model, train_set, val_set, force=False):
     perturbed dataset in the synthdata layout plus attack.json."""
     results = {}
     for spec in cfg.attack_list:
-        tag = attack_tag(spec)
+        run, params, tag = _attack_spec(spec)
         adir = os.path.join(cfg.out_dir, "attacks", tag)
         meta_path = os.path.join(adir, "attack.json")
         if _done(meta_path) and not force:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
+            meta = tensorio.read_json(meta_path)
             perturbed = []
             for sid in meta["ids"]:
                 img = tensorio.load_tensor(os.path.join(adir, "images", f"{sid}.ten"))
@@ -194,7 +201,7 @@ def stage_attack(cfg, model, train_set, val_set, force=False):
                     config=meta["config"]))
             results[tag] = perturbed
             continue
-        perturbed = _run_one_attack(cfg, model, spec, train_set, val_set)
+        perturbed = run(cfg, model, params, train_set, val_set)
         os.makedirs(os.path.join(adir, "images"), exist_ok=True)
         norms, windows = {}, {}
         for p, clean in zip(perturbed, val_set):
@@ -207,9 +214,7 @@ def stage_attack(cfg, model, train_set, val_set, force=False):
                 "linf_norms": norms}
         if windows:
             meta["windows"] = windows
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        tensorio.write_json(meta_path, meta)
         results[tag] = perturbed
     return results
 
@@ -242,33 +247,28 @@ def stage_extract_features(cfg, model, val_set, attacked, force=False):
     return clean_feats, adv_feats
 
 
+def _detector_specs(cfg, adv_feats):
+    """(kind, hyperparameters) of each configured detector that can train: a
+    supervised kind needs its training attack's features."""
+    specs = [(s["kind"], {k: v for k, v in s.items() if k != "kind"}) for s in cfg.detector_list]
+    return [(kind, hyper) for kind, hyper in specs
+            if not detectors.is_supervised(kind, hyper) or cfg.train_attack in adv_feats]
+
+
 def stage_train_detectors(cfg, clean_feats, adv_feats, force=False):
     """Full-data detector models written to detectors/<kind>.json (the
     evaluation stage refits per fold; these are the deployable models)."""
     ddir = os.path.join(cfg.out_dir, "detectors")
     os.makedirs(ddir, exist_ok=True)
     models = {}
-    for spec in cfg.detector_list:
-        kind = spec["kind"]
-        if kind == "lasso" and cfg.train_attack not in adv_feats:
-            continue   # supervised detector needs its training attack's features
+    for kind, hyper in _detector_specs(cfg, adv_feats):
         path = os.path.join(ddir, f"{kind}.json")
         if _done(path) and not force:
             models[kind] = detectors.load_detector(path)
             continue
-        hyper = {k: v for k, v in spec.items() if k != "kind"}
-        if kind == "entropy":
-            model = detectors.train_entropy(clean_feats)
-        elif kind == "lasso":
-            model = detectors.train_lasso(clean_feats, adv_feats[cfg.train_attack], **hyper)
-        elif kind == "ocsvm":
-            model = detectors.train_ocsvm(clean_feats, **hyper)
-        elif kind == "ellipse":
-            model = detectors.train_ellipse(clean_feats, **hyper)
-        else:
-            raise InputError(f"unknown detector kind {kind!r}")
-        detectors.save_detector(model, path)
-        models[kind] = model
+        models[kind] = detectors.train_detector(kind, clean_feats,
+                                                adv_feats.get(cfg.train_attack), **hyper)
+        detectors.save_detector(models[kind], path)
     return models
 
 
@@ -297,11 +297,9 @@ def stage_evaluate(cfg, model, val_set, clean_feats, adv_feats, attacked, force=
         detector="-", attack="clean", apsr_mean=clean_apsr, ada_mean=nan,
         ada_std=nan, kappa_mean=nan, auroc_mean=nan, auroc_std=nan,
         tpr_mean=nan, tpr_std=nan)])
-    for spec in cfg.detector_list if adv_feats else []:
-        if spec["kind"] == "lasso" and cfg.train_attack not in adv_feats:
-            continue
-        dspec = metrics.DetectorSpec(kind=spec["kind"], train_attack=cfg.train_attack,
-                                     hyperparams={k: v for k, v in spec.items() if k != "kind"})
+    for kind, hyper in _detector_specs(cfg, adv_feats) if adv_feats else []:
+        dspec = metrics.DetectorSpec(kind=kind, train_attack=cfg.train_attack,
+                                     hyperparams=hyper)
         part = metrics.cross_validate(clean_feats, adv_feats, dspec,
                                       apsr_by_attack=apsr_by_attack,
                                       folds=cfg.folds, seed=cfg.seed)
@@ -314,9 +312,7 @@ def stage_evaluate(cfg, model, val_set, clean_feats, adv_feats, attacked, force=
 def run_pipeline(cfg, force=False):
     """Executes every stage in order; returns the path of the report CSV."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tensorio.write_json(os.path.join(cfg.out_dir, "config.json"), cfg.to_dict())
     train_set, val_set = stage_gen_data(cfg, force)
     model = stage_train_model(cfg, train_set, force)
     stage_gradcheck(cfg, model, val_set, force)

@@ -5,9 +5,8 @@ Images are whole-valued (8-bit scale) so that attack budgets on the 0-255 axis
 can be checked exactly.
 """
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,15 +45,8 @@ class DatasetConfig:
             raise InputError("palette must cover every class")
 
     def to_dict(self):
-        return {
-            "height": self.height, "width": self.width,
-            "num_classes": self.num_classes,
-            "shapes_per_image": list(self.shapes_per_image),
-            "palette": [list(c) for c in self.palette],
-            "noise_std": self.noise_std, "seed": self.seed,
-            "train_size": self.train_size, "val_size": self.val_size,
-            "hidden_class": self.hidden_class,
-        }
+        return dict(asdict(self), shapes_per_image=list(self.shapes_per_image),
+                    palette=[list(c) for c in self.palette])
 
     @classmethod
     def from_dict(cls, d):
@@ -175,15 +167,12 @@ def generate_dataset(cfg, out_dir):
         "train_ids": [s.id for s in train],
         "val_ids": [s.id for s in val],
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tensorio.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return train, val, manifest
 
 
 def load_dataset(data_dir):
-    with open(os.path.join(data_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = tensorio.read_json(os.path.join(data_dir, "manifest.json"))
     cfg = DatasetConfig.from_dict(manifest["config"])
     train = load_samples(data_dir, manifest["train_ids"])
     val = load_samples(data_dir, manifest["val_ids"])

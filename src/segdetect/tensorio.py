@@ -7,6 +7,7 @@ Layout of one record:
 dtype codes: 0 = float32, 1 = uint8, 2 = int32.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -86,3 +87,15 @@ def load_tensors(path):
             if arr is None:
                 return arrays
             arrays.append(arr)
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path, doc):
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

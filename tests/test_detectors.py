@@ -212,19 +212,18 @@ class TestClassify:
             detectors.classify(0.5, -0.1)
 
 
-@pytest.mark.parametrize("kind", detectors.KINDS)
-def test_serialization_roundtrip(tmp_path, kind):
+def train_kind(kind):
+    """A `kind` model trained through the registry, and its clean features."""
     clean = gaussian_features(n=50, d=4, seed=21)
     adv = gaussian_features(n=50, d=4, seed=22, shift=2.0)
     if kind == "entropy":
         clean = make_features(np.abs(np.random.default_rng(23).normal(size=(50, 7))))
-        m = detectors.train_entropy(clean)
-    elif kind == "lasso":
-        m = detectors.train_lasso(clean, adv, lam=0.01)
-    elif kind == "ocsvm":
-        m = detectors.train_ocsvm(clean, nu=0.1)
-    else:
-        m = detectors.train_ellipse(clean)
+    return detectors.train_detector(kind, clean, adv), clean
+
+
+@pytest.mark.parametrize("kind", detectors.DETECTORS)
+def test_serialization_roundtrip(tmp_path, kind):
+    m, clean = train_kind(kind)
     path = tmp_path / f"{kind}.json"
     detectors.save_detector(m, path)
     back = detectors.load_detector(path)
@@ -232,3 +231,27 @@ def test_serialization_roundtrip(tmp_path, kind):
     probe = clean[:10]
     np.testing.assert_allclose(detectors.score_many(back, probe),
                                detectors.score_many(m, probe), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", detectors.DETECTORS)
+def test_score_is_one_row_of_score_many(kind):
+    m, clean = train_kind(kind)
+    for f in clean[:10]:
+        assert detectors.score(m, f) == detectors.score_many(m, [f])[0]
+
+
+@pytest.mark.parametrize("kind", detectors.DETECTORS)
+def test_unknown_hyperparameter_names_kind(kind):
+    with pytest.raises(InputError, match=kind):
+        detectors.train_detector(kind, gaussian_features(), gaussian_features(), foo=1)
+
+
+def test_unknown_kind_raises():
+    with pytest.raises(InputError, match="unknown detector kind"):
+        detectors.train_detector("knn", gaussian_features())
+    with pytest.raises(InputError, match="unknown detector kind"):
+        detectors.score(detectors.DetectorModel(kind="knn", params={}), np.zeros(3))
+
+
+def test_only_lasso_is_supervised():
+    assert [k for k in detectors.DETECTORS if detectors.is_supervised(k)] == ["lasso"]

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from segdetect import cli, pipeline, synthdata
+from segdetect import cli, detectors, pipeline, synthdata
+from segdetect.errors import InputError
 from segdetect.model import TrainConfig
 
 
@@ -70,6 +71,78 @@ def test_default_attack_list_covers_families():
                    "ssmm", "dnnm", "patch"):
         assert expect in tags
     assert len(tags) == len(set(tags))
+
+
+# A small spec per registered attack kind; a new kind needs an entry here.
+SMALL_SPECS = {
+    "fgsm": {"eps": 4},
+    "ifgsm": {"eps": 4, "n_iter": 2, "targeted": True},
+    "ssmm": {"n_iter": 2},
+    "dnnm": {"n_iter": 2},
+    "patch": {"height": 8, "width": 8, "n_iter": 2, "placements": 2},
+}
+
+
+@pytest.mark.parametrize("kind", pipeline.ATTACKS)
+def test_registered_attack_keeps_budget(kind, small_dataset, small_model, tmp_path):
+    dcfg, train, val = small_dataset
+    spec = dict(SMALL_SPECS[kind], kind=kind)
+    cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path), ssmm_train_size=3,
+                                    attack_list=[spec])
+    tag = pipeline.attack_tag(spec)
+    out = pipeline.stage_attack(cfg, small_model, train, val[:3])[tag]
+    assert [p.clean_id for p in out] == [s.id for s in val[:3]]
+    for p, clean in zip(out, val[:3]):
+        assert p.attack == tag and p.config["kind"] == kind
+        assert np.all(p.image == np.rint(p.image))
+        assert p.image.min() >= 0 and p.image.max() <= 255
+        delta = np.abs(p.image.astype(np.float64) - clean.image)
+        if kind == "patch":
+            top, left = p.config["top"], p.config["left"]
+            delta[top:top + spec["height"], left:left + spec["width"]] = 0.0
+            assert delta.max() == 0
+        else:
+            assert delta.max() <= p.config["eps"]
+
+
+def test_registered_attack_tags_unique():
+    tags = [pipeline.attack_tag(dict(spec, kind=kind)) for kind, spec in SMALL_SPECS.items()]
+    assert sorted(SMALL_SPECS) == sorted(pipeline.ATTACKS)
+    assert len(set(tags)) == len(tags)
+
+
+def test_fgsm_rejects_iteration_keys():
+    for key in ("n_iter", "alpha"):
+        with pytest.raises(InputError, match="fgsm"):
+            pipeline.attack_tag({"kind": "fgsm", "eps": 8, key: 5})
+
+
+@pytest.mark.parametrize("kind", pipeline.ATTACKS)
+def test_unknown_attack_key_names_kind(kind, tmp_path):
+    cfg = pipeline.ExperimentConfig(out_dir=str(tmp_path),
+                                    attack_list=[{"kind": kind, "foo": 1}])
+    with pytest.raises(InputError, match=f"'{kind}'.*foo"):
+        pipeline.stage_attack(cfg, None, [], [])
+
+
+def test_unknown_attack_kind_raises():
+    with pytest.raises(InputError, match="unknown attack kind"):
+        pipeline.attack_tag({"kind": "deepfool"})
+
+
+def test_unknown_detector_key_names_kind(tmp_path):
+    cfg = pipeline.ExperimentConfig(out_dir=str(tmp_path),
+                                    detector_list=[{"kind": "entropy", "foo": 1}])
+    with pytest.raises(InputError, match="'entropy'.*foo"):
+        pipeline.stage_train_detectors(cfg, [], {})
+
+
+def test_resumed_failed_gradcheck_raises(tmp_path):
+    cfg = pipeline.ExperimentConfig(out_dir=str(tmp_path))
+    (tmp_path / "gradcheck.json").write_text(json.dumps(
+        {"passed": False, "frac_within": 0.5, "median_rel_err": 0.3, "quantiles": {}}))
+    with pytest.raises(InputError, match="gradient check failed"):
+        pipeline.stage_gradcheck(cfg, None, None)
 
 
 def test_config_dict_roundtrip():
@@ -191,6 +264,39 @@ class TestCli:
             sid, p, verdict = ln.split(",")
             assert 0.0 <= float(p) <= 1.0
             assert verdict in ("clean", "perturbed")
+
+    def test_detect_scores_all_rows_in_one_call(self, mini_run, capsys, monkeypatch):
+        cfg, _ = mini_run
+        calls = []
+        real = detectors.score_many
+
+        def counting(model, features):
+            calls.append(len(features))
+            return real(model, features)
+
+        monkeypatch.setattr(detectors, "score_many", counting)
+        rc = cli.main(["detect", "--out", cfg.out_dir,
+                       "--detector", os.path.join(cfg.out_dir, "detectors", "lasso.json"),
+                       "--features", os.path.join(cfg.out_dir, "features", "fgsm_e8.csv")])
+        assert rc == 0
+        assert calls == [cfg.dataset.val_size]
+        assert len(capsys.readouterr().out.splitlines()) == cfg.dataset.val_size
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ('{"train": {"lr": -1}}', "learning rate"),
+        ('{"folz": 2}', "unknown config key(s) folz"),
+    ])
+    def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        rc = cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("segdetect: gen-data: ") and message in err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_detector_file_errors(self, tmp_path, capsys):
         rc = cli.main(["detect", "--out", str(tmp_path),
