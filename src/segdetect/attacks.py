@@ -10,7 +10,6 @@ the perturbation toward zero) so the l-inf budget holds bit-exactly.
 """
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -78,7 +77,6 @@ class PerturbedSample:
     clean_id: str
     attack: str
     config: dict = field(default_factory=dict)
-    target: Optional[np.ndarray] = None
 
 
 def iteration_count(eps):
@@ -145,7 +143,7 @@ def _sign_attack(model, sample, cfg, kind, alpha, n_iter):
                         _eps_box(x, cfg.eps), n_iter)
     echo = _echo(cfg, kind)
     return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id,
-                           attack=sign_tag(kind, echo), config=echo, target=target)
+                           attack=sign_tag(kind, echo), config=echo)
 
 
 def fgsm(model, sample, cfg):
@@ -246,7 +244,7 @@ def dnnm_attack(model, sample, cfg):
     adv = _sign_descent(lambda a: loss_input_grad(model, a, target, weights)[1], x,
                         -cfg.alpha, _eps_box(x, cfg.eps), cfg.n_iter)
     return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id, attack="dnnm",
-                           config=_echo(cfg, "dnnm"), target=target)
+                           config=_echo(cfg, "dnnm"))
 
 
 def patch_attack(model, train_samples, cfg):

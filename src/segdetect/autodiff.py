@@ -5,7 +5,8 @@ activations its backward pass needs. Callers compose graphs explicitly and
 call the backward ops in reverse order; there is no generic tape because the
 segmentation model is a fixed feed-forward chain.
 
-All tensors are float32, images H x W x C (channels last).
+Tensors are float32, images H x W x C (channels last). The forward ops also
+run in float64 when given float64 input, for the gradient check's reference.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ class ReluNode:
     mask: np.ndarray        # bool, True where input > 0
 
 
-def _im2col(x, k, dtype=np.float32):
+def _im2col(x, k, dtype):
     h, w, cin = x.shape
     pad = k // 2
     xp = np.pad(x.astype(dtype, copy=False), ((pad, pad), (pad, pad), (0, 0)))
@@ -56,8 +57,9 @@ def conv2d_fwd(x, kernel, bias):
         raise ConfigError(f"kernel must be square with odd size, got {kernel.shape}")
     if kcin != cin or bias.shape != (cout,):
         raise ConfigError(f"channel mismatch: input {cin}, kernel {kcin}, bias {bias.shape}")
-    cols = _im2col(x, k)
-    out = cols @ kernel.reshape(k * k * cin, cout).astype(np.float32) + bias.astype(np.float32)
+    dtype = np.promote_types(x.dtype, np.float32)
+    cols = _im2col(x, k, dtype)
+    out = cols @ kernel.reshape(k * k * cin, cout).astype(dtype) + bias.astype(dtype)
     node = ConvNode(cols=cols, kernel=kernel, input_shape=x.shape)
     return out.reshape(h, w, cout), node
 
@@ -85,8 +87,7 @@ def conv2d_bwd(node, grad_out):
 
 
 def relu_fwd(x):
-    out = np.maximum(x, 0).astype(np.float32, copy=False)
-    return out, ReluNode(mask=x > 0)
+    return np.maximum(x, 0), ReluNode(mask=x > 0)
 
 
 def relu_bwd(node, grad_out):

@@ -1,6 +1,7 @@
 """Command-line front end for the experiment pipeline.
 
-Subcommands mirror the pipeline stages; `run-all` executes everything.
+Each stage subcommand runs the pipeline up to and including its stage;
+`run-all` executes everything.
 The SEGDETECT_THREADS environment variable caps BLAS thread counts.
 """
 
@@ -48,64 +49,33 @@ def load_config(args):
     return cfg
 
 
-def _load_context(cfg, need_model=True):
+# stage -> the line its command prints, from the results of the stages run
+STAGE_LINES = {
+    "gen-data": lambda cfg, r: (f"generated {len(r['gen-data'][0])} train / "
+                                f"{len(r['gen-data'][1])} val samples in {cfg.out_dir}/data"),
+    "train-model": lambda cfg, r: f"model written to {cfg.out_dir}/model.ten",
+    "gradcheck": lambda cfg, r: ("gradcheck passed={passed} frac_within={frac_within:.4f} "
+                                 "median_rel_err={median_rel_err:.2e}".format(**r["gradcheck"])),
+    "attack": lambda cfg, r: f"ran {len(r['attack'])} attacks over {len(r['gen-data'][1])} images",
+    "extract-features": lambda cfg, r: "extracted features: clean={}, attacks={}".format(
+        *map(len, r["extract-features"])),
+    "train-detector": lambda cfg, r: f"trained detectors: {', '.join(sorted(r['train-detector']))}",
+    "evaluate": lambda cfg, r: f"report written to {r['evaluate']}",
+}
+
+
+def cmd_stage(cfg, args):
+    """Runs the pipeline up to and including the command's stage, or every
+    stage for run-all; --force recomputes the stages the command names."""
     from . import pipeline
 
-    train_set, val_set = pipeline.stage_gen_data(cfg)
-    model = pipeline.stage_train_model(cfg, train_set) if need_model else None
-    return train_set, val_set, model
-
-
-def cmd_gen_data(cfg, args):
-    from . import pipeline
-
-    train_set, val_set = pipeline.stage_gen_data(cfg, force=args.force)
-    print(f"generated {len(train_set)} train / {len(val_set)} val samples in {cfg.out_dir}/data")
-
-
-def cmd_train_model(cfg, args):
-    from . import pipeline
-
-    train_set, _ = pipeline.stage_gen_data(cfg)
-    pipeline.stage_train_model(cfg, train_set, force=args.force)
-    print(f"model written to {cfg.out_dir}/model.ten")
-
-
-def cmd_gradcheck(cfg, args):
-    from . import pipeline
-
-    train_set, val_set, model = _load_context(cfg)
-    doc = pipeline.stage_gradcheck(cfg, model, val_set, force=args.force)
-    print(f"gradcheck passed={doc['passed']} frac_within={doc['frac_within']:.4f} "
-          f"median_rel_err={doc['median_rel_err']:.2e}")
-
-
-def cmd_attack(cfg, args):
-    from . import pipeline
-
-    train_set, val_set, model = _load_context(cfg)
-    attacked = pipeline.stage_attack(cfg, model, train_set, val_set, force=args.force)
-    print(f"ran {len(attacked)} attacks over {len(val_set)} images")
-
-
-def cmd_extract_features(cfg, args):
-    from . import pipeline
-
-    train_set, val_set, model = _load_context(cfg)
-    attacked = pipeline.stage_attack(cfg, model, train_set, val_set)
-    clean, adv = pipeline.stage_extract_features(cfg, model, val_set, attacked,
-                                                 force=args.force)
-    print(f"extracted features: clean={len(clean)}, attacks={len(adv)}")
-
-
-def cmd_train_detector(cfg, args):
-    from . import pipeline
-
-    train_set, val_set, model = _load_context(cfg)
-    attacked = pipeline.stage_attack(cfg, model, train_set, val_set)
-    clean, adv = pipeline.stage_extract_features(cfg, model, val_set, attacked)
-    models = pipeline.stage_train_detectors(cfg, clean, adv, force=args.force)
-    print(f"trained detectors: {', '.join(sorted(models))}")
+    named = pipeline.STAGES if args.command == "run-all" else (args.command,)
+    results = {}
+    for stage, result in pipeline.run_stages(cfg, named if args.force else ()):
+        results[stage] = result
+        if stage == named[-1]:
+            break
+    print(STAGE_LINES[stage](cfg, results))
 
 
 def cmd_detect(cfg, args):
@@ -117,42 +87,14 @@ def cmd_detect(cfg, args):
         print(f"{f.image_id},{p:.6f},{detectors.classify(p, args.kappa)}")
 
 
-def cmd_evaluate(cfg, args):
-    from . import pipeline
-
-    train_set, val_set, model = _load_context(cfg)
-    attacked = pipeline.stage_attack(cfg, model, train_set, val_set)
-    clean, adv = pipeline.stage_extract_features(cfg, model, val_set, attacked)
-    path = pipeline.stage_evaluate(cfg, model, val_set, clean, adv, attacked,
-                                   force=args.force)
-    print(f"report written to {path}")
-
-
 def cmd_report(cfg, args):
     path = os.path.join(cfg.out_dir, "report", "report.csv")
     with open(path) as fh:
         sys.stdout.write(fh.read())
 
 
-def cmd_run_all(cfg, args):
-    from . import pipeline
-
-    path = pipeline.run_pipeline(cfg, force=args.force)
-    print(f"report written to {path}")
-
-
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train-model": cmd_train_model,
-    "gradcheck": cmd_gradcheck,
-    "attack": cmd_attack,
-    "extract-features": cmd_extract_features,
-    "train-detector": cmd_train_detector,
-    "detect": cmd_detect,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
-    "run-all": cmd_run_all,
-}
+COMMANDS = {**dict.fromkeys(STAGE_LINES, cmd_stage), "detect": cmd_detect, "report": cmd_report,
+            "run-all": cmd_stage}
 
 
 def build_parser():

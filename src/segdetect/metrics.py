@@ -15,6 +15,7 @@ from . import detectors, tensorio
 from .errors import InputError
 
 KAPPA_GRID = np.arange(40) / 39.0
+MIN_CLEAN_SCORES = 20   # the least a 5% FPR threshold can be read from
 
 
 @dataclass
@@ -69,8 +70,8 @@ def tpr_at_fpr(scores, fpr_cap=0.05):
     """TPR on perturbed scores at the largest threshold whose clean FPR does
     not exceed fpr_cap (empirical clean quantile, not the kappa grid)."""
     n_clean = len(scores.clean)
-    if n_clean < 20:
-        raise InputError("need at least 20 clean scores for a 5% FPR")
+    if n_clean < MIN_CLEAN_SCORES:
+        raise InputError(f"need at least {MIN_CLEAN_SCORES} clean scores for a 5% FPR")
     sorted_clean = np.sort(scores.clean)
     k = int(np.floor(fpr_cap * n_clean))
     kappa = sorted_clean[k]

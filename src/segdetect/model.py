@@ -63,9 +63,10 @@ def _check_image(image):
         raise InputError("image contains non-finite values")
 
 
-def _forward(model, image):
-    """Returns (logits, nodes) keeping the per-layer backward contexts."""
-    z = ((image.astype(np.float32) - model.mean) / model.scale).astype(np.float32)
+def _forward(model, image, dtype=np.float32):
+    """Returns (logits, nodes) keeping the per-layer backward contexts; the
+    pass runs in `dtype`."""
+    z = ((image.astype(dtype) - model.mean) / model.scale).astype(dtype)
     nodes = []
     a = z
     for i, (k, b) in enumerate(zip(model.kernels, model.biases)):
@@ -125,26 +126,11 @@ def _param_grads(model, image, target, pixel_weights):
 
 
 def loss_value_f64(model, image, target, pixel_weights):
-    """Plain float64 forward evaluation of the loss, used as the reference
-    for finite-difference gradient checks (float32 losses are too coarse for
-    central differences at h = 0.1)."""
-    z = (image.astype(np.float64) - model.mean) / model.scale
-    a = z
-    for i, (k, b) in enumerate(zip(model.kernels, model.biases)):
-        h, w, cin = a.shape
-        kk = k.shape[0]
-        pad = kk // 2
-        ap = np.pad(a, ((pad, pad), (pad, pad), (0, 0)))
-        cols = np.empty((h * w, kk * kk * cin))
-        idx = 0
-        for u in range(kk):
-            for v in range(kk):
-                cols[:, idx:idx + cin] = ap[u:u + h, v:v + w, :].reshape(h * w, cin)
-                idx += cin
-        a = (cols @ k.reshape(-1, k.shape[3]).astype(np.float64) + b).reshape(h, w, k.shape[3])
-        if i < len(model.kernels) - 1:
-            a = np.maximum(a, 0)
-    p = softmax(a, dtype=np.float64)
+    """Float64 evaluation of the loss through the same forward pass, used as
+    the reference for finite-difference gradient checks (float32 losses are
+    too coarse for central differences at h = 0.1)."""
+    logits, _ = _forward(model, image, np.float64)
+    p = softmax(logits, dtype=np.float64)
     ii, jj = np.indices(target.shape)
     ce = -np.log(p[ii, jj, target])
     return float(np.sum(pixel_weights * ce) / target.size)

@@ -1,9 +1,9 @@
 """End-to-end experiment pipeline with resumable on-disk stages.
 
-Stage order: gen-data -> train-model -> gradcheck -> attack -> extract-features
--> train-detector -> evaluate. Every stage is a pure function of its inputs,
-the config and the seed, skips itself when its outputs already exist, and can
-be re-run with force=True.
+Stage order (STAGES, chained once in run_stages): gen-data -> train-model ->
+gradcheck -> attack -> extract-features -> train-detector -> evaluate. Every
+stage is a pure function of its inputs, the config and the seed, skips itself
+when its outputs already exist, and can be re-run with force=True.
 """
 
 import os
@@ -15,6 +15,9 @@ from . import attacks, detectors, metrics, synthdata, tensorio, uncertainty
 from .errors import InputError
 from .model import TrainConfig, grad_check, load_model, predict, predicted_labels, save_model, train
 from .synthdata import DatasetConfig
+
+STAGES = ("gen-data", "train-model", "gradcheck", "attack", "extract-features",
+          "train-detector", "evaluate")
 
 
 def export_entropy_heatmap(probs, path):
@@ -62,15 +65,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InputError(f"unknown config key(s) {', '.join(sorted(unknown))}")
+        """Builds a config and validates its attack and detector specs and
+        its fold size, so that bad config fails before any stage runs."""
+        _check_keys(cls, d, "config")
         d = dict(d)
         if "dataset" in d:
+            _check_keys(DatasetConfig, d["dataset"], "dataset")
             d["dataset"] = DatasetConfig.from_dict(d["dataset"])
         if "train" in d:
+            _check_keys(TrainConfig, d["train"], "train")
             d["train"] = TrainConfig(**d["train"])
-        return cls(**d)
+        cfg = cls(**d)
+        for spec in cfg.attack_list:
+            _attack_spec(cfg, spec)
+        _detector_specs(cfg, {})
+        if cfg.attack_list and cfg.detector_list and (
+                cfg.folds < 2 or cfg.dataset.val_size // cfg.folds < metrics.MIN_CLEAN_SCORES):
+            raise InputError(f"{cfg.folds} folds of {cfg.dataset.val_size} validation images: "
+                             f"need at least 2 folds of {metrics.MIN_CLEAN_SCORES} clean scores")
+        return cfg
+
+
+def _check_keys(cls, d, section):
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
 
 
 def _done(path):
@@ -114,20 +133,25 @@ def stage_gradcheck(cfg, model, val_set, force=False):
     return doc
 
 
-def _run_fgsm(cfg, model, params, train_set, val_set):
-    acfg = attacks.AttackConfig(eps=params["eps"], targeted=bool(params.get("targeted")))
+def _fgsm_config(cfg, params):
+    return attacks.AttackConfig(eps=params["eps"], targeted=bool(params.get("targeted")))
+
+
+def _ifgsm_config(cfg, params):
+    n = params.get("n_iter") or attacks.iteration_count(params["eps"])
+    return attacks.AttackConfig(eps=params["eps"], alpha=params.get("alpha", 1.0), n_iter=n,
+                                targeted=bool(params.get("targeted")))
+
+
+def _run_fgsm(cfg, model, acfg, train_set, val_set):
     return [attacks.fgsm(model, s, acfg) for s in val_set]
 
 
-def _run_ifgsm(cfg, model, params, train_set, val_set):
-    n = params.get("n_iter") or attacks.iteration_count(params["eps"])
-    acfg = attacks.AttackConfig(eps=params["eps"], alpha=params.get("alpha", 1.0), n_iter=n,
-                                targeted=bool(params.get("targeted")))
+def _run_ifgsm(cfg, model, acfg, train_set, val_set):
     return [attacks.ifgsm(model, s, acfg) for s in val_set]
 
 
-def _run_ssmm(cfg, model, params, train_set, val_set):
-    scfg = attacks.SsmmConfig(**params)
+def _run_ssmm(cfg, model, scfg, train_set, val_set):
     rng = np.random.default_rng([cfg.seed, 101])
     subset = train_set[:cfg.ssmm_train_size]
     candidates = train_set[cfg.ssmm_train_size:] or train_set
@@ -138,49 +162,55 @@ def _run_ssmm(cfg, model, params, train_set, val_set):
     return [attacks.apply_universal(s, xi) for s in val_set]
 
 
-def _run_dnnm(cfg, model, params, train_set, val_set):
-    dcfg = attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **params})
+def _run_dnnm(cfg, model, dcfg, train_set, val_set):
     return [attacks.dnnm_attack(model, s, dcfg) for s in val_set]
 
 
-def _run_patch(cfg, model, params, train_set, val_set):
-    pcfg = attacks.PatchConfig(**{"seed": cfg.seed, **params})
+def _run_patch(cfg, model, pcfg, train_set, val_set):
     patch = attacks.patch_attack(model, train_set[:cfg.ssmm_train_size], pcfg)
     tensorio.save_tensor(os.path.join(cfg.out_dir, "patch.ten"), patch)
     rng = np.random.default_rng([cfg.seed, 202])
     return [attacks.apply_patch(s, patch, pcfg, rng=rng) for s in val_set]
 
 
-# kind -> (config dataclass, runner, tag rule, config fields the runner sets
-# itself; the spec keys are the other fields). The runner maps (cfg, model,
-# params, train_set, val_set) to perturbed samples, the tag rule (kind, params)
-# to the output tag; without one the kind is the tag.
+# kind -> (config dataclass, config rule, runner, tag rule, config fields the
+# runner sets itself; the spec keys are the other fields). The config rule
+# maps (cfg, params) to the attack config with the runner's defaults filled
+# in, the runner (cfg, model, attack config, train_set, val_set) to perturbed
+# samples, the tag rule (kind, params) to the output tag; without one the
+# kind is the tag.
 ATTACKS = {
-    "fgsm": (attacks.AttackConfig, _run_fgsm, attacks.sign_tag, ("alpha", "n_iter")),
-    "ifgsm": (attacks.AttackConfig, _run_ifgsm, attacks.sign_tag, ()),
-    "ssmm": (attacks.SsmmConfig, _run_ssmm, None, ()),
-    "dnnm": (attacks.DnnmConfig, _run_dnnm, None, ()),
-    "patch": (attacks.PatchConfig, _run_patch, None, ()),
+    "fgsm": (attacks.AttackConfig, _fgsm_config, _run_fgsm, attacks.sign_tag, ("alpha", "n_iter")),
+    "ifgsm": (attacks.AttackConfig, _ifgsm_config, _run_ifgsm, attacks.sign_tag, ()),
+    "ssmm": (attacks.SsmmConfig, lambda cfg, p: attacks.SsmmConfig(**p), _run_ssmm, None, ()),
+    "dnnm": (attacks.DnnmConfig,
+             lambda cfg, p: attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **p}),
+             _run_dnnm, None, ()),
+    "patch": (attacks.PatchConfig, lambda cfg, p: attacks.PatchConfig(**{"seed": cfg.seed, **p}),
+              _run_patch, None, ()),
 }
 
 
-def _attack_spec(spec):
-    """(runner, params, tag) of an attack spec; raises InputError on an
-    unknown kind or key."""
-    kind = spec["kind"]
+def _attack_spec(cfg, spec):
+    """(runner, attack config, tag) of an attack spec under `cfg`; raises
+    InputError on an unknown kind, an unknown or missing key or a bad value."""
+    kind = spec.get("kind")
     if kind not in ATTACKS:
         raise InputError(f"unknown attack kind {kind!r}")
-    config, run, tag, fixed = ATTACKS[kind]
+    config, make, run, tag, fixed = ATTACKS[kind]
     params = {k: v for k, v in spec.items() if k != "kind"}
     unknown = set(params) - ({f.name for f in fields(config)} - set(fixed))
     if unknown:
         raise InputError(f"attack {kind!r}: unknown key(s) {', '.join(sorted(unknown))}")
-    return run, params, tag(kind, params) if tag else kind
+    try:
+        return run, make(cfg, params), tag(kind, params) if tag else kind
+    except KeyError as exc:
+        raise InputError(f"attack {kind!r}: missing key {exc}") from None
 
 
 def attack_tag(spec):
     """Directory and report tag of an attack spec."""
-    return _attack_spec(spec)[2]
+    return _attack_spec(ExperimentConfig(), spec)[2]
 
 
 def stage_attack(cfg, model, train_set, val_set, force=False):
@@ -188,11 +218,15 @@ def stage_attack(cfg, model, train_set, val_set, force=False):
     perturbed dataset in the synthdata layout plus attack.json."""
     results = {}
     for spec in cfg.attack_list:
-        run, params, tag = _attack_spec(spec)
+        run, acfg, tag = _attack_spec(cfg, spec)
         adir = os.path.join(cfg.out_dir, "attacks", tag)
         meta_path = os.path.join(adir, "attack.json")
         if _done(meta_path) and not force:
             meta = tensorio.read_json(meta_path)
+            stale = sorted(k for k, v in asdict(acfg).items() if meta["config"].get(k) != v)
+            if stale:
+                raise InputError(f"attack {tag!r}: recorded config differs on "
+                                 f"{', '.join(stale)}; use --force or a fresh --out")
             perturbed = []
             for sid in meta["ids"]:
                 img = tensorio.load_tensor(os.path.join(adir, "images", f"{sid}.ten"))
@@ -201,7 +235,7 @@ def stage_attack(cfg, model, train_set, val_set, force=False):
                     config=meta["config"]))
             results[tag] = perturbed
             continue
-        perturbed = run(cfg, model, params, train_set, val_set)
+        perturbed = run(cfg, model, acfg, train_set, val_set)
         os.makedirs(os.path.join(adir, "images"), exist_ok=True)
         norms, windows = {}, {}
         for p, clean in zip(perturbed, val_set):
@@ -249,8 +283,10 @@ def stage_extract_features(cfg, model, val_set, attacked, force=False):
 
 def _detector_specs(cfg, adv_feats):
     """(kind, hyperparameters) of each configured detector that can train: a
-    supervised kind needs its training attack's features."""
-    specs = [(s["kind"], {k: v for k, v in s.items() if k != "kind"}) for s in cfg.detector_list]
+    supervised kind needs its training attack's features. Raises InputError
+    on an unknown kind or key."""
+    specs = [(s.get("kind"), {k: v for k, v in s.items() if k != "kind"})
+             for s in cfg.detector_list]
     return [(kind, hyper) for kind, hyper in specs
             if not detectors.is_supervised(kind, hyper) or cfg.train_attack in adv_feats]
 
@@ -309,14 +345,32 @@ def stage_evaluate(cfg, model, val_set, clean_feats, adv_feats, attacked, force=
     return csv_path
 
 
-def run_pipeline(cfg, force=False):
-    """Executes every stage in order; returns the path of the report CSV."""
+def run_stages(cfg, force=()):
+    """Runs the stages in STAGES order, yielding (stage name, result) after
+    each; `force` names the stages to recompute. Stop iterating to stop the
+    chain. The stage functions are resolved at call time, so wrappers set on
+    this module's attributes see every call."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     tensorio.write_json(os.path.join(cfg.out_dir, "config.json"), cfg.to_dict())
-    train_set, val_set = stage_gen_data(cfg, force)
-    model = stage_train_model(cfg, train_set, force)
-    stage_gradcheck(cfg, model, val_set, force)
-    attacked = stage_attack(cfg, model, train_set, val_set, force)
-    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set, attacked, force)
-    stage_train_detectors(cfg, clean_feats, adv_feats, force)
-    return stage_evaluate(cfg, model, val_set, clean_feats, adv_feats, attacked, force)
+    train_set, val_set = stage_gen_data(cfg, "gen-data" in force)
+    yield "gen-data", (train_set, val_set)
+    model = stage_train_model(cfg, train_set, "train-model" in force)
+    yield "train-model", model
+    yield "gradcheck", stage_gradcheck(cfg, model, val_set, "gradcheck" in force)
+    attacked = stage_attack(cfg, model, train_set, val_set, "attack" in force)
+    yield "attack", attacked
+    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set, attacked,
+                                                    "extract-features" in force)
+    yield "extract-features", (clean_feats, adv_feats)
+    yield "train-detector", stage_train_detectors(cfg, clean_feats, adv_feats,
+                                                  "train-detector" in force)
+    yield "evaluate", stage_evaluate(cfg, model, val_set, clean_feats, adv_feats, attacked,
+                                     "evaluate" in force)
+
+
+def run_pipeline(cfg, force=False):
+    """Executes every stage in order, recomputing all of them when `force`;
+    returns the path of the report CSV."""
+    for _, result in run_stages(cfg, STAGES if force else ()):
+        pass
+    return result

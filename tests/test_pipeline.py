@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -103,6 +104,33 @@ def test_registered_attack_keeps_budget(kind, small_dataset, small_model, tmp_pa
             assert delta.max() == 0
         else:
             assert delta.max() <= p.config["eps"]
+    # resuming with the same spec reuses the recorded outputs
+    again = pipeline.stage_attack(cfg, small_model, train, val[:3])[tag]
+    for p, q in zip(out, again):
+        np.testing.assert_array_equal(p.image, q.image)
+
+
+@pytest.mark.parametrize("spec,change,key", [
+    ({"kind": "ifgsm", "eps": 4, "n_iter": 1}, lambda cfg: cfg.attack_list[0].update(n_iter=3),
+     "n_iter"),
+    # a default the runner fills in from the experiment config
+    ({"kind": "patch", "height": 8, "width": 8, "n_iter": 1, "placements": 1},
+     lambda cfg: setattr(cfg, "seed", 1), "seed"),
+])
+def test_changed_attack_config_fails_loudly(spec, change, key, small_dataset, small_model,
+                                            tmp_path):
+    dcfg, train, val = small_dataset
+    cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path), ssmm_train_size=3,
+                                    attack_list=[dict(spec)])
+    tag = pipeline.attack_tag(spec)
+    pipeline.stage_attack(cfg, small_model, train, val[:2])
+    change(cfg)
+    with pytest.raises(InputError, match=f"'{tag}'.*{key}.*--force"):
+        pipeline.stage_attack(cfg, small_model, train, val[:2])
+    out = pipeline.stage_attack(cfg, small_model, train, val[:2], force=True)[tag]
+    meta = json.load(open(tmp_path / "attacks" / tag / "attack.json"))
+    assert out[0].config[key] == meta["config"][key] != spec.get(key, 0)
+    pipeline.stage_attack(cfg, small_model, train, val[:2])
 
 
 def test_registered_attack_tags_unique():
@@ -221,6 +249,12 @@ class TestMiniPipeline:
         assert open(csv_path, "rb").read() == before
         assert open(os.path.join(cfg.out_dir, "model.ten"), "rb").read() == model_before
 
+    def test_run_stages_yields_every_stage_in_order(self, mini_run):
+        cfg, csv_path = mini_run
+        stages = list(pipeline.run_stages(cfg))
+        assert [name for name, _ in stages] == list(pipeline.STAGES)
+        assert stages[-1][1] == csv_path
+
     def test_gradcheck_recorded_as_passed(self, mini_run):
         cfg, _ = mini_run
         doc = json.load(open(os.path.join(cfg.out_dir, "gradcheck.json")))
@@ -287,6 +321,13 @@ class TestCli:
         ("{not json", "Expecting property name"),
         ('{"train": {"lr": -1}}', "learning rate"),
         ('{"folz": 2}', "unknown config key(s) folz"),
+        ('{"attack_list": [{"kind": "fgsm"}]}', "attack 'fgsm': missing key 'eps'"),
+        ('{"attack_list": [{"kind": "ifgsm", "eps": -2}]}', "eps"),
+        ('{"detector_list": [{"kind": "svm"}]}', "unknown detector kind 'svm'"),
+        ('{"dataset": {"foo": 1}}', "unknown dataset key(s) foo"),
+        ('{"train": {"epochs": 2, "bar": 1}}', "unknown train key(s) bar"),
+        ('{"folds": 3, "dataset": {"val_size": 40}}', "need at least 2 folds of 20 clean scores"),
+        ('{"folds": 0}', "need at least 2 folds"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -321,3 +362,70 @@ class TestCli:
         cfg = load_config(args)
         assert cfg.dataset.noise_std == 3.0 and cfg.folds == 2
         assert cfg.dataset.height == 64   # untouched defaults survive the merge
+
+
+# A fresh run of this config takes a few seconds and passes the gradient check.
+TINY = {"dataset": {"height": 32, "width": 32, "train_size": 30, "val_size": 40, "seed": 5},
+        "train": {"epochs": 8, "seed": 5}, "attack_list": [{"kind": "fgsm", "eps": 8}],
+        "detector_list": [{"kind": "entropy"}], "folds": 2, "seed": 5}
+
+
+def run_cli(command, out, *extra):
+    return cli.main([command, "--out", str(out), "--stage-overrides", json.dumps(TINY), *extra])
+
+
+@pytest.fixture(scope="module")
+def tiny_model_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "run"
+    assert run_cli("train-model", out) == 0
+    return out
+
+
+class TestStageCommands:
+    @pytest.mark.parametrize("command,line", [
+        ("gen-data", "generated 30 train / 40 val samples in {out}/data"),
+        ("train-model", "model written to {out}/model.ten"),
+        ("gradcheck", "gradcheck passed=True frac_within="),
+        ("attack", "ran 1 attacks over 40 images"),
+        ("extract-features", "extracted features: clean=40, attacks=1"),
+        ("train-detector", "trained detectors: entropy"),
+        ("evaluate", "report written to {out}/report/report.csv"),
+    ])
+    def test_stage_command_on_fresh_dir(self, command, line, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(command, out) == 0
+        assert capsys.readouterr().out.startswith(line.format(out=out))
+        # the chain runs up to and including the command's stage, no further
+        done = [os.path.exists(out / rel) for rel in (
+            "data/manifest.json", "model.ten", "gradcheck.json", "attacks/fgsm_e8/attack.json",
+            "features/fgsm_e8.csv", "detectors/entropy.json", "report/report.csv")]
+        n = pipeline.STAGES.index(command) + 1
+        assert done == [True] * n + [False] * (len(done) - n)
+        assert (out / "config.json").exists()
+
+    def test_stage_commands_in_turn_match_run_all(self, tmp_path):
+        for command in pipeline.STAGES:
+            assert run_cli(command, tmp_path / "staged") == 0
+        assert run_cli("run-all", tmp_path / "all") == 0
+        rel = os.path.join("report", "report.csv")
+        assert (tmp_path / "staged" / rel).read_bytes() == (tmp_path / "all" / rel).read_bytes()
+
+    def test_recorded_failed_gradcheck_stops_attack(self, tiny_model_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(tiny_model_dir, out)
+        (out / "gradcheck.json").write_text(json.dumps(
+            {"passed": False, "frac_within": 0.5, "median_rel_err": 0.3, "quantiles": {}}))
+        assert run_cli("attack", out) == 1
+        assert "segdetect: attack: gradient check failed" in capsys.readouterr().err
+        assert not (out / "attacks").exists()
+
+    def test_attack_force_recomputes_only_attacks(self, tiny_model_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(tiny_model_dir, out)
+        assert run_cli("attack", out) == 0
+        model_bytes = (out / "model.ten").read_bytes()
+        meta = out / "attacks" / "fgsm_e8" / "attack.json"
+        meta.write_text("{}")
+        assert run_cli("attack", out, "--force") == 0
+        assert (out / "model.ten").read_bytes() == model_bytes
+        assert json.loads(meta.read_text())["config"]["eps"] == 8
