@@ -7,7 +7,7 @@ TPR5%: true positive rate at a threshold capping the clean FPR at 5%.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -82,35 +82,34 @@ def tpr_at_fpr(scores, fpr_cap=0.05):
 class EvalRow:
     detector: str
     attack: str
-    apsr_mean: float
-    ada_mean: float
-    ada_std: float
-    kappa_mean: float
-    auroc_mean: float
-    auroc_std: float
-    tpr_mean: float
-    tpr_std: float
+    apsr_mean: float = np.nan
+    ada_mean: float = np.nan
+    ada_std: float = np.nan
+    kappa_mean: float = np.nan
+    auroc_mean: float = np.nan
+    auroc_std: float = np.nan
+    tpr_mean: float = np.nan
+    tpr_std: float = np.nan
 
 
 @dataclass
 class EvalReport:
     rows: list = field(default_factory=list)
 
-    _FIELDS = ["detector", "attack", "apsr_mean", "ada_mean", "ada_std",
-               "kappa_mean", "auroc_mean", "auroc_std", "tpr_mean", "tpr_std"]
+    _FIELDS = [f.name for f in fields(EvalRow)]
+
+    def _table(self):
+        return [astuple(r) for r in sorted(self.rows, key=lambda r: (r.detector, r.attack))]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self._FIELDS)
-            for row in sorted(self.rows, key=lambda r: (r.detector, r.attack)):
-                vals = [getattr(row, f) for f in self._FIELDS]
-                writer.writerow(vals[:2] + [f"{v:.12g}" for v in vals[2:]])
+            for vals in self._table():
+                writer.writerow([*vals[:2], *(f"{v:.12g}" for v in vals[2:])])
 
     def write_json(self, path):
-        doc = [{f: getattr(r, f) for f in self._FIELDS}
-               for r in sorted(self.rows, key=lambda r: (r.detector, r.attack))]
-        tensorio.write_json(path, doc)
+        tensorio.write_json(path, [dict(zip(self._FIELDS, vals)) for vals in self._table()])
 
 
 def make_folds(ids, folds, seed):
@@ -167,7 +166,7 @@ def cross_validate(clean_features, adv_by_attack, spec, apsr_by_attack=None,
         st = per_attack[tag]
         rows.append(EvalRow(
             detector=spec.kind, attack=tag,
-            apsr_mean=float(apsr_by_attack.get(tag, float("nan"))),
+            apsr_mean=float(apsr_by_attack.get(tag, np.nan)),
             ada_mean=float(np.mean(st["ada"])), ada_std=float(np.std(st["ada"])),
             kappa_mean=float(np.mean(st["kappa"])),
             auroc_mean=float(np.mean(st["auroc"])), auroc_std=float(np.std(st["auroc"])),

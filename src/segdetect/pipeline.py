@@ -13,7 +13,8 @@ import numpy as np
 
 from . import attacks, detectors, metrics, synthdata, tensorio, uncertainty
 from .errors import InputError
-from .model import TrainConfig, grad_check, load_model, predict, predicted_labels, save_model, train
+from .model import TrainConfig, grad_check, load_model, predict, save_model, train
+from .model import predicted_labels  # noqa: F401 - a binding the benchmark's tracer wraps
 from .synthdata import DatasetConfig
 
 STAGES = ("gen-data", "train-model", "gradcheck", "attack", "extract-features",
@@ -67,14 +68,12 @@ class ExperimentConfig:
     def from_dict(cls, d):
         """Builds a config and validates its attack and detector specs and
         its fold size, so that bad config fails before any stage runs."""
-        _check_keys(cls, d, "config")
-        d = dict(d)
+        d = dict(_check_keys(cls, d, "config"))
         if "dataset" in d:
-            _check_keys(DatasetConfig, d["dataset"], "dataset")
-            d["dataset"] = DatasetConfig.from_dict(d["dataset"])
+            d["dataset"] = DatasetConfig.from_dict(_check_keys(DatasetConfig, d["dataset"],
+                                                               "dataset"))
         if "train" in d:
-            _check_keys(TrainConfig, d["train"], "train")
-            d["train"] = TrainConfig(**d["train"])
+            d["train"] = TrainConfig(**_check_keys(TrainConfig, d["train"], "train"))
         cfg = cls(**d)
         for spec in cfg.attack_list:
             _attack_spec(cfg, spec)
@@ -86,10 +85,20 @@ class ExperimentConfig:
         return cfg
 
 
-def _check_keys(cls, d, section):
-    unknown = set(d) - {f.name for f in fields(cls)}
+def _check_keys(cls, d, section, fixed=()):
+    """Returns `d`; raises InputError unless its keys are fields of dataclass
+    `cls` less `fixed`, valued like their scalar defaults (an int counts as a float)."""
+    known = {f.name: f.default for f in fields(cls) if f.name not in fixed}
+    unknown = set(d) - set(known)
     if unknown:
         raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
+    for key, val in d.items():
+        want = type(known[key])
+        accepts = {bool: bool, int: int, float: (int, float), str: str}.get(want)
+        if accepts and not (isinstance(val, accepts) and (want is bool) == isinstance(val, bool)):
+            raise InputError(f"{section} key {key}: expected {want.__name__}, "
+                             f"got {type(val).__name__}")
+    return d
 
 
 def _done(path):
@@ -198,10 +207,8 @@ def _attack_spec(cfg, spec):
     if kind not in ATTACKS:
         raise InputError(f"unknown attack kind {kind!r}")
     config, make, run, tag, fixed = ATTACKS[kind]
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    unknown = set(params) - ({f.name for f in fields(config)} - set(fixed))
-    if unknown:
-        raise InputError(f"attack {kind!r}: unknown key(s) {', '.join(sorted(unknown))}")
+    params = _check_keys(config, {k: v for k, v in spec.items() if k != "kind"},
+                         f"attack {kind!r}", fixed)
     try:
         return run, make(cfg, params), tag(kind, params) if tag else kind
     except KeyError as exc:
@@ -259,6 +266,7 @@ def stage_extract_features(cfg, model, val_set, attacked, force=False):
     hdir = os.path.join(cfg.out_dir, "heatmaps")
     if cfg.export_heatmaps:
         os.makedirs(hdir, exist_ok=True)
+    labels = {s.id: s.labels for s in val_set}
 
     def extract(samples, label, tag, name):
         path = os.path.join(fdir, f"{name}.csv")
@@ -268,8 +276,9 @@ def stage_extract_features(cfg, model, val_set, attacked, force=False):
         for s in samples:
             sid = s.id if hasattr(s, "id") else s.clean_id
             probs = predict(model, s.image)
-            feats.append(uncertainty.feature_vector(probs, image_id=sid,
-                                                    label=label, attack=tag))
+            f = uncertainty.feature_vector(probs, image_id=sid, label=label, attack=tag)
+            f.apsr = metrics.apsr(np.argmax(probs, axis=2), labels[sid])
+            feats.append(f)
             if cfg.export_heatmaps:
                 export_entropy_heatmap(probs, os.path.join(hdir, f"{name}_{sid}.pgm"))
         uncertainty.write_features(path, feats)
@@ -308,36 +317,21 @@ def stage_train_detectors(cfg, clean_feats, adv_feats, force=False):
     return models
 
 
-def compute_apsr_by_attack(model, val_set, attacked):
-    by_id = {s.id: s for s in val_set}
-    out = {}
-    for tag, samples in attacked.items():
-        vals = [metrics.apsr(predicted_labels(model, p.image), by_id[p.clean_id].labels)
-                for p in samples]
-        out[tag] = float(np.mean(vals))
-    return out
-
-
-def stage_evaluate(cfg, model, val_set, clean_feats, adv_feats, attacked, force=False):
+def stage_evaluate(cfg, clean_feats, adv_feats, force=False):
+    """The report, built from the feature table alone."""
     rdir = os.path.join(cfg.out_dir, "report")
     csv_path = os.path.join(rdir, "report.csv")
     json_path = os.path.join(rdir, "report.json")
     if _done(csv_path) and not force:
         return csv_path
     os.makedirs(rdir, exist_ok=True)
-    apsr_by_attack = compute_apsr_by_attack(model, val_set, attacked)
-    nan = float("nan")
-    clean_apsr = float(np.mean([
-        metrics.apsr(predicted_labels(model, s.image), s.labels) for s in val_set]))
-    report = metrics.EvalReport(rows=[metrics.EvalRow(
-        detector="-", attack="clean", apsr_mean=clean_apsr, ada_mean=nan,
-        ada_std=nan, kappa_mean=nan, auroc_mean=nan, auroc_std=nan,
-        tpr_mean=nan, tpr_std=nan)])
+    apsr = {tag: float(np.mean([f.apsr for f in feats]))
+            for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
+    report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean", apsr_mean=apsr["clean"])])
     for kind, hyper in _detector_specs(cfg, adv_feats) if adv_feats else []:
         dspec = metrics.DetectorSpec(kind=kind, train_attack=cfg.train_attack,
                                      hyperparams=hyper)
-        part = metrics.cross_validate(clean_feats, adv_feats, dspec,
-                                      apsr_by_attack=apsr_by_attack,
+        part = metrics.cross_validate(clean_feats, adv_feats, dspec, apsr_by_attack=apsr,
                                       folds=cfg.folds, seed=cfg.seed)
         report.rows.extend(part.rows)
     report.write_csv(csv_path)
@@ -364,8 +358,7 @@ def run_stages(cfg, force=()):
     yield "extract-features", (clean_feats, adv_feats)
     yield "train-detector", stage_train_detectors(cfg, clean_feats, adv_feats,
                                                   "train-detector" in force)
-    yield "evaluate", stage_evaluate(cfg, model, val_set, clean_feats, adv_feats, attacked,
-                                     "evaluate" in force)
+    yield "evaluate", stage_evaluate(cfg, clean_feats, adv_feats, "evaluate" in force)
 
 
 def run_pipeline(cfg, force=False):

@@ -26,6 +26,7 @@ class FeatureVector:
     image_id: str = ""
     label: str = "clean"     # "clean" or "adv"
     attack: str = ""
+    apsr: float = np.nan   # the image's pixel error rate; not a feature
 
     @property
     def num_classes(self):
@@ -68,27 +69,33 @@ def feature_matrix(features):
     return np.array([f.values for f in features])
 
 
+def _header(num_classes):
+    return ["id", "label", "attack", "apsr", "E", "V", "M"] + [f"P{y}" for y in range(num_classes)]
+
+
 def write_features(path, features):
-    """CSV with header id,label,attack,E,V,M,P0..P{C-1}; rows ordered by id."""
+    """CSV of the _header columns, rows ordered by id, every float exact."""
     if not features:
         raise InputError("no features to write")
-    c = features[0].num_classes
-    header = ["id", "label", "attack", "E", "V", "M"] + [f"P{y}" for y in range(c)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_header(features[0].num_classes))
         for f in sorted(features, key=lambda f: f.image_id):
             writer.writerow([f.image_id, f.label, f.attack]
-                            + [f"{v:.12g}" for v in f.values])
+                            + [repr(float(v)) for v in (f.apsr, *f.values)])
 
 
 def read_features(path):
+    """Reads a write_features CSV; raises InputError on any other header."""
     features = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = next(reader, [])
+        if header != _header(len(header) - 7):
+            raise InputError(f"{path}: not a feature CSV with an apsr column; "
+                             "re-extract it with --force or use a fresh --out")
         for row in reader:
-            values = np.array([float(v) for v in row[3:]])
-            features.append(FeatureVector(values=values, image_id=row[0],
-                                          label=row[1], attack=row[2]))
+            features.append(FeatureVector(values=np.array([float(v) for v in row[4:]]),
+                                          image_id=row[0], label=row[1], attack=row[2],
+                                          apsr=float(row[3])))
     return features

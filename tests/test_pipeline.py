@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -255,6 +256,20 @@ class TestMiniPipeline:
         assert [name for name, _ in stages] == list(pipeline.STAGES)
         assert stages[-1][1] == csv_path
 
+    def test_heatmap_export_writes_one_pgm_per_image(self, mini_run, tmp_path):
+        cfg, csv_path = mini_run
+        out = tmp_path / "run"
+        shutil.copytree(cfg.out_dir, out)
+        for rel in ("features", "detectors", "report"):
+            shutil.rmtree(out / rel)
+        hcfg = dataclasses.replace(cfg, out_dir=str(out), export_heatmaps=True)
+        pipeline.run_pipeline(hcfg)
+        ids = json.load(open(out / "data" / "manifest.json"))["val_ids"]
+        names = ["clean"] + [pipeline.attack_tag(spec) for spec in cfg.attack_list]
+        assert sorted(os.listdir(out / "heatmaps")) == sorted(
+            f"{name}_{sid}.pgm" for name in names for sid in ids)
+        assert (out / "report" / "report.csv").read_bytes() == open(csv_path, "rb").read()
+
     def test_gradcheck_recorded_as_passed(self, mini_run):
         cfg, _ = mini_run
         doc = json.load(open(os.path.join(cfg.out_dir, "gradcheck.json")))
@@ -328,6 +343,14 @@ class TestCli:
         ('{"train": {"epochs": 2, "bar": 1}}', "unknown train key(s) bar"),
         ('{"folds": 3, "dataset": {"val_size": 40}}', "need at least 2 folds of 20 clean scores"),
         ('{"folds": 0}', "need at least 2 folds"),
+        ('{"train": {"epochs": "x"}}', "train key epochs: expected int, got str"),
+        ('{"dataset": {"height": "64"}}', "dataset key height: expected int, got str"),
+        ('{"folds": "2"}', "config key folds: expected int, got str"),
+        ('{"attack_list": [{"kind": "ifgsm", "eps": "8"}]}',
+         "attack 'ifgsm' key eps: expected float, got str"),
+        ('{"dataset": {"val_size": 40.5}}', "dataset key val_size: expected int, got float"),
+        ('{"train": {"epochs": true}}', "train key epochs: expected int, got bool"),
+        ('{"export_heatmaps": 1}', "config key export_heatmaps: expected bool, got int"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -338,6 +361,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("segdetect: gen-data: ") and message in err
         assert not (tmp_path / "run").exists()
+
+    def test_detect_on_old_feature_csv_errors(self, mini_run, tmp_path, capsys):
+        cfg, _ = mini_run
+        path = tmp_path / "old.csv"
+        path.write_text("id,label,attack,E,V,M,P0,P1,P2,P3\n"
+                        "val_0000,clean,,0.1,0.05,0.06,0.7,0.1,0.1,0.1\n")
+        rc = cli.main(["detect", "--out", cfg.out_dir,
+                       "--detector", os.path.join(cfg.out_dir, "detectors", "entropy.json"),
+                       "--features", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("segdetect: detect: ") and "old.csv" in err and "--force" in err
 
     def test_unknown_detector_file_errors(self, tmp_path, capsys):
         rc = cli.main(["detect", "--out", str(tmp_path),
@@ -353,6 +388,11 @@ class TestCli:
         cfg = load_config(args)
         assert cfg.seed == 9 and cfg.dataset.seed == 9 and cfg.train.seed == 9
         assert cfg.out_dir == str(tmp_path)
+
+    def test_int_accepted_where_default_is_float(self):
+        cfg = pipeline.ExperimentConfig.from_dict(
+            {"train": {"lr": 1}, "attack_list": [{"kind": "ifgsm", "eps": 8, "alpha": 2}]})
+        assert cfg.train.lr == 1
 
     def test_stage_overrides_merge(self, tmp_path):
         from segdetect.cli import build_parser, load_config
@@ -370,8 +410,13 @@ TINY = {"dataset": {"height": 32, "width": 32, "train_size": 30, "val_size": 40,
         "detector_list": [{"kind": "entropy"}], "folds": 2, "seed": 5}
 
 
-def run_cli(command, out, *extra):
-    return cli.main([command, "--out", str(out), "--stage-overrides", json.dumps(TINY), *extra])
+# TINY with every detector kind, lasso trained on the one attack.
+TINY_ALL_DETECTORS = dict(TINY, train_attack="fgsm_e8", detector_list=[
+    {"kind": "entropy"}, {"kind": "lasso"}, {"kind": "ocsvm"}, {"kind": "ellipse"}])
+
+
+def run_cli(command, out, *extra, config=TINY):
+    return cli.main([command, "--out", str(out), "--stage-overrides", json.dumps(config), *extra])
 
 
 @pytest.fixture(scope="module")
@@ -404,11 +449,18 @@ class TestStageCommands:
         assert (out / "config.json").exists()
 
     def test_stage_commands_in_turn_match_run_all(self, tmp_path):
+        # later commands read the features back from CSV; run-all keeps them in memory
         for command in pipeline.STAGES:
-            assert run_cli(command, tmp_path / "staged") == 0
-        assert run_cli("run-all", tmp_path / "all") == 0
-        rel = os.path.join("report", "report.csv")
-        assert (tmp_path / "staged" / rel).read_bytes() == (tmp_path / "all" / rel).read_bytes()
+            assert run_cli(command, tmp_path / "staged", config=TINY_ALL_DETECTORS) == 0
+        assert run_cli("run-all", tmp_path / "all", config=TINY_ALL_DETECTORS) == 0
+        for sub, names in (("detectors", ["ellipse.json", "entropy.json", "lasso.json",
+                                          "ocsvm.json"]),
+                           ("report", ["report.csv", "report.json"])):
+            assert sorted(os.listdir(tmp_path / "all" / sub)) == names
+            for name in names:
+                rel = os.path.join(sub, name)
+                assert ((tmp_path / "staged" / rel).read_bytes()
+                        == (tmp_path / "all" / rel).read_bytes()), rel
 
     def test_recorded_failed_gradcheck_stops_attack(self, tiny_model_dir, tmp_path, capsys):
         out = tmp_path / "run"

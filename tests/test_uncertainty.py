@@ -107,22 +107,39 @@ class TestFeaturesCsv:
             feats.append(uncertainty.feature_vector(
                 p, image_id=f"val_{i:04d}", label="adv" if i % 2 else "clean",
                 attack="fgsm_e8" if i % 2 else ""))
+            feats[-1].apsr = rng.uniform()
         path = tmp_path / "f.csv"
-        uncertainty.write_features(path, feats)
+        uncertainty.write_features(path, feats[::-1])
         back = uncertainty.read_features(path)
         assert [f.image_id for f in back] == sorted(f.image_id for f in feats)
         by_id = {f.image_id: f for f in feats}
         for f in back:
             orig = by_id[f.image_id]
             assert f.label == orig.label and f.attack == orig.attack
-            np.testing.assert_allclose(f.values, orig.values, rtol=1e-11)
+            assert f.apsr == orig.apsr
+            np.testing.assert_array_equal(f.values, orig.values)
+
+    def test_matrix_of_read_back_csv_keeps_feature_width(self, tmp_path):
+        p = np.full((2, 2, 3), 1 / 3)
+        f = uncertainty.feature_vector(p, image_id="a")
+        f.apsr = 0.5
+        uncertainty.write_features(tmp_path / "f.csv", [f])
+        back = uncertainty.read_features(tmp_path / "f.csv")
+        assert uncertainty.feature_matrix(back).shape == (1, 3 + 3)
+        assert back[0].apsr == 0.5
+
+    def test_old_header_raises(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("id,label,attack,E,V,M,P0,P1,P2\na,clean,,0.1,0.2,0.3,0.4,0.3,0.3\n")
+        with pytest.raises(InputError, match="f.csv.*apsr.*--force"):
+            uncertainty.read_features(path)
 
     def test_header(self, tmp_path):
         p = np.full((2, 2, 3), 1 / 3)
         uncertainty.write_features(tmp_path / "f.csv",
                                    [uncertainty.feature_vector(p, image_id="a")])
         header = (tmp_path / "f.csv").read_text().splitlines()[0]
-        assert header == "id,label,attack,E,V,M,P0,P1,P2"
+        assert header == "id,label,attack,apsr,E,V,M,P0,P1,P2"
 
     def test_empty_raises(self, tmp_path):
         with pytest.raises(InputError):
