@@ -17,6 +17,9 @@ from .errors import AttackError, InputError
 from .model import loss_input_grad, predict, predicted_labels
 
 
+DNNM_BLOCK = 1024   # hidden pixels per dnnm_target distance block
+
+
 @dataclass
 class AttackConfig:
     eps: float = 8.0
@@ -179,8 +182,7 @@ def ssmm_train(model, train_samples, targets, cfg):
             xadv = np.clip(s.image + xi, 0, 255).astype(np.float32)
             probs = predict(model, xadv)
             pred = np.argmax(probs, axis=2)
-            ii, jj = np.indices(tgt.shape)
-            conf = probs[ii, jj, tgt]
+            conf = np.take_along_axis(probs, tgt[:, :, None], axis=2)[:, :, 0]
             weights = np.where((pred == tgt) & (conf > cfg.tau), 0.0, 1.0).astype(np.float32)
             gsum += loss_input_grad(model, xadv, tgt, weights)[1]
         return gsum / len(train_samples)
@@ -216,6 +218,13 @@ def dnnm_target(pred, hidden_class, omega):
     nearest complement pixel (exact squared Euclidean distance, lexicographic
     tie-break); complement pixels keep their own prediction.
 
+    Only complement pixels with a hidden 4-neighbour are searched. If q is a
+    nearest complement pixel of hidden p, q's 4-neighbour one step toward p
+    lies in the image and strictly closer to p, so it is hidden: every
+    minimizer is in the searched set, and its row-major order keeps the tie
+    rule. Hidden pixels go in blocks of DNNM_BLOCK, so the distance
+    temporary is O(DNNM_BLOCK x boundary).
+
     Returns (target labels, pixel weights) with weight omega on the hidden
     region and 1 - omega elsewhere."""
     mask_o = pred == hidden_class
@@ -223,14 +232,21 @@ def dnnm_target(pred, hidden_class, omega):
     weights = np.full(pred.shape, 1.0 - omega, np.float32)
     if not mask_o.any():
         return target, weights
-    comp = np.argwhere(~mask_o)       # row-major, i.e. lexicographic order
+    touches = np.zeros_like(mask_o)
+    touches[1:] |= mask_o[:-1]
+    touches[:-1] |= mask_o[1:]
+    touches[:, 1:] |= mask_o[:, :-1]
+    touches[:, :-1] |= mask_o[:, 1:]
+    comp = np.argwhere(touches & ~mask_o)      # row-major, i.e. lexicographic order
     if comp.size == 0:
         raise AttackError("entire image predicted as the hidden class")
     own = np.argwhere(mask_o)
-    d2 = ((own[:, 0, None] - comp[None, :, 0]) ** 2
-          + (own[:, 1, None] - comp[None, :, 1]) ** 2)
-    nearest = comp[np.argmin(d2, axis=1)]   # first minimum = smallest (i', j')
-    target[own[:, 0], own[:, 1]] = pred[nearest[:, 0], nearest[:, 1]]
+    for start in range(0, len(own), DNNM_BLOCK):
+        blk = own[start:start + DNNM_BLOCK]
+        d2 = ((blk[:, 0, None] - comp[None, :, 0]) ** 2
+              + (blk[:, 1, None] - comp[None, :, 1]) ** 2)
+        nearest = comp[np.argmin(d2, axis=1)]   # first minimum = smallest (i', j')
+        target[blk[:, 0], blk[:, 1]] = pred[nearest[:, 0], nearest[:, 1]]
     weights[mask_o] = omega
     return target, weights
 

@@ -20,7 +20,7 @@ from .errors import ConfigError, InputError, InternalError
 class ConvNode:
     """Cached state of one conv2d_fwd call."""
 
-    cols: np.ndarray        # (H*W, k*k*Cin) im2col view of the padded input
+    xpad: np.ndarray        # _padded(input): rows of the zero-padded width W + 2p
     kernel: np.ndarray      # (k, k, Cin, Cout)
     input_shape: tuple
 
@@ -30,17 +30,36 @@ class ReluNode:
     mask: np.ndarray        # bool, True where input > 0
 
 
-def _im2col(x, k, dtype):
-    h, w, cin = x.shape
-    pad = k // 2
-    xp = np.pad(x.astype(dtype, copy=False), ((pad, pad), (pad, pad), (0, 0)))
-    cols = np.empty((h * w, k * k * cin), dtype)
-    idx = 0
+def _padded(x, pad, dtype):
+    """x zero-padded by `pad` on every side and flattened to (rows * (W + 2 pad), C),
+    with one spare zero row so the last tap's window stays in bounds. With pad
+    0 (a 1x1 kernel) it is x itself, reshaped."""
+    h, w, c = x.shape
+    if pad == 0:
+        return x.astype(dtype, copy=False).reshape(h * w, c)
+    xp = np.zeros((h + 2 * pad + 1, w + 2 * pad, c), dtype)
+    xp[pad:pad + h, pad:pad + w] = x
+    return xp.reshape(-1, c)
+
+
+def _window(flat, u, v, h, wp):
+    """Rows of flat seen by tap (u, v) at every output position of the
+    (h, wp) padded-width grid: a contiguous slice, no copy."""
+    start = u * wp + v
+    return flat[start:start + h * wp]
+
+
+def _shifted_gemm(flat, kernel, h, wp):
+    """sum over the k*k taps of window(u, v) @ kernel[u, v]: the convolution of
+    a _padded input, on the (h * wp, Cout) padded-width grid."""
+    k = kernel.shape[0]
+    out = _window(flat, 0, 0, h, wp) @ kernel[0, 0]
+    tap = np.empty_like(out)
     for u in range(k):
         for v in range(k):
-            cols[:, idx:idx + cin] = xp[u:u + h, v:v + w, :].reshape(h * w, cin)
-            idx += cin
-    return cols
+            if u or v:
+                out += np.matmul(_window(flat, u, v, h, wp), kernel[u, v], out=tap)
+    return out
 
 
 def conv2d_fwd(x, kernel, bias):
@@ -58,31 +77,36 @@ def conv2d_fwd(x, kernel, bias):
     if kcin != cin or bias.shape != (cout,):
         raise ConfigError(f"channel mismatch: input {cin}, kernel {kcin}, bias {bias.shape}")
     dtype = np.promote_types(x.dtype, np.float32)
-    cols = _im2col(x, k, dtype)
-    out = cols @ kernel.reshape(k * k * cin, cout).astype(dtype) + bias.astype(dtype)
-    node = ConvNode(cols=cols, kernel=kernel, input_shape=x.shape)
-    return out.reshape(h, w, cout), node
+    wp = w + k - 1
+    xpad = _padded(x, k // 2, dtype)
+    out = _shifted_gemm(xpad, kernel.astype(dtype, copy=False), h, wp)
+    out = out.reshape(h, wp, cout)[:, :w] + bias.astype(dtype)
+    return out, ConvNode(xpad=xpad, kernel=kernel, input_shape=x.shape)
 
 
 def conv2d_bwd(node, grad_out):
-    """Adjoint of conv2d_fwd: returns (grad_input, grad_kernel, grad_bias)."""
+    """Adjoint of conv2d_fwd: returns (grad_input, grad_kernel, grad_bias).
+
+    grad_input is the shifted-GEMM convolution of the padded grad_out with
+    the flipped, transposed kernel; grad_kernel[u, v] is window(u, v).T @
+    grad_out, with grad_out on the padded-width grid (zeros in its spare
+    columns)."""
     h, w, cin = node.input_shape
     k = node.kernel.shape[0]
     cout = node.kernel.shape[3]
     if grad_out.shape != (h, w, cout):
         raise InternalError(f"grad_out shape {grad_out.shape} does not match cached ({h}, {w}, {cout})")
-    go = grad_out.reshape(h * w, cout).astype(np.float32, copy=False)
-    grad_bias = go.sum(axis=0)
-    grad_kernel = (node.cols.T @ go).reshape(k, k, cin, cout)
-    gcols = go @ node.kernel.reshape(k * k * cin, cout).astype(np.float32).T
-    pad = k // 2
-    gxp = np.zeros((h + 2 * pad, w + 2 * pad, cin), np.float32)
-    idx = 0
+    pad, wp = k // 2, w + k - 1
+    go = grad_out.astype(np.float32, copy=False)
+    grad_bias = go.reshape(h * w, cout).sum(axis=0)
+    gpad = _padded(go, pad, np.float32)
+    go_grid = _window(gpad, pad, pad, h, wp)
+    grad_kernel = np.empty((k, k, cin, cout), np.promote_types(node.xpad.dtype, np.float32))
     for u in range(k):
         for v in range(k):
-            gxp[u:u + h, v:v + w, :] += gcols[:, idx:idx + cin].reshape(h, w, cin)
-            idx += cin
-    grad_input = gxp[pad:pad + h, pad:pad + w, :].copy()
+            np.matmul(_window(node.xpad, u, v, h, wp).T, go_grid, out=grad_kernel[u, v])
+    adjoint = node.kernel[::-1, ::-1].transpose(0, 1, 3, 2).astype(np.float32, copy=False)
+    grad_input = _shifted_gemm(gpad, adjoint, h, wp).reshape(h, wp, cin)[:, :w]
     return grad_input, grad_kernel, grad_bias
 
 
@@ -91,14 +115,18 @@ def relu_fwd(x):
 
 
 def relu_bwd(node, grad_out):
-    # subgradient at exactly 0 is 0
-    return np.where(node.mask, grad_out, 0).astype(np.float32, copy=False)
+    # subgradient at exactly 0 is 0. Adding +0 turns the -0.0 of a negative
+    # gradient times False into 0.0, so for finite gradients this equals
+    # np.where(mask, grad_out, 0) bit for bit, at a tenth of its cost.
+    return grad_out.astype(np.float32, copy=False) * node.mask + np.float32(0)
 
 
 def softmax(logits, dtype=np.float32):
     """Per-pixel softmax over the last axis, max-subtracted for stability."""
     z = logits.astype(dtype, copy=False)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    # the same maximum as z.max(axis=-1), which is slow over a short last axis
+    zmax = np.maximum.reduce([z[..., c] for c in range(z.shape[-1])])
+    e = np.exp(z - zmax[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -117,11 +145,12 @@ def softmax_ce(logits, target, pixel_weights):
         raise InputError(f"target ids must lie in [0, {c})")
     probs = softmax(logits)
     npix = h * w
-    ii, jj = np.indices((h, w))
-    p_true = probs[ii, jj, target]
+    idx = target[:, :, None]
+    p_true = np.take_along_axis(probs, idx, axis=2)
     wgt = pixel_weights.astype(np.float32, copy=False)
-    loss = float(np.sum(wgt * -np.log(np.maximum(p_true, np.finfo(np.float32).tiny))) / npix)
+    tiny = np.finfo(np.float32).tiny
+    loss = float(np.sum(wgt * -np.log(np.maximum(p_true[:, :, 0], tiny))) / npix)
     grad = probs.copy()
-    grad[ii, jj, target] -= 1.0
+    np.put_along_axis(grad, idx, p_true - 1.0, axis=2)
     grad *= (wgt / npix)[:, :, None]
     return loss, probs, grad

@@ -258,17 +258,24 @@ DETECTORS = {
 }
 
 
+def hyperparameters(kind):
+    """{key: default} of the spec keys `kind` takes: its trainer's parameters
+    after the features. Raises InputError on an unknown kind."""
+    if kind not in DETECTORS:
+        raise InputError(f"unknown detector kind {kind!r}")
+    params = inspect.signature(globals()[DETECTORS[kind][0]]).parameters
+    return {name: p.default for name, p in params.items()
+            if name not in ("clean_features", "adv_features")}
+
+
 def _trainer(kind, hyperparams):
     """(trainer, supervised) of `kind`; raises InputError on an unknown kind or
     hyperparameter."""
-    if kind not in DETECTORS:
-        raise InputError(f"unknown detector kind {kind!r}")
-    fn = globals()[DETECTORS[kind][0]]
-    args = set(inspect.signature(fn).parameters)
-    unknown = set(hyperparams) - (args - {"clean_features", "adv_features"})
+    unknown = set(hyperparams) - set(hyperparameters(kind))
     if unknown:
         raise InputError(f"detector {kind!r}: unknown key(s) {', '.join(sorted(unknown))}")
-    return fn, "adv_features" in args
+    fn = globals()[DETECTORS[kind][0]]
+    return fn, "adv_features" in inspect.signature(fn).parameters
 
 
 def is_supervised(kind, hyperparams=()):

@@ -131,8 +131,7 @@ def loss_value_f64(model, image, target, pixel_weights):
     too coarse for central differences at h = 0.1)."""
     logits, _ = _forward(model, image, np.float64)
     p = softmax(logits, dtype=np.float64)
-    ii, jj = np.indices(target.shape)
-    ce = -np.log(p[ii, jj, target])
+    ce = -np.log(np.take_along_axis(p, target[:, :, None], axis=2)[:, :, 0])
     return float(np.sum(pixel_weights * ce) / target.size)
 
 

@@ -68,12 +68,12 @@ class ExperimentConfig:
     def from_dict(cls, d):
         """Builds a config and validates its attack and detector specs and
         its fold size, so that bad config fails before any stage runs."""
-        d = dict(_check_keys(cls, d, "config"))
+        d = dict(_check_keys(_defaults(cls), d, "config"))
         if "dataset" in d:
-            d["dataset"] = DatasetConfig.from_dict(_check_keys(DatasetConfig, d["dataset"],
-                                                               "dataset"))
+            d["dataset"] = DatasetConfig.from_dict(
+                _check_keys(_defaults(DatasetConfig), d["dataset"], "dataset"))
         if "train" in d:
-            d["train"] = TrainConfig(**_check_keys(TrainConfig, d["train"], "train"))
+            d["train"] = TrainConfig(**_check_keys(_defaults(TrainConfig), d["train"], "train"))
         cfg = cls(**d)
         for spec in cfg.attack_list:
             _attack_spec(cfg, spec)
@@ -85,10 +85,14 @@ class ExperimentConfig:
         return cfg
 
 
-def _check_keys(cls, d, section, fixed=()):
-    """Returns `d`; raises InputError unless its keys are fields of dataclass
-    `cls` less `fixed`, valued like their scalar defaults (an int counts as a float)."""
-    known = {f.name: f.default for f in fields(cls) if f.name not in fixed}
+def _defaults(cls, fixed=()):
+    """{field: default} of dataclass `cls`, less the fields in `fixed`."""
+    return {f.name: f.default for f in fields(cls) if f.name not in fixed}
+
+
+def _check_keys(known, d, section):
+    """Returns `d`; raises InputError unless its keys are keys of `known`
+    ({key: default}), valued like their scalar defaults (an int counts as a float)."""
     unknown = set(d) - set(known)
     if unknown:
         raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
@@ -207,8 +211,8 @@ def _attack_spec(cfg, spec):
     if kind not in ATTACKS:
         raise InputError(f"unknown attack kind {kind!r}")
     config, make, run, tag, fixed = ATTACKS[kind]
-    params = _check_keys(config, {k: v for k, v in spec.items() if k != "kind"},
-                         f"attack {kind!r}", fixed)
+    params = _check_keys(_defaults(config, fixed),
+                         {k: v for k, v in spec.items() if k != "kind"}, f"attack {kind!r}")
     try:
         return run, make(cfg, params), tag(kind, params) if tag else kind
     except KeyError as exc:
@@ -293,9 +297,11 @@ def stage_extract_features(cfg, model, val_set, attacked, force=False):
 def _detector_specs(cfg, adv_feats):
     """(kind, hyperparameters) of each configured detector that can train: a
     supervised kind needs its training attack's features. Raises InputError
-    on an unknown kind or key."""
+    on an unknown kind or key, or a value unlike its trainer default."""
     specs = [(s.get("kind"), {k: v for k, v in s.items() if k != "kind"})
              for s in cfg.detector_list]
+    for kind, hyper in specs:
+        _check_keys(detectors.hyperparameters(kind), hyper, f"detector {kind!r}")
     return [(kind, hyper) for kind, hyper in specs
             if not detectors.is_supervised(kind, hyper) or cfg.train_attack in adv_feats]
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,61 @@ def bruteforce_dnnm_target(pred, hidden_class):
     return target
 
 
+def _region_map(name, h=13, w=16):
+    """Region-shaped and tie-heavy prediction maps; class 1 is hidden."""
+    ii, jj = np.indices((h, w))
+    other = np.array([0, 2, 3])     # complement classes
+    maps = {
+        "disk": np.where((ii - 6) ** 2 + (jj - 8) ** 2 <= 20, 1, other[(2 * ii + jj) % 3]),
+        "two_disks": np.where(((ii - 3) ** 2 + (jj - 3) ** 2 <= 6)
+                              | ((ii - 9) ** 2 + (jj - 12) ** 2 <= 9), 1, other[(ii + jj) % 3]),
+        "row_stripes": np.where(ii // 2 % 2 == 0, 1, other[ii % 3]),
+        "col_stripes": np.where(jj % 3 == 1, 1, other[jj % 4 // 2]),
+        "checkerboard": np.where((ii + jj) % 2 == 0, 1, other[(ii // 2 + jj // 3) % 3]),
+        "block_checkerboard": np.where((ii // 3 + jj // 3) % 2 == 0, 1, 0),
+        "corner": np.where((ii < 8) & (jj < 10), 1, other[(ii + 2 * jj) % 3]),
+        "left_half": np.where(jj < w // 2, 1, other[ii % 3]),
+        "frame": np.where((ii == 0) | (jj == 0) | (ii == h - 1) | (jj == w - 1), 1, 0),
+        "all_but_center": np.where((ii == h // 2) & (jj == w // 2), 2, 1),
+        "all_but_corner": np.where((ii == h - 1) & (jj == 0), 0, 1),
+    }
+    return maps[name].astype(np.int32)
+
+
 class TestDnnmTarget:
+    @pytest.mark.parametrize("block", [3, attacks.DNNM_BLOCK])
+    @pytest.mark.parametrize("name", ["disk", "two_disks", "row_stripes", "col_stripes",
+                                      "checkerboard", "block_checkerboard", "corner",
+                                      "left_half", "frame", "all_but_center", "all_but_corner"])
+    def test_region_maps_match_bruteforce(self, name, block, monkeypatch):
+        monkeypatch.setattr(attacks, "DNNM_BLOCK", block)
+        pred = _region_map(name)
+        got, weights = attacks.dnnm_target(pred, 1, 0.9)
+        np.testing.assert_array_equal(got, bruteforce_dnnm_target(pred, 1))
+        np.testing.assert_array_equal(weights, np.where(pred == 1, np.float32(0.9),
+                                                        np.float32(1 - 0.9)))
+
+    def test_large_disk_memory_bounded(self):
+        # a dense |hidden| x |complement| int64 matrix would need ~7.8 GB here
+        n = 256
+        ii, jj = np.indices((n, n))
+        pred = np.where((ii - 128) ** 2 + (jj - 128) ** 2 < 85 ** 2, 1,
+                        (ii // 16 + jj // 16) % 3 // 2 * 2).astype(np.int32)
+        tracemalloc.start()
+        try:
+            target, _ = attacks.dnnm_target(pred, 1, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        # spot-check hidden pixels against a full search of the complement
+        comp = np.argwhere(pred != 1)
+        rng = np.random.default_rng(0)
+        for i, j in np.argwhere(pred == 1)[rng.choice(int((pred == 1).sum()), 25)]:
+            d2 = (comp[:, 0] - i) ** 2 + (comp[:, 1] - j) ** 2
+            ni, nj = comp[np.argmin(d2)]
+            assert target[i, j] == pred[ni, nj]
+
     def test_no_hidden_pixels_identity(self):
         pred = np.zeros((4, 4), np.int32)
         target, weights = attacks.dnnm_target(pred, 1, 0.9)

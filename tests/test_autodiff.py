@@ -28,6 +28,44 @@ def naive_conv2d(x, kernel, bias):
     return out
 
 
+def naive_conv2d_adjoint(x, kernel, go):
+    """Float64 sums of the conv adjoint: (grad_input, grad_kernel), each with
+    the sum of its terms' absolute values (the scale of its rounding error)."""
+    h, w, cin = x.shape
+    k = kernel.shape[0]
+    half = k // 2
+    x, kernel, go = (a.astype(np.float64) for a in (x, kernel, go))
+    gx, gx_abs = np.zeros(x.shape), np.zeros(x.shape)
+    gk, gk_abs = np.zeros(kernel.shape), np.zeros(kernel.shape)
+    for i in range(h):
+        for j in range(w):
+            for u in range(k):
+                for v in range(k):
+                    ii, jj = i + u - half, j + v - half
+                    if 0 <= ii < h and 0 <= jj < w:
+                        # out[i, j] reads x[ii, jj] through kernel[u, v]
+                        gx[ii, jj] += kernel[u, v] @ go[i, j]
+                        gx_abs[ii, jj] += np.abs(kernel[u, v]) @ np.abs(go[i, j])
+                        gk[u, v] += np.outer(x[ii, jj], go[i, j])
+                        gk_abs[u, v] += np.outer(np.abs(x[ii, jj]), np.abs(go[i, j]))
+    return (gx, gx_abs), (gk, gk_abs)
+
+
+# (H, W, Cin, k, input dtype): the padded-width windows at every kernel size,
+# non-square and single-row/column images, one input channel, float64 input.
+CONV_CASES = {
+    "k3": (6, 7, 3, 3, np.float32),
+    "k1": (5, 4, 3, 1, np.float32),
+    "k5": (7, 6, 2, 5, np.float32),
+    "h1": (1, 6, 2, 3, np.float32),
+    "w1": (6, 1, 2, 3, np.float32),
+    "h1w1_k5": (1, 1, 2, 5, np.float32),
+    "cin1": (5, 6, 1, 3, np.float32),
+    "f64_k3": (6, 7, 3, 3, np.float64),
+    "f64_k1": (4, 5, 2, 1, np.float64),
+}
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         x = np.random.default_rng(0).normal(size=(4, 5, 1)).astype(np.float32)
@@ -51,13 +89,16 @@ class TestConv2d:
         assert out[0, 0, 0] == 4.0
         assert out[0, 1, 0] == 6.0
 
-    def test_matches_naive_oracle(self):
+    @pytest.mark.parametrize("h,w,cin,k,dtype", CONV_CASES.values(), ids=CONV_CASES)
+    def test_matches_naive_oracle(self, h, w, cin, k, dtype):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(6, 7, 3)).astype(np.float32)
-        k = rng.normal(size=(3, 3, 3, 2)).astype(np.float32)
+        x = rng.normal(size=(h, w, cin)).astype(dtype)
+        kern = rng.normal(size=(k, k, cin, 2)).astype(np.float32)
         b = rng.normal(size=2).astype(np.float32)
-        out, _ = autodiff.conv2d_fwd(x, k, b)
-        np.testing.assert_allclose(out, naive_conv2d(x, k, b), rtol=1e-5, atol=1e-5)
+        out, _ = autodiff.conv2d_fwd(x, kern, b)
+        assert out.shape == (h, w, 2) and out.dtype == dtype
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out, naive_conv2d(x, kern, b), rtol=tol, atol=tol)
 
     def test_dim_mismatch_raises(self):
         x = np.zeros((3, 3, 2), np.float32)
@@ -85,6 +126,26 @@ class TestConv2dBackward:
         go = rng.normal(size=(5, 5, 3)).astype(np.float32)
         _, _, gb = autodiff.conv2d_bwd(node, go)
         np.testing.assert_allclose(gb, go.sum(axis=(0, 1)), rtol=1e-5)
+
+    @pytest.mark.parametrize("h,w,cin,k", [(6, 7, 3, 3), (5, 4, 3, 1), (7, 6, 2, 5),
+                                           (1, 6, 2, 3), (6, 1, 2, 3), (5, 6, 1, 3)])
+    def test_adjoint_matches_float64_sums(self, h, w, cin, k):
+        rng = np.random.default_rng(7)
+        cout = 3
+        x = rng.normal(size=(h, w, cin)).astype(np.float32)
+        kern = rng.normal(size=(k, k, cin, cout)).astype(np.float32)
+        go = rng.normal(size=(h, w, cout)).astype(np.float32)
+        _, node = autodiff.conv2d_fwd(x, kern, np.zeros(cout, np.float32))
+        gx, gk, _ = autodiff.conv2d_bwd(node, go)
+        (gx_ref, gx_abs), (gk_ref, gk_abs) = naive_conv2d_adjoint(x, kern, go)
+        # a float32 sum of n rounded products errs by at most (n + 1) eps
+        # times the sum of their absolute values, in any summation order;
+        # grad_kernel sums over the padded-width grid, (W + k - 1) per row
+        eps = float(np.finfo(np.float32).eps)
+        for got, ref, scale, n in ((gx, gx_ref, gx_abs, k * k * cout),
+                                   (gk, gk_ref, gk_abs, h * (w + k - 1))):
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= (n + 1) * eps * scale)
 
     def test_finite_difference_oracle(self):
         # scalar objective: sum(out * go); central differences at h = 0.1
@@ -131,6 +192,18 @@ class TestRelu:
         go = np.full_like(x, 7.0)
         np.testing.assert_array_equal(autodiff.relu_bwd(node, go), go)
 
+    def test_equals_where_reference_bitwise(self):
+        # a masked-off negative gradient must give +0.0, not -0.0
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 5, 4)).astype(np.float32)
+        x[0, 0] = 0.0
+        go = rng.normal(size=x.shape).astype(np.float32)
+        _, node = autodiff.relu_fwd(x)
+        g = autodiff.relu_bwd(node, go)
+        assert g.dtype == np.float32
+        assert g.tobytes() == np.where(x > 0, go, np.float32(0)).tobytes()
+        assert not np.signbit(g[x <= 0]).any()
+
     def test_subgradient_zero_at_zero(self):
         x = np.array([-1.0, 0.0, 2.0], np.float32)
         out, node = autodiff.relu_fwd(x)
@@ -171,6 +244,16 @@ class TestSoftmaxCE:
         with pytest.raises(InputError):
             autodiff.softmax_ce(logits, np.zeros((1, 1), np.int32),
                                 np.full((1, 1), -1.0, np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_equals_reference_bitwise(self, dtype):
+        rng = np.random.default_rng(9)
+        for c in (1, 2, 4, 7):
+            logits = rng.normal(0, 5, (5, 6, c)).astype(np.float32)
+            z = logits.astype(dtype)
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            ref = e / e.sum(axis=-1, keepdims=True)
+            assert autodiff.softmax(logits, dtype).tobytes() == ref.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))

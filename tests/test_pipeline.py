@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -351,6 +353,8 @@ class TestCli:
         ('{"dataset": {"val_size": 40.5}}', "dataset key val_size: expected int, got float"),
         ('{"train": {"epochs": true}}', "train key epochs: expected int, got bool"),
         ('{"export_heatmaps": 1}', "config key export_heatmaps: expected bool, got int"),
+        ('{"detector_list": [{"kind": "lasso", "lam": "x"}]}',
+         "detector 'lasso' key lam: expected float, got str"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -415,8 +419,41 @@ TINY_ALL_DETECTORS = dict(TINY, train_attack="fgsm_e8", detector_list=[
     {"kind": "entropy"}, {"kind": "lasso"}, {"kind": "ocsvm"}, {"kind": "ellipse"}])
 
 
+# TINY with one small spec of every attack family.
+TINY_ALL_ATTACKS = dict(TINY, ssmm_train_size=4, attack_list=[
+    {"kind": "fgsm", "eps": 8}, {"kind": "ifgsm", "eps": 4, "n_iter": 2},
+    {"kind": "dnnm", "n_iter": 2}, {"kind": "ssmm", "n_iter": 2},
+    {"kind": "patch", "height": 8, "width": 8, "n_iter": 2, "placements": 2}])
+
+
 def run_cli(command, out, *extra, config=TINY):
     return cli.main([command, "--out", str(out), "--stage-overrides", json.dumps(config), *extra])
+
+
+def test_blas_thread_count_keeps_run_bytes(tmp_path):
+    """run-all writes the same bytes with 1 and with 2 BLAS threads."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "segdetect.cli", "run-all", "--out", str(out),
+                        "--stage-overrides", json.dumps(TINY_ALL_ATTACKS)],
+                       env=env, check=True, capture_output=True)
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in out.rglob("*") if p.is_file()}
+        config = json.loads(files.pop("config.json"))
+        assert config.pop("out_dir") == str(out)
+        runs.append((files, config))
+    one, two = runs
+    assert {rel.split("/")[1] for rel in one[0] if rel.startswith("attacks/")} == {
+        "fgsm_e8", "ifgsm_e4", "dnnm", "ssmm", "patch"}
+    assert one[1] == two[1]
+    assert sorted(one[0]) == sorted(two[0])
+    for rel, data in one[0].items():
+        assert data == two[0][rel], rel
 
 
 @pytest.fixture(scope="module")
