@@ -84,8 +84,9 @@ def conv2d_fwd(x, kernel, bias):
     return out, ConvNode(xpad=xpad, kernel=kernel, input_shape=x.shape)
 
 
-def conv2d_bwd(node, grad_out):
-    """Adjoint of conv2d_fwd: returns (grad_input, grad_kernel, grad_bias).
+def conv2d_bwd(node, grad_out, want_input=True):
+    """Adjoint of conv2d_fwd: returns (grad_input, grad_kernel, grad_bias),
+    with None for grad_input when want_input is false.
 
     grad_input is the shifted-GEMM convolution of the padded grad_out with
     the flipped, transposed kernel; grad_kernel[u, v] is window(u, v).T @
@@ -105,6 +106,8 @@ def conv2d_bwd(node, grad_out):
     for u in range(k):
         for v in range(k):
             np.matmul(_window(node.xpad, u, v, h, wp).T, go_grid, out=grad_kernel[u, v])
+    if not want_input:
+        return None, grad_kernel, grad_bias
     adjoint = node.kernel[::-1, ::-1].transpose(0, 1, 3, 2).astype(np.float32, copy=False)
     grad_input = _shifted_gemm(gpad, adjoint, h, wp).reshape(h, wp, cin)[:, :w]
     return grad_input, grad_kernel, grad_bias

@@ -100,7 +100,9 @@ def _power_iteration(gram, iters=200, seed=0):
 
 def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-8, max_iter=10_000):
     """L1-regularized logistic regression (clean = 1, adversarial = 0) fit by
-    proximal gradient descent (ISTA) on clean-standardized features."""
+    proximal gradient descent (ISTA) on clean-standardized features.
+    params["iterations"] is the number of iterations run; it equals max_iter
+    when the update never fell below tol."""
     if not clean_features or not adv_features:
         raise InputError("both clean and adversarial features are required")
     xc = feature_matrix(clean_features)
@@ -113,6 +115,7 @@ def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-8, max_iter=10_00
     step = 1.0 / max(lip, 1e-12)
     w = np.zeros(d)
     b = 0.0
+    iterations = max_iter
     for it in range(max_iter):
         p = _sigmoid(x @ w + b)
         gw = x.T @ (p - y) / n
@@ -125,8 +128,10 @@ def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-8, max_iter=10_00
         if not (np.all(np.isfinite(w)) and np.isfinite(b)):
             raise TrainingError(f"lasso diverged at iteration {it}")
         if delta < tol:
+            iterations = it + 1
             break
-    return DetectorModel(kind="lasso", params={"w": w, "b": b, "lambda": lam},
+    return DetectorModel(kind="lasso", params={"w": w, "b": b, "lambda": lam,
+                                               "iterations": iterations},
                          standardizer=std)
 
 

@@ -79,23 +79,24 @@ def _forward(model, image, dtype=np.float32):
 
 
 def _backward(model, nodes, grad_logits, want_params=False):
-    """Walks the cached nodes in reverse; returns input grad and optionally
-    per-layer parameter grads (in layer order)."""
+    """Walks the cached nodes in reverse. Returns the input grad, or with
+    want_params the per-layer parameter grads (in layer order) and no input
+    grad: training never reads it, so the first conv does not compute it."""
     g = grad_logits
     kgrads, bgrads = [], []
-    for kind, node in reversed(nodes):
+    for n, (kind, node) in reversed(list(enumerate(nodes))):
         if kind == "relu":
             g = relu_bwd(node, g)
+        elif want_params:
+            g, gk, gb = conv2d_bwd(node, g, want_input=n > 0)
+            kgrads.append(gk)
+            bgrads.append(gb)
         else:
-            g, gk, gb = conv2d_bwd(node, g)
-            if want_params:
-                kgrads.append(gk)
-                bgrads.append(gb)
-    # chain rule through (x - mean) / scale
-    g = (g / np.float32(model.scale)).astype(np.float32)
+            g, _, _ = conv2d_bwd(node, g)
     if want_params:
-        return g, kgrads[::-1], bgrads[::-1]
-    return g
+        return kgrads[::-1], bgrads[::-1]
+    # chain rule through (x - mean) / scale
+    return (g / np.float32(model.scale)).astype(np.float32)
 
 
 def predict(model, image):
@@ -121,7 +122,7 @@ def loss_input_grad(model, image, target, pixel_weights):
 def _param_grads(model, image, target, pixel_weights):
     logits, nodes = _forward(model, image)
     loss, _probs, grad_logits = softmax_ce(logits, target, pixel_weights)
-    _, kgrads, bgrads = _backward(model, nodes, grad_logits, want_params=True)
+    kgrads, bgrads = _backward(model, nodes, grad_logits, want_params=True)
     return loss, kgrads, bgrads
 
 
@@ -172,26 +173,77 @@ class CheckReport:
     passed: bool
     frac_within: float
     median_rel_err: float
+    h: float
+    n_samples: int
+    radius: int             # receptive-field radius r, see grad_check
     quantiles: dict = field(default_factory=dict)
+
+
+def receptive_radius(model):
+    """How far a change to one input pixel reaches in the logits: the sum of
+    the convs' half-widths (ReLU is per-pixel)."""
+    return sum(k.shape[0] // 2 for k in model.kernels)
+
+
+def _span(p, n, d):
+    """Indices within d of p on an axis of length n."""
+    return slice(max(p - d, 0), min(p + d + 1, n))
+
+
+def _box(p, n, d):
+    """2d + 1 consecutive indices (all n, if fewer) holding every index within
+    d of p on an axis of length n: centred on p, shifted inside at the ends."""
+    start = min(max(p - d, 0), max(n - 2 * d - 1, 0))
+    return slice(start, min(start + 2 * d + 1, n))
+
+
+def _window_fd(model, x64, target, pixel_weights, i, j, c, h, r):
+    """Central difference of the loss along input (i, j, c), evaluated on a
+    crop of x64 holding every pixel within 2r of (i, j), with weight only
+    within r of it; grad_check says why it equals the whole image's."""
+    height, width = target.shape
+    near = (_span(i, height, r), _span(j, width, r))
+    weights = np.zeros_like(pixel_weights)
+    weights[near] = pixel_weights[near]
+    box = (_box(i, height, 2 * r), _box(j, width, 2 * r))
+    crop, crop_target, crop_weights = x64[box].copy(), target[box], weights[box]
+    ci, cj = i - box[0].start, j - box[1].start
+    crop[ci, cj, c] += h
+    lp = loss_value_f64(model, crop, crop_target, crop_weights)
+    crop[ci, cj, c] -= 2 * h
+    lm = loss_value_f64(model, crop, crop_target, crop_weights)
+    # loss_value_f64 averages over the crop's pixels, the loss over the image's
+    return (lp - lm) * (crop_target.size / target.size) / (2 * h)
 
 
 def grad_check(model, image, target, pixel_weights=None, n_samples=200, h=0.1,
                seed=0, frac_tol=0.95, rel_tol=1e-2, median_tol=1e-3):
-    """Central-difference check of loss_input_grad on randomly sampled pixels."""
+    """Central-difference check of loss_input_grad on randomly sampled pixels.
+
+    Each difference runs two float64 forward passes over a crop, not the
+    image. Let r = receptive_radius(model). Every layer is a same-padded conv
+    or per-pixel, so moving input (i, j) changes only the logits within r of
+    (i, j), and those read only inputs within 2r of (i, j). The crop is the
+    (4r + 1)-pixel square centred on (i, j), shifted inside the image where
+    it would cross the border, so it holds all of those inputs; where it
+    meets the image border, the conv's zero padding is the model's own. The
+    logits within r of (i, j) are therefore the same in crop and image, and
+    no other logit of either moves with (i, j). The pixel weights are zeroed
+    outside r of (i, j), so the crop's loss difference sums just the moving
+    terms, without the cancellation error of the rest; rescaled from crop to
+    image pixels, it is the image's. Every crop has the same shape, so the
+    check does the same work whichever pixels it samples.
+    """
     if pixel_weights is None:
         pixel_weights = np.ones(target.shape, np.float32)
     _, grad = loss_input_grad(model, image, target, pixel_weights)
     rng = np.random.default_rng(seed)
     flat = rng.choice(image.size, size=min(n_samples, image.size), replace=False)
-    coords = np.unravel_index(flat, image.shape)
+    r = receptive_radius(model)
+    x64 = image.astype(np.float64)
     rel_errs = []
-    for i, j, c in zip(*coords):
-        xp = image.astype(np.float64).copy()
-        xp[i, j, c] += h
-        lp = loss_value_f64(model, xp, target, pixel_weights)
-        xp[i, j, c] -= 2 * h
-        lm = loss_value_f64(model, xp, target, pixel_weights)
-        fd = (lp - lm) / (2 * h)
+    for i, j, c in zip(*np.unravel_index(flat, image.shape)):
+        fd = _window_fd(model, x64, target, pixel_weights, i, j, c, h, r)
         denom = max(abs(fd), abs(float(grad[i, j, c])), 1e-12)
         rel_errs.append(abs(fd - float(grad[i, j, c])) / denom)
     rel_errs = np.array(rel_errs)
@@ -199,7 +251,8 @@ def grad_check(model, image, target, pixel_weights=None, n_samples=200, h=0.1,
     med = float(np.median(rel_errs))
     quantiles = {q: float(np.quantile(rel_errs, q)) for q in (0.5, 0.9, 0.99)}
     return CheckReport(passed=frac >= frac_tol and med < median_tol,
-                       frac_within=frac, median_rel_err=med, quantiles=quantiles)
+                       frac_within=frac, median_rel_err=med, h=h,
+                       n_samples=len(flat), radius=r, quantiles=quantiles)
 
 
 def save_model(model, tensor_path, sidecar_path):

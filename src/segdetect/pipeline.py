@@ -139,7 +139,8 @@ def stage_gradcheck(cfg, model, val_set, force=False):
         report = grad_check(model, sample.image, sample.labels, seed=cfg.seed)
         doc = {"passed": report.passed, "frac_within": report.frac_within,
                "median_rel_err": report.median_rel_err,
-               "quantiles": {str(k): v for k, v in report.quantiles.items()}}
+               "quantiles": {str(k): v for k, v in report.quantiles.items()},
+               "h": report.h, "n_samples": report.n_samples, "radius": report.radius}
         tensorio.write_json(path, doc)
     if not doc["passed"]:
         raise InputError("gradient check failed; see gradcheck.json")

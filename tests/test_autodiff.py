@@ -147,6 +147,17 @@ class TestConv2dBackward:
             assert got.shape == ref.shape
             assert np.all(np.abs(got - ref) <= (n + 1) * eps * scale)
 
+    def test_without_input_grad(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(6, 7, 3)).astype(np.float32)
+        k = rng.normal(size=(3, 3, 3, 4)).astype(np.float32)
+        go = rng.normal(size=(6, 7, 4)).astype(np.float32)
+        _, node = autodiff.conv2d_fwd(x, k, np.zeros(4, np.float32))
+        _, gk, gb = autodiff.conv2d_bwd(node, go)
+        gx_skipped, gk_skipped, gb_skipped = autodiff.conv2d_bwd(node, go, want_input=False)
+        assert gx_skipped is None
+        assert gk_skipped.tobytes() == gk.tobytes() and gb_skipped.tobytes() == gb.tobytes()
+
     def test_finite_difference_oracle(self):
         # scalar objective: sum(out * go); central differences at h = 0.1
         rng = np.random.default_rng(5)

@@ -115,6 +115,13 @@ class TestLassoDetector:
         np.testing.assert_allclose(detectors.score_many(m1, clean),
                                    detectors.score_many(m2, clean), atol=1e-4)
 
+    def test_records_iterations_run(self):
+        clean = gaussian_features(n=40, seed=3)
+        adv = gaussian_features(n=40, seed=4, shift=3.0)
+        assert detectors.train_lasso(clean, adv, max_iter=5).params["iterations"] == 5
+        easy = detectors.train_lasso(clean, adv, lam=0.5, max_iter=10_000)
+        assert easy.params["iterations"] < 10_000
+
     def test_missing_side_raises(self):
         with pytest.raises(InputError):
             detectors.train_lasso(gaussian_features(), [])

@@ -101,6 +101,118 @@ class TestGradients:
         assert l32 == pytest.approx(l64, rel=1e-4)
 
 
+
+@pytest.fixture(scope="module")
+def trained_tiny():
+    data = tiny_dataset(8, seed=4)
+    m = seg_model.train(data, seg_model.TrainConfig(epochs=5, seed=4))
+    return m, data[0][0], data[0][1]
+
+
+def wide_middle_model(num_classes=3, seed=0):
+    """Random weights with a 5x5 middle conv: receptive radius 1 + 2 + 0 = 3."""
+    rng = np.random.default_rng(seed)
+    shapes = [(3, 3, 3, 16), (5, 5, 16, 16), (1, 1, 16, num_classes)]
+    kernels = [rng.normal(0.0, np.sqrt(2.0 / (s[0] * s[1] * s[2])), s).astype(np.float32)
+               for s in shapes]
+    biases = [rng.normal(0.0, 0.1, s[3]).astype(np.float32) for s in shapes]
+    return seg_model.ModelParams(kernels=kernels, biases=biases,
+                                 num_classes=num_classes, seed=seed)
+
+
+def full_image_fd(m, image, target, weights, i, j, c, h):
+    """The reference: central difference of the whole image's float64 loss."""
+    x = image.astype(np.float64)
+    x[i, j, c] += h
+    lp = seg_model.loss_value_f64(m, x, target, weights)
+    x[i, j, c] -= 2 * h
+    lm = seg_model.loss_value_f64(m, x, target, weights)
+    return (lp - lm) / (2 * h)
+
+
+class TestWindowedGradCheck:
+    @pytest.mark.parametrize("kind,rows_kept", [("trained", 16), ("wide_middle", 17),
+                                                ("wide_middle", 10)])
+    def test_window_fd_equals_full_image_fd(self, kind, rows_kept, trained_tiny):
+        # 10 rows are fewer than a crop's 4r + 1 = 13: the crop spans them all
+        if kind == "trained":
+            m, img, lab = trained_tiny
+            expect_r = 2
+        else:
+            m = wide_middle_model()
+            img, lab = tiny_dataset(1, size=17, seed=9)[0]
+            img, lab = img[:rows_kept], lab[:rows_kept]
+            expect_r = 3
+        r = seg_model.receptive_radius(m)
+        assert r == expect_r
+        hh, ww = lab.shape
+        weights = np.random.default_rng(1).uniform(0.5, 2.0, lab.shape).astype(np.float32)
+        x64 = img.astype(np.float64)
+        # corners, edges, interior, and pixels whose crop the border shifts
+        rows = [0, 1, r, 2 * r, hh // 2, hh - 2 * r - 1, hh - 2, hh - 1]
+        cols = [0, r - 1, 2 * r + 1, ww // 2, ww - r, ww - 1]
+        for i in rows:
+            for j in cols:
+                for c in range(3):
+                    win = seg_model._window_fd(m, x64, lab, weights, i, j, c, 0.1, r)
+                    full = full_image_fd(m, img, lab, weights, i, j, c, 0.1)
+                    assert abs(win - full) <= 1e-12, (i, j, c, win, full)
+
+    def test_two_crop_evaluations_per_sample(self, trained_tiny, monkeypatch):
+        m, img, lab = trained_tiny
+        real = seg_model.loss_value_f64
+        shapes = []
+
+        def recording(model, image, target, pixel_weights):
+            shapes.append(image.shape)
+            return real(model, image, target, pixel_weights)
+
+        monkeypatch.setattr(seg_model, "loss_value_f64", recording)
+        report = seg_model.grad_check(m, img, lab, n_samples=40, seed=1)
+        r = seg_model.receptive_radius(m)
+        assert (report.n_samples, report.radius, report.h) == (40, r, 0.1)
+        # one crop shape whichever pixels are sampled, border ones included
+        assert shapes == [(4 * r + 1, 4 * r + 1, 3)] * (2 * 40)
+
+    def test_border_fault_fails(self, trained_tiny, monkeypatch):
+        # the input gradient is wrong only within r of the image border
+        m, img, lab = trained_tiny
+        r = seg_model.receptive_radius(m)
+        real_bwd = seg_model.conv2d_bwd
+
+        def border_broken(node, go):
+            gx, gk, gb = real_bwd(node, go)
+            if gx.shape[2] == 3:
+                ring = np.ones(gx.shape[:2], bool)
+                ring[r:-r, r:-r] = False
+                gx = np.where(ring[:, :, None], 1.5 * gx, gx)
+            return gx, gk, gb
+
+        monkeypatch.setattr(seg_model, "conv2d_bwd", border_broken)
+        report = seg_model.grad_check(m, img, lab, n_samples=300, seed=2)
+        assert not report.passed
+
+    def test_param_grads_equal_full_backward(self, trained_tiny):
+        # training skips the first conv's input gradient; the parameter
+        # gradients must not move by a bit
+        m, img, lab = trained_tiny
+        ones = np.ones(lab.shape, np.float32)
+        loss, kgrads, bgrads = seg_model._param_grads(m, img, lab, ones)
+        logits, nodes = seg_model._forward(m, img)
+        _, _, g = seg_model.softmax_ce(logits, lab, ones)
+        ref_k, ref_b = [], []
+        for kind, node in reversed(nodes):
+            if kind == "relu":
+                g = seg_model.relu_bwd(node, g)
+            else:
+                g, gk, gb = seg_model.conv2d_bwd(node, g)
+                ref_k.insert(0, gk)
+                ref_b.insert(0, gb)
+        assert g is not None
+        assert [a.tobytes() for a in kgrads] == [a.tobytes() for a in ref_k]
+        assert [a.tobytes() for a in bgrads] == [a.tobytes() for a in ref_b]
+
+
 class TestTraining:
     def test_lr_zero_leaves_params_unchanged(self):
         data = tiny_dataset(6, seed=6)

@@ -276,6 +276,12 @@ class TestMiniPipeline:
         cfg, _ = mini_run
         doc = json.load(open(os.path.join(cfg.out_dir, "gradcheck.json")))
         assert doc["passed"] is True
+        assert (doc["h"], doc["n_samples"], doc["radius"]) == (0.1, 200, 2)
+
+    def test_lasso_records_iterations(self, mini_run):
+        cfg, _ = mini_run
+        doc = json.load(open(os.path.join(cfg.out_dir, "detectors", "lasso.json")))
+        assert 1 <= doc["params"]["iterations"] <= 10_000
 
 
 def test_empty_attack_list_reports_only_clean(tmp_path):
