@@ -65,13 +65,13 @@ STAGE_LINES = {
 
 
 def cmd_stage(cfg, args):
-    """Runs the pipeline up to and including the command's stage, or every
-    stage for run-all; --force recomputes the stages the command names."""
+    """Runs the pipeline up to and including the command's stage (every stage
+    for run-all); --force recomputes that stage and every later one."""
     from . import pipeline
 
     named = pipeline.STAGES if args.command == "run-all" else (args.command,)
     results = {}
-    for stage, result in pipeline.run_stages(cfg, named if args.force else ()):
+    for stage, result in pipeline.run_stages(cfg, named[0] if args.force else None):
         results[stage] = result
         if stage == named[-1]:
             break
@@ -107,7 +107,7 @@ def build_parser():
         p.add_argument("--seed", type=int, help="override the global seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--stage-overrides", help="JSON fragment merged into the config")
-        p.add_argument("--force", action="store_true", help="re-run even if outputs exist")
+        p.add_argument("--force", action="store_true", help="recompute this and later stages")
         if name == "detect":
             p.add_argument("--detector", required=True, help="detector JSON file")
             p.add_argument("--features", required=True, help="feature CSV to score")

@@ -2,12 +2,15 @@
 
 Stage order (STAGES, chained once in run_stages): gen-data -> train-model ->
 gradcheck -> attack -> extract-features -> train-detector -> evaluate. Every
-stage is a pure function of its inputs, the config and the seed, skips itself
-when its outputs already exist, and can be re-run with force=True.
+stage is a pure function of its inputs, the config and the seed. Its outputs
+come in units (the stage, or one attack, feature table or detector of it),
+each reused only when <out>/keys.json records its key (see _unit).
 """
 
+import hashlib
+import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -87,61 +90,91 @@ class ExperimentConfig:
 
 def _defaults(cls, fixed=()):
     """{field: default} of dataclass `cls`, less the fields in `fixed`."""
-    return {f.name: f.default for f in fields(cls) if f.name not in fixed}
+    return {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+            for f in fields(cls) if f.name not in fixed}
+
+
+# type of a default -> (the JSON types that may replace it, their name)
+_ACCEPTS = {bool: (bool, "bool"), int: (int, "int"), float: ((int, float), "float"),
+            str: (str, "str"), list: (list, "list"), tuple: (list, "list"), dict: (dict, "object")}
 
 
 def _check_keys(known, d, section):
     """Returns `d`; raises InputError unless its keys are keys of `known`
-    ({key: default}), valued like their scalar defaults (an int counts as a float)."""
+    ({key: default}), valued like their defaults: an int counts as a float, a
+    list as a tuple, an object as a nested config."""
     unknown = set(d) - set(known)
     if unknown:
         raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
     for key, val in d.items():
-        want = type(known[key])
-        accepts = {bool: bool, int: int, float: (int, float), str: str}.get(want)
+        want = dict if is_dataclass(known[key]) else type(known[key])
+        accepts, name = _ACCEPTS.get(want, (None, None))
         if accepts and not (isinstance(val, accepts) and (want is bool) == isinstance(val, bool)):
-            raise InputError(f"{section} key {key}: expected {want.__name__}, "
-                             f"got {type(val).__name__}")
+            raise InputError(f"{section} key {key}: expected {name}, got {type(val).__name__}")
     return d
 
 
-def _done(path):
-    return os.path.exists(path)
+def _spec_params(spec, section):
+    """(kind, the other keys) of an attack or detector spec."""
+    if not isinstance(spec, dict):
+        raise InputError(f"{section} item {spec!r}: expected object, got {type(spec).__name__}")
+    return spec.get("kind"), {k: v for k, v in spec.items() if k != "kind"}
 
 
-def stage_gen_data(cfg, force=False):
+def _keys(cfg):
+    path = os.path.join(cfg.out_dir, "keys.json")
+    return tensorio.read_json(path) if os.path.exists(path) else {}
+
+
+def _write_keys(cfg, keys):
+    """Replaces keys.json whole, so a crash leaves either record, never a mix."""
+    path = os.path.join(cfg.out_dir, "keys.json")
+    tensorio.write_json(path + ".tmp", keys)
+    os.replace(path + ".tmp", path)
+
+
+def _unit(cfg, name, reads, upstream, compute, load=lambda: None):
+    """load() when keys.json records the key of unit `name` (a SHA-256 over
+    `reads`, the config it reads, and the recorded keys of its `upstream`), else
+    compute(); the old key goes before compute() writes and the new one after."""
+    keys = _keys(cfg)
+    blob = json.dumps([reads, [keys.get(unit) for unit in upstream]], sort_keys=True)
+    key = hashlib.sha256(blob.encode()).hexdigest()
+    if keys.get(name) == key:
+        return load()
+    if keys.pop(name, None):
+        _write_keys(cfg, keys)
+    result = compute()
+    _write_keys(cfg, {**keys, name: key})
+    return result
+
+
+def stage_gen_data(cfg):
     data_dir = os.path.join(cfg.out_dir, "data")
-    if _done(os.path.join(data_dir, "manifest.json")) and not force:
-        return synthdata.load_dataset(data_dir)[:2]
-    os.makedirs(data_dir, exist_ok=True)
-    train_set, val_set, _ = synthdata.generate_dataset(cfg.dataset, data_dir)
-    return train_set, val_set
+    return _unit(cfg, "gen-data", cfg.dataset.to_dict(), (),
+                 lambda: synthdata.generate_dataset(cfg.dataset, data_dir)[:2],
+                 lambda: synthdata.load_dataset(data_dir)[:2])
 
 
-def stage_train_model(cfg, train_set, force=False):
-    tpath = os.path.join(cfg.out_dir, "model.ten")
-    spath = os.path.join(cfg.out_dir, "model.json")
-    if _done(tpath) and _done(spath) and not force:
-        return load_model(tpath, spath)
-    model = train([(s.image, s.labels) for s in train_set], cfg.train)
-    save_model(model, tpath, spath)
-    return model
+def stage_train_model(cfg, train_set):
+    tpath, spath = (os.path.join(cfg.out_dir, name) for name in ("model.ten", "model.json"))
+
+    def fit():
+        model = train([(s.image, s.labels) for s in train_set], cfg.train)
+        save_model(model, tpath, spath)
+        return model
+
+    return _unit(cfg, "train-model", asdict(cfg.train), ("gen-data",), fit,
+                 lambda: load_model(tpath, spath))
 
 
-def stage_gradcheck(cfg, model, val_set, force=False):
+def stage_gradcheck(cfg, model, val_set):
     """Finite-difference gradient check; raises InputError when it failed,
     also when the failure was recorded by an earlier run."""
     path = os.path.join(cfg.out_dir, "gradcheck.json")
-    if _done(path) and not force:
-        doc = tensorio.read_json(path)
-    else:
-        sample = val_set[0]
-        report = grad_check(model, sample.image, sample.labels, seed=cfg.seed)
-        doc = {"passed": report.passed, "frac_within": report.frac_within,
-               "median_rel_err": report.median_rel_err,
-               "quantiles": {str(k): v for k, v in report.quantiles.items()},
-               "h": report.h, "n_samples": report.n_samples, "radius": report.radius}
-        tensorio.write_json(path, doc)
+    _unit(cfg, "gradcheck", cfg.seed, ("gen-data", "train-model"), lambda: tensorio.write_json(
+        path, asdict(grad_check(model, val_set[0].image, val_set[0].labels, seed=cfg.seed))))
+    doc = tensorio.read_json(path)
     if not doc["passed"]:
         raise InputError("gradient check failed; see gradcheck.json")
     return doc
@@ -208,12 +241,11 @@ ATTACKS = {
 def _attack_spec(cfg, spec):
     """(runner, attack config, tag) of an attack spec under `cfg`; raises
     InputError on an unknown kind, an unknown or missing key or a bad value."""
-    kind = spec.get("kind")
+    kind, params = _spec_params(spec, "attack_list")
     if kind not in ATTACKS:
         raise InputError(f"unknown attack kind {kind!r}")
     config, make, run, tag, fixed = ATTACKS[kind]
-    params = _check_keys(_defaults(config, fixed),
-                         {k: v for k, v in spec.items() if k != "kind"}, f"attack {kind!r}")
+    params = _check_keys(_defaults(config, fixed), params, f"attack {kind!r}")
     try:
         return run, make(cfg, params), tag(kind, params) if tag else kind
     except KeyError as exc:
@@ -225,47 +257,45 @@ def attack_tag(spec):
     return _attack_spec(ExperimentConfig(), spec)[2]
 
 
-def stage_attack(cfg, model, train_set, val_set, force=False):
+def stage_attack(cfg, model, train_set, val_set):
     """Runs every configured attack over the validation split; writes each
     perturbed dataset in the synthdata layout plus attack.json."""
     results = {}
     for spec in cfg.attack_list:
         run, acfg, tag = _attack_spec(cfg, spec)
         adir = os.path.join(cfg.out_dir, "attacks", tag)
-        meta_path = os.path.join(adir, "attack.json")
-        if _done(meta_path) and not force:
-            meta = tensorio.read_json(meta_path)
-            stale = sorted(k for k, v in asdict(acfg).items() if meta["config"].get(k) != v)
-            if stale:
-                raise InputError(f"attack {tag!r}: recorded config differs on "
-                                 f"{', '.join(stale)}; use --force or a fresh --out")
-            perturbed = []
-            for sid in meta["ids"]:
-                img = tensorio.load_tensor(os.path.join(adir, "images", f"{sid}.ten"))
-                perturbed.append(attacks.PerturbedSample(
-                    image=img.astype(np.float32), clean_id=sid, attack=tag,
-                    config=meta["config"]))
-            results[tag] = perturbed
-            continue
-        perturbed = run(cfg, model, acfg, train_set, val_set)
-        os.makedirs(os.path.join(adir, "images"), exist_ok=True)
-        norms, windows = {}, {}
-        for p, clean in zip(perturbed, val_set):
-            tensorio.save_tensor(os.path.join(adir, "images", f"{p.clean_id}.ten"),
-                                 p.image.astype(np.uint8))
-            norms[p.clean_id] = float(np.max(np.abs(p.image - clean.image)))
-            if "top" in p.config:
-                windows[p.clean_id] = [p.config["top"], p.config["left"]]
-        meta = {"config": perturbed[0].config, "ids": [p.clean_id for p in perturbed],
-                "linf_norms": norms}
-        if windows:
-            meta["windows"] = windows
-        tensorio.write_json(meta_path, meta)
-        results[tag] = perturbed
+
+        def attack():
+            perturbed = run(cfg, model, acfg, train_set, val_set)
+            os.makedirs(os.path.join(adir, "images"), exist_ok=True)
+            norms, windows = {}, {}
+            for p, clean in zip(perturbed, val_set):
+                tensorio.save_tensor(os.path.join(adir, "images", f"{p.clean_id}.ten"),
+                                     p.image.astype(np.uint8))
+                norms[p.clean_id] = float(np.max(np.abs(p.image - clean.image)))
+                if "top" in p.config:
+                    windows[p.clean_id] = [p.config["top"], p.config["left"]]
+            meta = {"config": perturbed[0].config, "ids": [p.clean_id for p in perturbed],
+                    "linf_norms": norms}
+            if windows:
+                meta["windows"] = windows
+            tensorio.write_json(os.path.join(adir, "attack.json"), meta)
+            return perturbed
+
+        def load():
+            meta = tensorio.read_json(os.path.join(adir, "attack.json"))
+            images = [tensorio.load_tensor(os.path.join(adir, "images", f"{sid}.ten"))
+                      for sid in meta["ids"]]
+            return [attacks.PerturbedSample(image=img.astype(np.float32), clean_id=sid,
+                                            attack=tag, config=meta["config"])
+                    for sid, img in zip(meta["ids"], images)]
+
+        results[tag] = _unit(cfg, f"attack/{tag}", [asdict(acfg), cfg.seed, cfg.ssmm_train_size],
+                             ("gen-data", "train-model"), attack, load)
     return results
 
 
-def stage_extract_features(cfg, model, val_set, attacked, force=False):
+def stage_extract_features(cfg, model, val_set, attacked):
     fdir = os.path.join(cfg.out_dir, "features")
     os.makedirs(fdir, exist_ok=True)
     hdir = os.path.join(cfg.out_dir, "heatmaps")
@@ -275,19 +305,23 @@ def stage_extract_features(cfg, model, val_set, attacked, force=False):
 
     def extract(samples, label, tag, name):
         path = os.path.join(fdir, f"{name}.csv")
-        if _done(path) and not force:
-            return uncertainty.read_features(path)
-        feats = []
-        for s in samples:
-            sid = s.id if hasattr(s, "id") else s.clean_id
-            probs = predict(model, s.image)
-            f = uncertainty.feature_vector(probs, image_id=sid, label=label, attack=tag)
-            f.apsr = metrics.apsr(np.argmax(probs, axis=2), labels[sid])
-            feats.append(f)
-            if cfg.export_heatmaps:
-                export_entropy_heatmap(probs, os.path.join(hdir, f"{name}_{sid}.pgm"))
-        uncertainty.write_features(path, feats)
-        return feats
+
+        def compute():
+            feats = []
+            for s in samples:
+                sid = s.id if hasattr(s, "id") else s.clean_id
+                probs = predict(model, s.image)
+                f = uncertainty.feature_vector(probs, image_id=sid, label=label, attack=tag)
+                f.apsr = metrics.apsr(np.argmax(probs, axis=2), labels[sid])
+                feats.append(f)
+                if cfg.export_heatmaps:
+                    export_entropy_heatmap(probs, os.path.join(hdir, f"{name}_{sid}.pgm"))
+            uncertainty.write_features(path, feats)
+            return feats
+
+        upstream = ("gen-data", "train-model") + ((f"attack/{tag}",) if tag else ())
+        return _unit(cfg, f"extract-features/{name}", cfg.export_heatmaps, upstream, compute,
+                     lambda: uncertainty.read_features(path))
 
     clean_feats = extract(val_set, "clean", "", "clean")
     adv_feats = {tag: extract(samples, "adv", tag, tag)
@@ -299,15 +333,14 @@ def _detector_specs(cfg, adv_feats):
     """(kind, hyperparameters) of each configured detector that can train: a
     supervised kind needs its training attack's features. Raises InputError
     on an unknown kind or key, or a value unlike its trainer default."""
-    specs = [(s.get("kind"), {k: v for k, v in s.items() if k != "kind"})
-             for s in cfg.detector_list]
+    specs = [_spec_params(s, "detector_list") for s in cfg.detector_list]
     for kind, hyper in specs:
         _check_keys(detectors.hyperparameters(kind), hyper, f"detector {kind!r}")
     return [(kind, hyper) for kind, hyper in specs
             if not detectors.is_supervised(kind, hyper) or cfg.train_attack in adv_feats]
 
 
-def stage_train_detectors(cfg, clean_feats, adv_feats, force=False):
+def stage_train_detectors(cfg, clean_feats, adv_feats):
     """Full-data detector models written to detectors/<kind>.json (the
     evaluation stage refits per fold; these are the deployable models)."""
     ddir = os.path.join(cfg.out_dir, "detectors")
@@ -315,62 +348,69 @@ def stage_train_detectors(cfg, clean_feats, adv_feats, force=False):
     models = {}
     for kind, hyper in _detector_specs(cfg, adv_feats):
         path = os.path.join(ddir, f"{kind}.json")
-        if _done(path) and not force:
-            models[kind] = detectors.load_detector(path)
-            continue
-        models[kind] = detectors.train_detector(kind, clean_feats,
-                                                adv_feats.get(cfg.train_attack), **hyper)
-        detectors.save_detector(models[kind], path)
+        adv = [cfg.train_attack] if detectors.is_supervised(kind, hyper) else []
+
+        def fit():
+            model = detectors.train_detector(kind, clean_feats, *map(adv_feats.get, adv), **hyper)
+            detectors.save_detector(model, path)
+            return model
+
+        models[kind] = _unit(cfg, f"train-detector/{kind}", [hyper, adv],
+                             [f"extract-features/{name}" for name in ["clean", *adv]], fit,
+                             lambda: detectors.load_detector(path))
     return models
 
 
-def stage_evaluate(cfg, clean_feats, adv_feats, force=False):
+def stage_evaluate(cfg, clean_feats, adv_feats):
     """The report, built from the feature table alone."""
     rdir = os.path.join(cfg.out_dir, "report")
     csv_path = os.path.join(rdir, "report.csv")
-    json_path = os.path.join(rdir, "report.json")
-    if _done(csv_path) and not force:
-        return csv_path
-    os.makedirs(rdir, exist_ok=True)
-    apsr = {tag: float(np.mean([f.apsr for f in feats]))
-            for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
-    report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean", apsr_mean=apsr["clean"])])
-    for kind, hyper in _detector_specs(cfg, adv_feats) if adv_feats else []:
-        dspec = metrics.DetectorSpec(kind=kind, train_attack=cfg.train_attack,
-                                     hyperparams=hyper)
-        part = metrics.cross_validate(clean_feats, adv_feats, dspec, apsr_by_attack=apsr,
-                                      folds=cfg.folds, seed=cfg.seed)
-        report.rows.extend(part.rows)
-    report.write_csv(csv_path)
-    report.write_json(json_path)
+
+    def evaluate():
+        os.makedirs(rdir, exist_ok=True)
+        apsr = {tag: float(np.mean([f.apsr for f in feats]))
+                for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
+        report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean", apsr_mean=apsr["clean"])])
+        for kind, hyper in _detector_specs(cfg, adv_feats) if adv_feats else []:
+            dspec = metrics.DetectorSpec(kind=kind, train_attack=cfg.train_attack,
+                                         hyperparams=hyper)
+            part = metrics.cross_validate(clean_feats, adv_feats, dspec, apsr_by_attack=apsr,
+                                          folds=cfg.folds, seed=cfg.seed)
+            report.rows.extend(part.rows)
+        report.write_csv(csv_path)
+        report.write_json(os.path.join(rdir, "report.json"))
+
+    _unit(cfg, "evaluate", [cfg.detector_list, cfg.train_attack, cfg.folds, cfg.seed],
+          [f"extract-features/{name}" for name in ["clean", *sorted(adv_feats)]], evaluate)
     return csv_path
 
 
-def run_stages(cfg, force=()):
+def run_stages(cfg, force=None):
     """Runs the stages in STAGES order, yielding (stage name, result) after
-    each; `force` names the stages to recompute. Stop iterating to stop the
-    chain. The stage functions are resolved at call time, so wrappers set on
-    this module's attributes see every call."""
+    each; the stage `force` names and every later one lose their keys. Stop
+    iterating to stop the chain. The stage functions are resolved at call
+    time, so wrappers set on this module's attributes see every call."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     tensorio.write_json(os.path.join(cfg.out_dir, "config.json"), cfg.to_dict())
-    train_set, val_set = stage_gen_data(cfg, "gen-data" in force)
+    if force:
+        _write_keys(cfg, {unit: key for unit, key in _keys(cfg).items()
+                          if STAGES.index(unit.split("/")[0]) < STAGES.index(force)})
+    train_set, val_set = stage_gen_data(cfg)
     yield "gen-data", (train_set, val_set)
-    model = stage_train_model(cfg, train_set, "train-model" in force)
+    model = stage_train_model(cfg, train_set)
     yield "train-model", model
-    yield "gradcheck", stage_gradcheck(cfg, model, val_set, "gradcheck" in force)
-    attacked = stage_attack(cfg, model, train_set, val_set, "attack" in force)
+    yield "gradcheck", stage_gradcheck(cfg, model, val_set)
+    attacked = stage_attack(cfg, model, train_set, val_set)
     yield "attack", attacked
-    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set, attacked,
-                                                    "extract-features" in force)
+    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set, attacked)
     yield "extract-features", (clean_feats, adv_feats)
-    yield "train-detector", stage_train_detectors(cfg, clean_feats, adv_feats,
-                                                  "train-detector" in force)
-    yield "evaluate", stage_evaluate(cfg, clean_feats, adv_feats, "evaluate" in force)
+    yield "train-detector", stage_train_detectors(cfg, clean_feats, adv_feats)
+    yield "evaluate", stage_evaluate(cfg, clean_feats, adv_feats)
 
 
 def run_pipeline(cfg, force=False):
     """Executes every stage in order, recomputing all of them when `force`;
     returns the path of the report CSV."""
-    for _, result in run_stages(cfg, STAGES if force else ()):
+    for _, result in run_stages(cfg, STAGES[0] if force else None):
         pass
     return result

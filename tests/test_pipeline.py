@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from segdetect import cli, detectors, pipeline, synthdata
+from segdetect import attacks, cli, detectors, metrics, pipeline, synthdata, uncertainty
 from segdetect.errors import InputError
-from segdetect.model import TrainConfig
+from segdetect.model import CheckReport, TrainConfig
 
 
 class TestHeatmap:
@@ -120,20 +120,17 @@ def test_registered_attack_keeps_budget(kind, small_dataset, small_model, tmp_pa
     ({"kind": "patch", "height": 8, "width": 8, "n_iter": 1, "placements": 1},
      lambda cfg: setattr(cfg, "seed", 1), "seed"),
 ])
-def test_changed_attack_config_fails_loudly(spec, change, key, small_dataset, small_model,
-                                            tmp_path):
+def test_changed_attack_config_recomputes(spec, change, key, small_dataset, small_model,
+                                          tmp_path):
     dcfg, train, val = small_dataset
     cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path), ssmm_train_size=3,
                                     attack_list=[dict(spec)])
     tag = pipeline.attack_tag(spec)
     pipeline.stage_attack(cfg, small_model, train, val[:2])
     change(cfg)
-    with pytest.raises(InputError, match=f"'{tag}'.*{key}.*--force"):
-        pipeline.stage_attack(cfg, small_model, train, val[:2])
-    out = pipeline.stage_attack(cfg, small_model, train, val[:2], force=True)[tag]
+    out = pipeline.stage_attack(cfg, small_model, train, val[:2])[tag]
     meta = json.load(open(tmp_path / "attacks" / tag / "attack.json"))
     assert out[0].config[key] == meta["config"][key] != spec.get(key, 0)
-    pipeline.stage_attack(cfg, small_model, train, val[:2])
 
 
 def test_registered_attack_tags_unique():
@@ -168,12 +165,25 @@ def test_unknown_detector_key_names_kind(tmp_path):
         pipeline.stage_train_detectors(cfg, [], {})
 
 
-def test_resumed_failed_gradcheck_raises(tmp_path):
+def failing_report():
+    return CheckReport(passed=False, frac_within=0.5, median_rel_err=0.3, h=0.1,
+                       n_samples=200, radius=2, quantiles={0.5: 0.3})
+
+
+def grad_check_failing_once(monkeypatch):
+    """Makes the pipeline's next gradient check fail, and any later one an error."""
+    reports = [failing_report()]
+    monkeypatch.setattr(pipeline, "grad_check", lambda *args, **kw: reports.pop())
+
+
+def test_resumed_failed_gradcheck_raises(small_dataset, tmp_path, monkeypatch):
+    _, _, val = small_dataset
     cfg = pipeline.ExperimentConfig(out_dir=str(tmp_path))
-    (tmp_path / "gradcheck.json").write_text(json.dumps(
-        {"passed": False, "frac_within": 0.5, "median_rel_err": 0.3, "quantiles": {}}))
-    with pytest.raises(InputError, match="gradient check failed"):
-        pipeline.stage_gradcheck(cfg, None, None)
+    grad_check_failing_once(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(InputError, match="gradient check failed"):
+            pipeline.stage_gradcheck(cfg, None, val)
+    assert json.load(open(tmp_path / "gradcheck.json"))["quantiles"] == {"0.5": 0.3}
 
 
 def test_config_dict_roundtrip():
@@ -361,6 +371,13 @@ class TestCli:
         ('{"export_heatmaps": 1}', "config key export_heatmaps: expected bool, got int"),
         ('{"detector_list": [{"kind": "lasso", "lam": "x"}]}',
          "detector 'lasso' key lam: expected float, got str"),
+        ('{"attack_list": "fgsm"}', "config key attack_list: expected list, got str"),
+        ('{"attack_list": ["fgsm"]}', "attack_list item 'fgsm': expected object, got str"),
+        ('{"detector_list": [3]}', "detector_list item 3: expected object, got int"),
+        ('{"dataset": 5}', "config key dataset: expected object, got int"),
+        ('{"train": null}', "config key train: expected object, got NoneType"),
+        ('{"dataset": {"shapes_per_image": 3}}',
+         "dataset key shapes_per_image: expected list, got int"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -505,11 +522,12 @@ class TestStageCommands:
                 assert ((tmp_path / "staged" / rel).read_bytes()
                         == (tmp_path / "all" / rel).read_bytes()), rel
 
-    def test_recorded_failed_gradcheck_stops_attack(self, tiny_model_dir, tmp_path, capsys):
+    def test_recorded_failed_gradcheck_stops_attack(self, tiny_model_dir, tmp_path, capsys,
+                                                    monkeypatch):
         out = tmp_path / "run"
         shutil.copytree(tiny_model_dir, out)
-        (out / "gradcheck.json").write_text(json.dumps(
-            {"passed": False, "frac_within": 0.5, "median_rel_err": 0.3, "quantiles": {}}))
+        grad_check_failing_once(monkeypatch)
+        assert run_cli("gradcheck", out) == 1
         assert run_cli("attack", out) == 1
         assert "segdetect: attack: gradient check failed" in capsys.readouterr().err
         assert not (out / "attacks").exists()
@@ -524,3 +542,81 @@ class TestStageCommands:
         assert run_cli("attack", out, "--force") == 0
         assert (out / "model.ten").read_bytes() == model_bytes
         assert json.loads(meta.read_text())["config"]["eps"] == 8
+
+
+def run_files(out):
+    """{relative path: bytes} of a run directory, less config.json and keys.json."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name not in ("config.json", "keys.json")}
+
+
+# TINY with 80 validation images, so that 4 folds keep 20 clean scores each.
+TINY_80 = dict(TINY, dataset=dict(TINY["dataset"], val_size=80))
+
+
+@pytest.fixture(scope="module")
+def tiny_80_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny80") / "run"
+    assert run_cli("run-all", out, config=TINY_80) == 0
+    return out
+
+
+# The functions whose calls show which units a resume recomputes.
+UNIT_WORK = {"generate_dataset": synthdata, "train": pipeline, "grad_check": pipeline,
+             "fgsm": attacks, "ifgsm": attacks, "feature_vector": uncertainty,
+             "save_detector": detectors, "cross_validate": metrics}
+
+
+@pytest.mark.parametrize("change,recomputed", [
+    # a fresh run of this config fails the gradient check
+    ({"train": dict(TINY["train"], epochs=9)}, {"train", "grad_check"}),
+    ({"attack_list": TINY["attack_list"] + [{"kind": "ifgsm", "eps": 4, "n_iter": 2}]},
+     {"ifgsm", "feature_vector", "cross_validate"}),
+    ({"detector_list": TINY["detector_list"] + [{"kind": "ellipse"}]},
+     {"save_detector", "cross_validate"}),
+    ({"export_heatmaps": True}, {"feature_vector", "save_detector", "cross_validate"}),
+    ({"dataset": dict(TINY_80["dataset"], noise_std=20.0)}, set(UNIT_WORK) - {"ifgsm"}),
+    ({"folds": 4}, {"cross_validate"}),
+], ids=["epochs", "attack", "detector", "heatmaps", "dataset", "folds"])
+def test_resume_under_changed_config_equals_fresh_run(change, recomputed, tiny_80_run, tmp_path,
+                                                      monkeypatch):
+    config = dict(TINY_80, **change)
+    fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+    rc = run_cli("run-all", fresh, config=config)
+    shutil.copytree(tiny_80_run, resumed)
+    calls = dict.fromkeys(UNIT_WORK, 0)
+    for name, module in UNIT_WORK.items():
+        def counted(*args, _name=name, _real=getattr(module, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    assert run_cli("run-all", resumed, config=config) == rc
+    assert {name for name, n in calls.items() if n} == recomputed
+    files, fresh_files = run_files(resumed), run_files(fresh)
+    # when the gradient check stops both runs, the later stages' old files stay
+    assert files.items() >= fresh_files.items() if rc else files == fresh_files
+
+
+def test_attack_force_then_run_all_rewrites_downstream(tiny_80_run, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(tiny_80_run, out)
+    assert run_cli("attack", out, "--force", config=TINY_80) == 0
+    for rel in ("features/fgsm_e8.csv", "report/report.csv"):
+        (out / rel).write_text("stale")
+    assert run_cli("run-all", out, config=TINY_80) == 0
+    assert run_files(out) == run_files(tiny_80_run)
+
+
+def test_unit_that_raised_midway_is_recomputed(tiny_80_run, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    real = uncertainty.write_features
+
+    def write_then_fail(path, feats):
+        real(path, feats[:1])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(uncertainty, "write_features", write_then_fail)
+    assert run_cli("run-all", out, config=TINY_80) == 1
+    monkeypatch.setattr(uncertainty, "write_features", real)
+    assert run_cli("run-all", out, config=TINY_80) == 0
+    assert run_files(out) == run_files(tiny_80_run)
