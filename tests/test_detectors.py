@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segdetect import detectors
-from segdetect.errors import InputError
-from segdetect.uncertainty import FeatureVector
+from segdetect.errors import InputError, TrainingError
+from segdetect.uncertainty import FeatureVector, feature_matrix
 
 
 def make_features(x, label="clean"):
@@ -65,6 +67,7 @@ class TestLassoDetector:
         adv = gaussian_features(seed=2, shift=3.0)
         m = detectors.train_lasso(clean, adv, lam=1e6)
         assert np.all(m.params["w"] == 0)
+        assert m.params["iterations"] == 0 and m.params["kkt_residual"] == 0.0
 
     def test_separable_perfect_at_half(self):
         clean = gaussian_features(n=40, seed=3)
@@ -118,13 +121,145 @@ class TestLassoDetector:
     def test_records_iterations_run(self):
         clean = gaussian_features(n=40, seed=3)
         adv = gaussian_features(n=40, seed=4, shift=3.0)
-        assert detectors.train_lasso(clean, adv, max_iter=5).params["iterations"] == 5
-        easy = detectors.train_lasso(clean, adv, lam=0.5, max_iter=10_000)
-        assert easy.params["iterations"] < 10_000
+        with pytest.raises(TrainingError, match="KKT residual .* after 2 iterations"):
+            detectors.train_lasso(clean, adv, lam=0.01, max_iter=2)
+        easy = detectors.train_lasso(clean, adv, lam=0.5)
+        assert 1 <= easy.params["iterations"] < detectors.hyperparameters("lasso")["max_iter"]
+        assert easy.params["kkt_residual"] < 1e-9
+
+    @pytest.mark.parametrize("key,value", [
+        ("lam", -1.0), ("lam", float("nan")), ("lam", float("inf")),
+        ("tol", 0.0), ("tol", -1e-9), ("max_iter", 0)])
+    def test_bad_hyperparameter_raises(self, key, value):
+        with pytest.raises(InputError, match=f"lasso key {key}"):
+            detectors.train_lasso(gaussian_features(), gaussian_features(shift=3.0),
+                                  **{key: value})
 
     def test_missing_side_raises(self):
         with pytest.raises(InputError):
             detectors.train_lasso(gaussian_features(), [])
+
+
+def lasso_kkt_residual(model, clean, adv):
+    """The KKT residual of a lasso model, in plain numpy from its weights."""
+    std = model.standardizer
+    x = np.vstack([std.transform(feature_matrix(clean)), std.transform(feature_matrix(adv))])
+    y = np.concatenate([np.ones(len(clean)), np.zeros(len(adv))])
+    w, b, lam = model.params["w"], model.params["b"], model.params["lambda"]
+    t = x @ w + b
+    r = np.exp(-np.logaddexp(0.0, -t)) - y     # sigmoid(t) - y
+    gw, gb = x.T @ r / len(y), np.mean(r)
+    nz = w != 0
+    return max(abs(gb), *np.abs(gw[nz] + lam * np.sign(w[nz])),
+               *np.maximum(np.abs(gw[~nz]) - lam, 0.0))
+
+
+def a7_instance():
+    rng = np.random.default_rng(6)
+    train = make_features(rng.normal(size=(100, 5)))
+    rng.normal(size=(50, 5))    # A7's held-out draw
+    return train, make_features(rng.normal(size=(80, 5)) + 8.0, "adv"), 1e-4
+
+
+def duplicated_column_instance():
+    rng = np.random.default_rng(7)
+    base_c = rng.normal(size=(50, 4))
+    base_a = rng.normal(size=(50, 4)) + 2.0
+    return (make_features(np.hstack([base_c, base_c[:, :1]])),
+            make_features(np.hstack([base_a, base_a[:, :1]]), "adv"), 0.01)
+
+
+class TestLassoCertificate:
+    """Every fit stops on its KKT certificate, checked here independently."""
+
+    @pytest.mark.parametrize("case", [
+        a7_instance,
+        lambda: (gaussian_features(n=40, seed=3), gaussian_features(n=40, seed=4, shift=10.0),
+                 1e-4),
+        lambda: (gaussian_features(n=80, seed=5), gaussian_features(n=80, seed=6, shift=0.5), 0.0),
+        duplicated_column_instance,
+        lambda: (gaussian_features(seed=1), gaussian_features(seed=2, shift=3.0), 1e6),
+    ], ids=["a7", "separable_shift10", "lambda0_overlap", "duplicated_column", "lambda1e6"])
+    def test_certified(self, case):
+        clean, adv, lam = case()
+        m = detectors.train_lasso(clean, adv, lam=lam)
+        assert m.params["kkt_residual"] < 1e-9
+        assert lasso_kkt_residual(m, clean, adv) < 1e-9
+        assert m.params["iterations"] <= 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(20, 80), d=st.integers(1, 8), shift=st.floats(0, 10),
+           lam=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]), seed=st.integers(0, 10_000))
+    def test_random_problems_certify(self, n, d, shift, lam, seed):
+        clean = gaussian_features(n=n, d=d, seed=seed)
+        adv = gaussian_features(n=n, d=d, seed=seed + 1, shift=shift)
+        m = detectors.train_lasso(clean, adv, lam=lam)
+        assert lasso_kkt_residual(m, clean, adv) < 1e-9
+
+    def test_matches_accelerated_proximal_gradient(self):
+        # one feature, nearly separable, intercept near 7: the shape of the
+        # benchmark's fits, which proximal gradient methods reach only slowly
+        rng = np.random.default_rng(3)
+        clean = make_features(rng.normal(size=(40, 1)))
+        adv = make_features(12.0 + 3.0 * rng.normal(size=(40, 1)), "adv")
+        m = detectors.train_lasso(clean, adv, lam=0.01)
+        z = m.standardizer.transform(np.vstack([feature_matrix(clean), feature_matrix(adv)]))
+        x1 = np.hstack([z, np.ones((80, 1))])
+        y = np.concatenate([np.ones(40), np.zeros(40)])
+        # FISTA with gradient restart, intercept unpenalised, step 1/L exactly
+        step = 4 * len(y) / np.linalg.norm(x1, 2) ** 2
+        theta, v, tk = np.zeros(2), np.zeros(2), 1.0
+        for _ in range(100_000):
+            nxt = v - step * (x1.T @ (np.exp(-np.logaddexp(0.0, -(x1 @ v))) - y) / len(y))
+            nxt[0] = np.sign(nxt[0]) * max(abs(nxt[0]) - step * 0.01, 0.0)
+            if np.max(np.abs(nxt - v)) < 1e-11 * step:
+                theta = nxt
+                break
+            tk = 1.0 if (v - nxt) @ (nxt - theta) > 0 else tk
+            tn = (1 + np.sqrt(1 + 4 * tk * tk)) / 2
+            v, theta, tk = nxt + (tk - 1) / tn * (nxt - theta), nxt, tn
+        else:
+            pytest.fail("reference did not converge")
+        assert 6.0 < theta[1] < 8.0
+        np.testing.assert_allclose([*m.params["w"], m.params["b"]], theta, atol=1e-5)
+
+
+def model_kkt(g, h, theta, lam, z, skip=()):
+    """Largest violation of the optimality of z for the Newton step's model
+    g.(z - theta) + (z - theta).H(z - theta)/2 + lam |z[:-1]|_1."""
+    grad = g + h @ (z - theta)
+    out = [abs(grad[-1])]
+    for j in range(len(z) - 1):
+        if j not in skip:
+            out.append(abs(grad[j] + lam * np.sign(z[j])) if z[j] else max(abs(grad[j]) - lam, 0))
+    return max(out)
+
+
+class TestNewtonStep:
+    def test_solves_the_model(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = rng.normal(size=(6, 5))
+            h, g, theta = a.T @ a / 6, rng.normal(size=5), rng.normal(size=5)
+            z = detectors._newton_step(g, h, theta, 0.3, 1e-13)
+            assert model_kkt(g, h, theta, 0.3, z) < 1e-9
+
+    def test_every_curvature_zero(self):
+        # every p(1-p) underflowed to 0: each coordinate's model is linear, so
+        # a weight with |gradient| <= lam goes to 0 and the rest stay put
+        g, theta = np.array([0.5, -2.0, 0.3]), np.array([1.0, -1.0, 4.0])
+        z = detectors._newton_step(g, np.zeros((3, 3)), theta, 1.0, 1e-12)
+        assert z.tolist() == [0.0, -1.0, 4.0]
+
+    def test_zero_column(self):
+        # a feature that is 0 on every training row: its H row and column are
+        # 0 and its linear model is unbounded, so it stays; the other
+        # coordinates still solve their model, thresholded by lam / H_jj
+        h = np.array([[0.0, 0.0, 0.0], [0.0, 4.0, 0.5], [0.0, 0.5, 1.0]])
+        g, theta = np.array([3.0, -1.5, 0.2]), np.zeros(3)
+        z = detectors._newton_step(g, h, theta, 1.0, 1e-14)
+        assert z[0] == 0.0 and z[1] > 0
+        assert model_kkt(g, h, theta, 1.0, z, skip=(0,)) < 1e-9
 
 
 class TestOcsvmDetector:

@@ -292,6 +292,7 @@ class TestMiniPipeline:
         cfg, _ = mini_run
         doc = json.load(open(os.path.join(cfg.out_dir, "detectors", "lasso.json")))
         assert 1 <= doc["params"]["iterations"] <= 10_000
+        assert doc["params"]["kkt_residual"] < 1e-9
 
 
 def test_empty_attack_list_reports_only_clean(tmp_path):
@@ -531,6 +532,16 @@ class TestStageCommands:
         assert run_cli("attack", out) == 1
         assert "segdetect: attack: gradient check failed" in capsys.readouterr().err
         assert not (out / "attacks").exists()
+
+    def test_bad_lasso_value_fails_its_stage(self, tiny_model_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(tiny_model_dir, out)
+        config = dict(TINY, train_attack="fgsm_e8", detector_list=[{"kind": "lasso", "lam": -1.0}])
+        assert run_cli("train-detector", out, config=config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "segdetect: train-detector: lasso key lam: must be finite and >= 0, got -1.0")
+        assert not (out / "detectors" / "lasso.json").exists()
 
     def test_attack_force_recomputes_only_attacks(self, tiny_model_dir, tmp_path):
         out = tmp_path / "run"
