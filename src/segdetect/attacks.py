@@ -14,7 +14,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import AttackError, InputError
-from .model import loss_input_grad, predict, predicted_labels
+from .model import loss_input_grad, predict_and_grad
+from .model import predict, predicted_labels  # noqa: F401 - bindings the benchmark's tracer wraps
+from .workers import map_items
 
 
 DNNM_BLOCK = 1024   # hidden pixels per dnnm_target distance block
@@ -135,15 +137,33 @@ def _eps_box(x, eps):
     return lambda adv: np.clip(adv, lo, hi)
 
 
+def _first_forward_grad(model, objective):
+    """Gradient function for _sign_descent whose (target, pixel weights) are
+    objective(probs) of its first call's forward, i.e. of the clean image,
+    and stay fixed: one forward per gradient, with no separate predict."""
+    fixed = []
+
+    def grad(x):
+        if fixed:
+            return loss_input_grad(model, x, *fixed)[1]
+
+        def first(probs):
+            fixed.extend(objective(probs))
+            return fixed
+        return predict_and_grad(model, x, first)[2]
+    return grad
+
+
 def _sign_attack(model, sample, cfg, kind, alpha, n_iter):
     """Per-image sign attack in the eps-box; the targeted variant descends
     toward the least likely class of the clean prediction."""
     x = sample.image.astype(np.float32)
-    target = least_likely_target(predict(model, x)) if cfg.targeted else None
-    labels, step = (sample.labels, alpha) if target is None else (target, -alpha)
     ones = np.ones(sample.labels.shape, np.float32)
-    adv = _sign_descent(lambda a: loss_input_grad(model, a, labels, ones)[1], x, step,
-                        _eps_box(x, cfg.eps), n_iter)
+    if cfg.targeted:
+        grad, step = _first_forward_grad(model, lambda p: (least_likely_target(p), ones)), -alpha
+    else:
+        grad, step = (lambda a: loss_input_grad(model, a, sample.labels, ones)[1]), alpha
+    adv = _sign_descent(grad, x, step, _eps_box(x, cfg.eps), n_iter)
     echo = _echo(cfg, kind)
     return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id,
                            attack=sign_tag(kind, echo), config=echo)
@@ -176,15 +196,20 @@ def ssmm_train(model, train_samples, targets, cfg):
         if s.image.shape != shape:
             raise InputError("all ssmm training samples must share one image shape")
 
-    def mean_grad(xi):
-        gsum = np.zeros(shape, np.float32)
-        for s, tgt in zip(train_samples, targets):
-            xadv = np.clip(s.image + xi, 0, 255).astype(np.float32)
-            probs = predict(model, xadv)
+    def masked_grad(xi, sample, tgt):
+        """Gradient of the target loss, without the pixels already predicted
+        as their target with confidence above tau."""
+        def masked(probs):
             pred = np.argmax(probs, axis=2)
             conf = np.take_along_axis(probs, tgt[:, :, None], axis=2)[:, :, 0]
-            weights = np.where((pred == tgt) & (conf > cfg.tau), 0.0, 1.0).astype(np.float32)
-            gsum += loss_input_grad(model, xadv, tgt, weights)[1]
+            return tgt, np.where((pred == tgt) & (conf > cfg.tau), 0.0, 1.0).astype(np.float32)
+        xadv = np.clip(sample.image + xi, 0, 255).astype(np.float32)
+        return predict_and_grad(model, xadv, masked)[2]
+
+    def mean_grad(xi):
+        gsum = np.zeros(shape, np.float32)
+        for grad in map_items(lambda st: masked_grad(xi, *st), zip(train_samples, targets)):
+            gsum += grad
         return gsum / len(train_samples)
 
     eps = np.float32(cfg.eps)
@@ -255,10 +280,9 @@ def dnnm_attack(model, sample, cfg):
     """Iterative minimization of the omega-weighted loss toward the
     class-deletion target computed once from the clean prediction."""
     x = sample.image.astype(np.float32)
-    pred = predicted_labels(model, x)
-    target, weights = dnnm_target(pred, cfg.hidden_class, cfg.omega)
-    adv = _sign_descent(lambda a: loss_input_grad(model, a, target, weights)[1], x,
-                        -cfg.alpha, _eps_box(x, cfg.eps), cfg.n_iter)
+    grad = _first_forward_grad(
+        model, lambda p: dnnm_target(np.argmax(p, axis=2), cfg.hidden_class, cfg.omega))
+    adv = _sign_descent(grad, x, -cfg.alpha, _eps_box(x, cfg.eps), cfg.n_iter)
     return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id, attack="dnnm",
                            config=_echo(cfg, "dnnm"))
 
@@ -273,17 +297,21 @@ def patch_attack(model, train_samples, cfg):
         raise InputError(f"patch {cfg.height}x{cfg.width} larger than image {h}x{w}")
     rng = np.random.default_rng(cfg.seed)
 
+    def placed_grad(patch, placement):
+        s, top, left = placement
+        patched = s.image.astype(np.float32).copy()
+        patched[top:top + cfg.height, left:left + cfg.width] = patch
+        ones = np.ones(s.labels.shape, np.float32)
+        grad = loss_input_grad(model, patched, s.labels, ones)[1]
+        return grad[top:top + cfg.height, left:left + cfg.width]
+
     def mean_grad(patch):
+        placements = [(train_samples[int(rng.integers(len(train_samples)))],
+                       int(rng.integers(0, h - cfg.height + 1)),
+                       int(rng.integers(0, w - cfg.width + 1))) for _ in range(cfg.placements)]
         gsum = np.zeros_like(patch)
-        for _ in range(cfg.placements):
-            s = train_samples[int(rng.integers(len(train_samples)))]
-            top = int(rng.integers(0, h - cfg.height + 1))
-            left = int(rng.integers(0, w - cfg.width + 1))
-            patched = s.image.astype(np.float32).copy()
-            patched[top:top + cfg.height, left:left + cfg.width] = patch
-            ones = np.ones(s.labels.shape, np.float32)
-            grad = loss_input_grad(model, patched, s.labels, ones)[1]
-            gsum += grad[top:top + cfg.height, left:left + cfg.width]
+        for grad in map_items(lambda pl: placed_grad(patch, pl), placements):
+            gsum += grad
         return gsum / cfg.placements
 
     gray = np.full((cfg.height, cfg.width, 3), 127.5, np.float32)

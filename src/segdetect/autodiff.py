@@ -84,33 +84,49 @@ def conv2d_fwd(x, kernel, bias):
     return out, ConvNode(xpad=xpad, kernel=kernel, input_shape=x.shape)
 
 
+def _padded_grad(node, grad_out):
+    """grad_out, checked against the node's shapes, as float32 _padded by the
+    kernel's half-width."""
+    h, w, _ = node.input_shape
+    k, cout = node.kernel.shape[0], node.kernel.shape[3]
+    if grad_out.shape != (h, w, cout):
+        raise InternalError(f"grad_out shape {grad_out.shape} does not match cached ({h}, {w}, {cout})")
+    return _padded(grad_out.astype(np.float32, copy=False), k // 2, np.float32)
+
+
+def _input_adjoint(node, gpad):
+    """The shifted-GEMM convolution of the _padded grad_out with the flipped,
+    transposed kernel: the gradient w.r.t. the conv's input."""
+    h, w, cin = node.input_shape
+    wp = w + node.kernel.shape[0] - 1
+    adjoint = node.kernel[::-1, ::-1].transpose(0, 1, 3, 2).astype(np.float32, copy=False)
+    return _shifted_gemm(gpad, adjoint, h, wp).reshape(h, wp, cin)[:, :w]
+
+
+def conv2d_input_grad(node, grad_out):
+    """The grad_input of conv2d_bwd alone, without the parameter grads: what
+    a gradient w.r.t. the image needs."""
+    return _input_adjoint(node, _padded_grad(node, grad_out))
+
+
 def conv2d_bwd(node, grad_out, want_input=True):
     """Adjoint of conv2d_fwd: returns (grad_input, grad_kernel, grad_bias),
     with None for grad_input when want_input is false.
 
-    grad_input is the shifted-GEMM convolution of the padded grad_out with
-    the flipped, transposed kernel; grad_kernel[u, v] is window(u, v).T @
+    grad_input is conv2d_input_grad's; grad_kernel[u, v] is window(u, v).T @
     grad_out, with grad_out on the padded-width grid (zeros in its spare
     columns)."""
     h, w, cin = node.input_shape
-    k = node.kernel.shape[0]
-    cout = node.kernel.shape[3]
-    if grad_out.shape != (h, w, cout):
-        raise InternalError(f"grad_out shape {grad_out.shape} does not match cached ({h}, {w}, {cout})")
+    k, cout = node.kernel.shape[0], node.kernel.shape[3]
     pad, wp = k // 2, w + k - 1
-    go = grad_out.astype(np.float32, copy=False)
-    grad_bias = go.reshape(h * w, cout).sum(axis=0)
-    gpad = _padded(go, pad, np.float32)
+    gpad = _padded_grad(node, grad_out)
+    grad_bias = grad_out.astype(np.float32, copy=False).reshape(h * w, cout).sum(axis=0)
     go_grid = _window(gpad, pad, pad, h, wp)
     grad_kernel = np.empty((k, k, cin, cout), np.promote_types(node.xpad.dtype, np.float32))
     for u in range(k):
         for v in range(k):
             np.matmul(_window(node.xpad, u, v, h, wp).T, go_grid, out=grad_kernel[u, v])
-    if not want_input:
-        return None, grad_kernel, grad_bias
-    adjoint = node.kernel[::-1, ::-1].transpose(0, 1, 3, 2).astype(np.float32, copy=False)
-    grad_input = _shifted_gemm(gpad, adjoint, h, wp).reshape(h, wp, cin)[:, :w]
-    return grad_input, grad_kernel, grad_bias
+    return _input_adjoint(node, gpad) if want_input else None, grad_kernel, grad_bias
 
 
 def relu_fwd(x):
@@ -133,10 +149,11 @@ def softmax(logits, dtype=np.float32):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce(logits, target, pixel_weights):
+def softmax_ce(logits, target, pixel_weights, probs=None):
     """Weighted mean per-pixel cross-entropy and its exact adjoint.
 
     loss = (1/|I|) sum_ij w_ij * CE(softmax(logits_ij), target_ij)
+    Pass probs when the caller already holds softmax(logits).
     Returns (loss, probs, grad_logits).
     """
     h, w, c = logits.shape
@@ -146,7 +163,8 @@ def softmax_ce(logits, target, pixel_weights):
         raise InputError("pixel_weights must be non-negative")
     if target.min() < 0 or target.max() >= c:
         raise InputError(f"target ids must lie in [0, {c})")
-    probs = softmax(logits)
+    if probs is None:
+        probs = softmax(logits)
     npix = h * w
     idx = target[:, :, None]
     p_true = np.take_along_axis(probs, idx, axis=2)

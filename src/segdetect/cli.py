@@ -2,7 +2,8 @@
 
 Each stage subcommand runs the pipeline up to and including its stage;
 `run-all` executes everything.
-The SEGDETECT_THREADS environment variable caps BLAS thread counts.
+The SEGDETECT_THREADS environment variable sets BLAS thread counts (default
+1: the attack and feature stages already run one image per CPU).
 """
 
 import argparse
@@ -12,10 +13,11 @@ import sys
 
 
 def _apply_thread_override():
-    threads = os.environ.get("SEGDETECT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+    """BLAS threads: SEGDETECT_THREADS, else 1, wherever the user has not set
+    a BLAS variable. BLAS reads them when numpy loads."""
+    threads = os.environ.get("SEGDETECT_THREADS") or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, threads)
 
 
 _apply_thread_override()

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorio
-from .autodiff import conv2d_bwd, conv2d_fwd, relu_bwd, relu_fwd, softmax, softmax_ce
+from .autodiff import (conv2d_bwd, conv2d_fwd, conv2d_input_grad, relu_bwd, relu_fwd, softmax,
+                       softmax_ce)
 from .errors import InputError, TrainingError
 
 HIDDEN = 16
@@ -92,7 +93,7 @@ def _backward(model, nodes, grad_logits, want_params=False):
             kgrads.append(gk)
             bgrads.append(gb)
         else:
-            g, _, _ = conv2d_bwd(node, g)
+            g = conv2d_input_grad(node, g)
     if want_params:
         return kgrads[::-1], bgrads[::-1]
     # chain rule through (x - mean) / scale
@@ -110,12 +111,22 @@ def predicted_labels(model, image):
     return np.argmax(predict(model, image), axis=2)
 
 
-def loss_input_grad(model, image, target, pixel_weights):
-    """Weighted mean cross-entropy and its gradient w.r.t. raw pixels."""
+def predict_and_grad(model, image, objective):
+    """One forward pass for both the prediction and a loss gradient:
+    objective(probs) -> (target, pixel_weights) picks the weighted mean
+    cross-entropy from the softmax probabilities. Returns (probs, loss, its
+    gradient w.r.t. raw pixels)."""
     _check_image(image)
     logits, nodes = _forward(model, image)
-    loss, _probs, grad_logits = softmax_ce(logits, target, pixel_weights)
-    grad = _backward(model, nodes, grad_logits)
+    probs = softmax(logits)
+    target, pixel_weights = objective(probs)
+    loss, _, grad_logits = softmax_ce(logits, target, pixel_weights, probs)
+    return probs, loss, _backward(model, nodes, grad_logits)
+
+
+def loss_input_grad(model, image, target, pixel_weights):
+    """Weighted mean cross-entropy and its gradient w.r.t. raw pixels."""
+    _, loss, grad = predict_and_grad(model, image, lambda probs: (target, pixel_weights))
     return loss, grad
 
 

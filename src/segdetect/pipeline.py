@@ -19,6 +19,7 @@ from .errors import InputError
 from .model import TrainConfig, grad_check, load_model, predict, save_model, train
 from .model import predicted_labels  # noqa: F401 - a binding the benchmark's tracer wraps
 from .synthdata import DatasetConfig
+from .workers import map_items
 
 STAGES = ("gen-data", "train-model", "gradcheck", "attack", "extract-features",
           "train-detector", "evaluate")
@@ -191,11 +192,11 @@ def _ifgsm_config(cfg, params):
 
 
 def _run_fgsm(cfg, model, acfg, train_set, val_set):
-    return [attacks.fgsm(model, s, acfg) for s in val_set]
+    return map_items(lambda s: attacks.fgsm(model, s, acfg), val_set)
 
 
 def _run_ifgsm(cfg, model, acfg, train_set, val_set):
-    return [attacks.ifgsm(model, s, acfg) for s in val_set]
+    return map_items(lambda s: attacks.ifgsm(model, s, acfg), val_set)
 
 
 def _run_ssmm(cfg, model, scfg, train_set, val_set):
@@ -210,7 +211,7 @@ def _run_ssmm(cfg, model, scfg, train_set, val_set):
 
 
 def _run_dnnm(cfg, model, dcfg, train_set, val_set):
-    return [attacks.dnnm_attack(model, s, dcfg) for s in val_set]
+    return map_items(lambda s: attacks.dnnm_attack(model, s, dcfg), val_set)
 
 
 def _run_patch(cfg, model, pcfg, train_set, val_set):
@@ -259,7 +260,9 @@ def attack_tag(spec):
 
 def stage_attack(cfg, model, train_set, val_set):
     """Runs every configured attack over the validation split; writes each
-    perturbed dataset in the synthdata layout plus attack.json."""
+    perturbed dataset in the synthdata layout plus attack.json. The returned
+    samples hold the uint8 images written, whole pixel values as the attacks
+    emit them."""
     results = {}
     for spec in cfg.attack_list:
         run, acfg, tag = _attack_spec(cfg, spec)
@@ -270,9 +273,9 @@ def stage_attack(cfg, model, train_set, val_set):
             os.makedirs(os.path.join(adir, "images"), exist_ok=True)
             norms, windows = {}, {}
             for p, clean in zip(perturbed, val_set):
-                tensorio.save_tensor(os.path.join(adir, "images", f"{p.clean_id}.ten"),
-                                     p.image.astype(np.uint8))
                 norms[p.clean_id] = float(np.max(np.abs(p.image - clean.image)))
+                p.image = p.image.astype(np.uint8)
+                tensorio.save_tensor(os.path.join(adir, "images", f"{p.clean_id}.ten"), p.image)
                 if "top" in p.config:
                     windows[p.clean_id] = [p.config["top"], p.config["left"]]
             meta = {"config": perturbed[0].config, "ids": [p.clean_id for p in perturbed],
@@ -284,11 +287,10 @@ def stage_attack(cfg, model, train_set, val_set):
 
         def load():
             meta = tensorio.read_json(os.path.join(adir, "attack.json"))
-            images = [tensorio.load_tensor(os.path.join(adir, "images", f"{sid}.ten"))
-                      for sid in meta["ids"]]
-            return [attacks.PerturbedSample(image=img.astype(np.float32), clean_id=sid,
-                                            attack=tag, config=meta["config"])
-                    for sid, img in zip(meta["ids"], images)]
+            return [attacks.PerturbedSample(
+                        image=tensorio.load_tensor(os.path.join(adir, "images", f"{sid}.ten")),
+                        clean_id=sid, attack=tag, config=meta["config"])
+                    for sid in meta["ids"]]
 
         results[tag] = _unit(cfg, f"attack/{tag}", [asdict(acfg), cfg.seed, cfg.ssmm_train_size],
                              ("gen-data", "train-model"), attack, load)
@@ -306,16 +308,17 @@ def stage_extract_features(cfg, model, val_set, attacked):
     def extract(samples, label, tag, name):
         path = os.path.join(fdir, f"{name}.csv")
 
+        def features(s):
+            sid = s.id if hasattr(s, "id") else s.clean_id
+            probs = predict(model, s.image)
+            f = uncertainty.feature_vector(probs, image_id=sid, label=label, attack=tag)
+            f.apsr = metrics.apsr(np.argmax(probs, axis=2), labels[sid])
+            if cfg.export_heatmaps:
+                export_entropy_heatmap(probs, os.path.join(hdir, f"{name}_{sid}.pgm"))
+            return f
+
         def compute():
-            feats = []
-            for s in samples:
-                sid = s.id if hasattr(s, "id") else s.clean_id
-                probs = predict(model, s.image)
-                f = uncertainty.feature_vector(probs, image_id=sid, label=label, attack=tag)
-                f.apsr = metrics.apsr(np.argmax(probs, axis=2), labels[sid])
-                feats.append(f)
-                if cfg.export_heatmaps:
-                    export_entropy_heatmap(probs, os.path.join(hdir, f"{name}_{sid}.pgm"))
+            feats = map_items(features, samples)
             uncertainty.write_features(path, feats)
             return feats
 

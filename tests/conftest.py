@@ -1,3 +1,6 @@
+# Tier-1 runs with the CLI's BLAS thread counts: the import sets them before numpy loads.
+import segdetect.cli  # noqa: F401, I001 - before numpy
+
 import numpy as np
 import pytest
 

@@ -328,6 +328,65 @@ class TestPatch:
         assert patch.min() >= 0 and patch.max() <= 255
 
 
+def two_pass_descent(m, x, objective, step, eps, n_iter):
+    """The iterative attacks as two model passes: the objective from a separate
+    predict of the clean image, then loss_input_grad at every step."""
+    target, weights = objective(seg_model.predict(m, x))
+    lo, hi = np.maximum(x - eps, 0.0), np.minimum(x + eps, 255.0)
+    adv = x
+    for _ in range(n_iter):
+        grad = seg_model.loss_input_grad(m, adv, target, weights)[1]
+        adv = np.clip(adv + np.float32(step) * np.sign(grad, dtype=np.float32), lo, hi)
+    return attacks._quantize(x, adv)
+
+
+class TestOneForwardPerGradient:
+    """Attacks that read their objective from the forward of the gradient they
+    weight write the images of the two-pass reference, bit for bit."""
+
+    def test_dnnm_equals_two_pass(self, attack_setup):
+        m, _, val = attack_setup
+        cfg = attacks.DnnmConfig(hidden_class=1, n_iter=3)
+        for s in val[:3]:
+            x = s.image.astype(np.float32)
+            ref = two_pass_descent(m, x, lambda p: attacks.dnnm_target(
+                np.argmax(p, axis=2), cfg.hidden_class, cfg.omega), -cfg.alpha, cfg.eps, 3)
+            got = attacks.dnnm_attack(m, s, cfg).image
+            assert got.dtype == np.float32 and got.tobytes() == ref.tobytes()
+
+    def test_targeted_ifgsm_equals_two_pass(self, attack_setup):
+        m, _, val = attack_setup
+        cfg = attacks.AttackConfig(eps=4, alpha=1, n_iter=3, targeted=True)
+        for s in val[:3]:
+            x = s.image.astype(np.float32)
+            ones = np.ones(s.labels.shape, np.float32)
+            ref = two_pass_descent(m, x, lambda p: (attacks.least_likely_target(p), ones),
+                                   -cfg.alpha, cfg.eps, 3)
+            got = attacks.ifgsm(m, s, cfg).image
+            assert got.dtype == np.float32 and got.tobytes() == ref.tobytes()
+
+    def test_ssmm_equals_two_pass(self, attack_setup):
+        m, train, _ = attack_setup
+        cfg = attacks.SsmmConfig(n_iter=3)
+        subset = train[:4]
+        target = train[5].labels
+        xi = np.zeros(subset[0].image.shape, np.float32)
+        eps = np.float32(cfg.eps)
+        for _ in range(cfg.n_iter):
+            gsum = np.zeros(xi.shape, np.float32)
+            for s in subset:
+                xadv = np.clip(s.image + xi, 0, 255).astype(np.float32)
+                probs = seg_model.predict(m, xadv)
+                conf = np.take_along_axis(probs, target[:, :, None], axis=2)[:, :, 0]
+                done = (np.argmax(probs, axis=2) == target) & (conf > cfg.tau)
+                weights = np.where(done, 0.0, 1.0).astype(np.float32)
+                gsum += seg_model.loss_input_grad(m, xadv, target, weights)[1]
+            step = np.float32(-cfg.alpha) * np.sign(gsum / len(subset), dtype=np.float32)
+            xi = np.clip(xi + step, -eps, eps)
+        got = attacks.ssmm_train(m, subset, [target] * len(subset), cfg).noise
+        assert got.dtype == np.float32 and got.tobytes() == xi.tobytes()
+
+
 def test_target_agreement():
     pred = np.array([[0, 1], [1, 1]])
     target = np.array([[0, 1], [0, 1]])

@@ -245,6 +245,17 @@ class TestSoftmaxCE:
         _, _, grad = autodiff.softmax_ce(logits, target, np.ones((1, 1), np.float32))
         np.testing.assert_allclose(grad[0, 0], [-0.5, 0.5], atol=1e-7)
 
+    def test_given_probs_same_bits(self):
+        rng = np.random.default_rng(2)
+        logits = rng.normal(size=(5, 6, 4)).astype(np.float32)
+        target = rng.integers(0, 4, (5, 6)).astype(np.int32)
+        weights = rng.uniform(0, 2, (5, 6)).astype(np.float32)
+        loss, probs, grad = autodiff.softmax_ce(logits, target, weights)
+        given = autodiff.softmax(logits)
+        loss2, probs2, grad2 = autodiff.softmax_ce(logits, target, weights, given)
+        assert loss2 == loss and probs2 is given
+        assert probs2.tobytes() == probs.tobytes() and grad2.tobytes() == grad.tobytes()
+
     def test_target_out_of_range(self):
         logits = np.zeros((1, 1, 2), np.float32)
         with pytest.raises(InputError):

@@ -81,13 +81,12 @@ class TestGradients:
         data = tiny_dataset(8, seed=4)
         m = seg_model.train(data, seg_model.TrainConfig(epochs=5, seed=4))
         img, lab = data[0]
-        real_bwd = seg_model.conv2d_bwd
+        real_grad = seg_model.conv2d_input_grad
 
         def broken(node, go):
-            gx, gk, gb = real_bwd(node, go)
-            return gx * 1.5, gk, gb
+            return real_grad(node, go) * 1.5
 
-        monkeypatch.setattr(seg_model, "conv2d_bwd", broken)
+        monkeypatch.setattr(seg_model, "conv2d_input_grad", broken)
         report = seg_model.grad_check(m, img, lab, n_samples=60, seed=1)
         assert not report.passed
 
@@ -178,17 +177,17 @@ class TestWindowedGradCheck:
         # the input gradient is wrong only within r of the image border
         m, img, lab = trained_tiny
         r = seg_model.receptive_radius(m)
-        real_bwd = seg_model.conv2d_bwd
+        real_grad = seg_model.conv2d_input_grad
 
         def border_broken(node, go):
-            gx, gk, gb = real_bwd(node, go)
+            gx = real_grad(node, go)
             if gx.shape[2] == 3:
                 ring = np.ones(gx.shape[:2], bool)
                 ring[r:-r, r:-r] = False
                 gx = np.where(ring[:, :, None], 1.5 * gx, gx)
-            return gx, gk, gb
+            return gx
 
-        monkeypatch.setattr(seg_model, "conv2d_bwd", border_broken)
+        monkeypatch.setattr(seg_model, "conv2d_input_grad", border_broken)
         report = seg_model.grad_check(m, img, lab, n_samples=300, seed=2)
         assert not report.passed
 
@@ -211,6 +210,51 @@ class TestWindowedGradCheck:
         assert g is not None
         assert [a.tobytes() for a in kgrads] == [a.tobytes() for a in ref_k]
         assert [a.tobytes() for a in bgrads] == [a.tobytes() for a in ref_b]
+
+
+class TestInputOnlyBackward:
+    """The attack gradients skip the parameter grads; their bits must not move."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_grad_equals_full_backward_per_layer(self, trained_tiny, dtype):
+        m, img, _ = trained_tiny
+        _, nodes = seg_model._forward(m, img, dtype)
+        convs = [node for kind, node in nodes if kind == "conv"]
+        assert [n.kernel.shape[0] for n in convs] == [3, 3, 1]
+        rng = np.random.default_rng(3)
+        for node in convs:
+            go = rng.normal(size=node.input_shape[:2] + (node.kernel.shape[3],))
+            go = go.astype(np.float32)
+            gx, _, _ = seg_model.conv2d_bwd(node, go)
+            got = seg_model.conv2d_input_grad(node, go)
+            assert got.dtype == gx.dtype and got.shape == gx.shape
+            assert got.tobytes() == gx.tobytes()
+
+    def test_loss_input_grad_equals_full_backward(self, trained_tiny):
+        m, img, lab = trained_tiny
+        weights = np.random.default_rng(1).uniform(0.5, 2.0, lab.shape).astype(np.float32)
+        logits, nodes = seg_model._forward(m, img)
+        ref_loss, _, g = seg_model.softmax_ce(logits, lab, weights)
+        for kind, node in reversed(nodes):
+            g = seg_model.relu_bwd(node, g) if kind == "relu" else seg_model.conv2d_bwd(node, g)[0]
+        ref = (g / np.float32(m.scale)).astype(np.float32)
+        loss, grad = seg_model.loss_input_grad(m, img, lab, weights)
+        assert loss == ref_loss
+        assert grad.dtype == np.float32 and grad.tobytes() == ref.tobytes()
+
+    def test_predict_and_grad_probs_equal_predict(self, trained_tiny):
+        m, img, lab = trained_tiny
+        seen = []
+
+        def objective(probs):
+            seen.append(probs)
+            return lab, np.ones(lab.shape, np.float32)
+
+        probs, loss, grad = seg_model.predict_and_grad(m, img, objective)
+        assert len(seen) == 1 and seen[0] is probs
+        assert probs.tobytes() == seg_model.predict(m, img).tobytes()
+        ref_loss, ref_grad = seg_model.loss_input_grad(m, img, lab, np.ones(lab.shape, np.float32))
+        assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
 
 
 class TestTraining:

@@ -4,12 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from segdetect import attacks, cli, detectors, metrics, pipeline, synthdata, uncertainty
-from segdetect.errors import InputError
+from segdetect import (attacks, cli, detectors, metrics, pipeline, synthdata, uncertainty,
+                       workers)
+from segdetect.errors import AttackError, InputError
 from segdetect.model import CheckReport, TrainConfig
 
 
@@ -480,6 +482,45 @@ def test_blas_thread_count_keeps_run_bytes(tmp_path):
         assert data == two[0][rel], rel
 
 
+# TINY_ALL_ATTACKS with the heatmaps, which the feature workers write.
+TINY_HEATMAPS = dict(TINY_ALL_ATTACKS, export_heatmaps=True)
+
+
+def test_worker_count_keeps_run_bytes(tmp_path, monkeypatch):
+    """run-all writes the same bytes with 1 and with 2 image workers."""
+    runs = []
+    for n in (1, 2):
+        monkeypatch.setattr(workers, "cpu_count", lambda n=n: n)
+        out = tmp_path / f"workers{n}"
+        assert run_cli("run-all", out, config=TINY_HEATMAPS) == 0
+        runs.append((run_files(out), (out / "keys.json").read_bytes()))
+    (files, keys), (files2, keys2) = runs
+    assert {rel.split("/")[0] for rel in files} >= {"attacks", "features", "heatmaps"}
+    assert keys == keys2
+    assert sorted(files) == sorted(files2)
+    for rel, data in files.items():
+        assert data == files2[rel], rel
+
+
+def test_one_cpu_affinity_keeps_run_bytes(tmp_path):
+    """run-all restricted to one CPU by its affinity mask writes the bytes of
+    run-all on the default mask."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    runs = []
+    for name, preexec in (("default", None), ("one", lambda: os.sched_setaffinity(0, one_cpu))):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "segdetect.cli", "run-all", "--out", str(out),
+                        "--stage-overrides", json.dumps(TINY_HEATMAPS)],
+                       env=env, preexec_fn=preexec, check=True, capture_output=True)
+        runs.append(run_files(out))
+    assert sorted(runs[0]) == sorted(runs[1])
+    for rel, data in runs[0].items():
+        assert data == runs[1][rel], rel
+
+
 @pytest.fixture(scope="module")
 def tiny_model_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny") / "run"
@@ -532,6 +573,29 @@ class TestStageCommands:
         assert run_cli("attack", out) == 1
         assert "segdetect: attack: gradient check failed" in capsys.readouterr().err
         assert not (out / "attacks").exists()
+
+    def test_failing_image_fails_its_stage(self, tiny_model_dir, tmp_path, capsys,
+                                           monkeypatch):
+        out = tmp_path / "run"
+        shutil.copytree(tiny_model_dir, out)
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+        real, ran = attacks.fgsm, []
+
+        def fgsm(model, sample, cfg):
+            ran.append(sample.id)
+            if sample.id == "val_0000":
+                raise AttackError("non-finite loss gradient")
+            time.sleep(0.05)
+            return real(model, sample, cfg)
+
+        monkeypatch.setattr(attacks, "fgsm", fgsm)
+        assert run_cli("attack", out) == 1
+        assert capsys.readouterr().err.startswith(
+            "segdetect: attack: non-finite loss gradient")
+        keys = json.loads((out / "keys.json").read_text())
+        assert "gradcheck" in keys and "attack/fgsm_e8" not in keys
+        # one image per worker started; the other 38 never did
+        assert "val_0000" in ran and set(ran) <= {"val_0000", "val_0001"}
 
     def test_bad_lasso_value_fails_its_stage(self, tiny_model_dir, tmp_path, capsys):
         out = tmp_path / "run"
