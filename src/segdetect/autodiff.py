@@ -146,7 +146,10 @@ def softmax(logits, dtype=np.float32):
     # the same maximum as z.max(axis=-1), which is slow over a short last axis
     zmax = np.maximum.reduce([z[..., c] for c in range(z.shape[-1])])
     e = np.exp(z - zmax[..., None])
-    return e / e.sum(axis=-1, keepdims=True)
+    # sums the classes in order: the bits of e.sum(axis=-1) below 8 classes
+    # (numpy sums 8 or more pairwise), without its slow short-axis reduction
+    esum = np.add.reduce([e[..., c] for c in range(e.shape[-1])])
+    return e / esum[..., None]
 
 
 def softmax_ce(logits, target, pixel_weights, probs=None):

@@ -38,19 +38,28 @@ def write_record(fh, arr):
     fh.write(arr.astype(_DTYPE_BY_CODE[code], copy=False).tobytes())
 
 
+def _read_header(fh, n):
+    data = fh.read(n)
+    if len(data) != n:
+        raise InputError("truncated tensor header")
+    return data
+
+
 def read_record(fh):
     """Read one tensor record; returns None at end of file."""
     magic = fh.read(4)
     if magic == b"":
         return None
+    if len(magic) != 4:
+        raise InputError("truncated tensor header")
     if magic != MAGIC:
         raise InputError(f"bad magic {magic!r}")
-    version, code, ndim, _pad = struct.unpack("<BBBB", fh.read(4))
+    version, code, ndim, _pad = struct.unpack("<BBBB", _read_header(fh, 4))
     if version != VERSION:
         raise InputError(f"unsupported container version {version}")
     if code not in _DTYPE_BY_CODE:
         raise InputError(f"unknown dtype code {code}")
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+    shape = struct.unpack(f"<{ndim}I", _read_header(fh, 4 * ndim))
     dtype = _DTYPE_BY_CODE[code]
     n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
     payload = fh.read(n * dtype.itemsize)

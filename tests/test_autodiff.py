@@ -270,12 +270,26 @@ class TestSoftmaxCE:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_softmax_equals_reference_bitwise(self, dtype):
         rng = np.random.default_rng(9)
-        for c in (1, 2, 4, 7):
+        for c in range(1, 8):
             logits = rng.normal(0, 5, (5, 6, c)).astype(np.float32)
             z = logits.astype(dtype)
             e = np.exp(z - z.max(axis=-1, keepdims=True))
             ref = e / e.sum(axis=-1, keepdims=True)
             assert autodiff.softmax(logits, dtype).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_many_classes_within_rounding(self, dtype):
+        # from 8 classes numpy sums pairwise, softmax in order: only rounding differs
+        rng = np.random.default_rng(10)
+        for c in range(8, 13):
+            logits = rng.normal(0, 5, (5, 6, c)).astype(np.float32)
+            probs = autodiff.softmax(logits, dtype)
+            tol = c * np.finfo(dtype).eps
+            assert probs.dtype == dtype
+            np.testing.assert_allclose(probs.astype(np.float64).sum(axis=-1), 1.0, rtol=0, atol=tol)
+            z = logits.astype(dtype)
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            np.testing.assert_allclose(probs, e / e.sum(axis=-1, keepdims=True), rtol=tol, atol=0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))

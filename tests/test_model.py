@@ -1,7 +1,11 @@
+import os
+import resource
+
 import numpy as np
 import pytest
 
 from segdetect import model as seg_model
+from segdetect import workers
 from segdetect.errors import InputError
 
 
@@ -255,6 +259,56 @@ class TestInputOnlyBackward:
         assert probs.tobytes() == seg_model.predict(m, img).tobytes()
         ref_loss, ref_grad = seg_model.loss_input_grad(m, img, lab, np.ones(lab.shape, np.float32))
         assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
+
+def on_glibc():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def pass_inputs(size, seed=0):
+    rng = np.random.default_rng(seed)
+    m = seg_model.init_model(4, seed=seed)
+    img = rng.integers(0, 256, (size, size, 3)).astype(np.float32)
+    lab = rng.integers(0, 4, (size, size)).astype(np.int32)
+    return m, img, lab, np.ones((size, size), np.float32)
+
+
+def steady_faults(call, who, warm=5, calls=20):
+    """Minor page faults of `calls` calls after `warm` warm-up calls."""
+    for _ in range(warm):
+        call()
+    before = resource.getrusage(who).ru_minflt
+    for _ in range(calls):
+        call()
+    return resource.getrusage(who).ru_minflt - before
+
+
+FAULTS_PER_CALL = 5   # a glibc that trims each pass's freed heap takes 400-1,400
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the kept heap is a glibc malloc setting "
+                    "(mallopt M_TOP_PAD); other C libraries keep their own trim policy")
+class TestSteadyStatePassesTakeNoFaults:
+    """Freed pass temporaries stay mapped, so the next pass reuses them."""
+
+    @pytest.mark.parametrize("name,size", [("_param_grads", 64), ("loss_input_grad", 96),
+                                           ("predict", 96)])
+    def test_calling_thread(self, name, size):
+        m, img, lab, wgt = pass_inputs(size)
+        fn = getattr(seg_model, name)
+        call = (lambda: fn(m, img)) if name == "predict" else (lambda: fn(m, img, lab, wgt))
+        assert steady_faults(call, resource.RUSAGE_SELF) <= 20 * FAULTS_PER_CALL
+
+    def test_worker_threads(self, monkeypatch):
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+        m, img, lab, wgt = pass_inputs(96)
+        faults = workers.map_items(
+            lambda _: steady_faults(lambda: seg_model.loss_input_grad(m, img, lab, wgt),
+                                    resource.RUSAGE_THREAD), range(2))
+        assert sum(faults) <= 2 * 20 * FAULTS_PER_CALL
 
 
 class TestTraining:

@@ -59,3 +59,14 @@ def test_truncated_payload_raises(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(InputError):
         tensorio.load_tensor(path)
+
+
+def test_truncated_header_raises():
+    buf = io.BytesIO()
+    tensorio.write_record(buf, np.ones((3, 5), np.float32))
+    header = 4 + 4 + 4 * 2      # magic, version/dtype/ndim/pad, two extents
+    for cut in range(1, header):
+        with pytest.raises(InputError, match="truncated tensor header"):
+            tensorio.read_record(io.BytesIO(buf.getvalue()[:cut]))
+    with pytest.raises(InputError, match="truncated tensor payload"):
+        tensorio.read_record(io.BytesIO(buf.getvalue()[:header]))
