@@ -90,6 +90,15 @@ def cmd_detect(cfg, args):
 
 
 def cmd_report(cfg, args):
+    """Prints report.csv; fails, naming the stale units, if it is stale under config.json."""
+    from .pipeline import ExperimentConfig, unit_keys
+    from .tensorio import read_json
+
+    recorded, run = (read_json(os.path.join(cfg.out_dir, n)) for n in ("keys.json", "config.json"))
+    keys = unit_keys(ExperimentConfig.from_dict(run))
+    if recorded.get("evaluate") != keys["evaluate"]:
+        stale = ", ".join(unit for unit, key in keys.items() if recorded.get(unit) != key)
+        raise ValueError(f"stale report: keys.json differs from config.json for {stale}")
     path = os.path.join(cfg.out_dir, "report", "report.csv")
     with open(path) as fh:
         sys.stdout.write(fh.read())

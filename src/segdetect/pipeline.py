@@ -3,8 +3,8 @@
 Stage order (STAGES, chained once in run_stages): gen-data -> train-model ->
 gradcheck -> attack -> extract-features -> train-detector -> evaluate. Every
 stage is a pure function of its inputs, the config and the seed. Its outputs
-come in units (the stage, or one attack, feature table or detector of it),
-each reused only when <out>/keys.json records its key (see _unit).
+come in units (the stage, or one attack, feature table, heatmap set or
+detector of it), each reused only when keys.json records its key (_unit).
 """
 
 import hashlib
@@ -79,9 +79,7 @@ class ExperimentConfig:
         if "train" in d:
             d["train"] = TrainConfig(**_check_keys(_defaults(TrainConfig), d["train"], "train"))
         cfg = cls(**d)
-        for spec in cfg.attack_list:
-            _attack_spec(cfg, spec)
-        _detector_specs(cfg, {})
+        unit_keys(cfg)
         if cfg.attack_list and cfg.detector_list and (
                 cfg.folds < 2 or cfg.dataset.val_size // cfg.folds < metrics.MIN_CLEAN_SCORES):
             raise InputError(f"{cfg.folds} folds of {cfg.dataset.val_size} validation images: "
@@ -134,13 +132,44 @@ def _write_keys(cfg, keys):
     os.replace(path + ".tmp", path)
 
 
-def _unit(cfg, name, reads, upstream, compute, load=lambda: None):
-    """load() when keys.json records the key of unit `name` (a SHA-256 over
-    `reads`, the config it reads, and the recorded keys of its `upstream`), else
+def unit_keys(cfg):
+    """{unit: key} under `cfg`: a SHA-256 over the config the unit reads and
+    the keys of the units it reads from. Raises InputError on a bad spec, or
+    when two specs make one unit."""
+    keys = {}
+
+    def add(name, reads, upstream=()):
+        if name in keys:
+            raise InputError(f"two specs make the one unit {name}")
+        blob = json.dumps([reads, [keys[unit] for unit in upstream]], sort_keys=True)
+        keys[name] = hashlib.sha256(blob.encode()).hexdigest()
+
+    model = ("gen-data", "train-model")
+    add("gen-data", cfg.dataset.to_dict())
+    add("train-model", asdict(cfg.train), model[:1])
+    add("gradcheck", cfg.seed, model)
+    specs = [_attack_spec(cfg, spec)[1:] for spec in cfg.attack_list]
+    for acfg, tag in specs:
+        add(f"attack/{tag}", [asdict(acfg), cfg.seed, cfg.ssmm_train_size], model)
+    tables = ["clean", *sorted(tag for _, tag in specs)]
+    for name in tables:
+        images = model + ((f"attack/{name}",) if name != "clean" else ())
+        add(f"extract-features/{name}", None, images)
+        if cfg.export_heatmaps:
+            add(f"extract-features/heatmaps/{name}", None, images)
+    for kind, hyper, adv in _detector_specs(cfg):
+        add(f"train-detector/{kind}", [hyper, adv],
+            [f"extract-features/{name}" for name in ["clean", *adv]])
+    add("evaluate", [cfg.detector_list, cfg.train_attack, cfg.folds, cfg.seed],
+        [f"extract-features/{name}" for name in tables])
+    return keys
+
+
+def _unit(cfg, name, compute, load=lambda: None):
+    """load() when keys.json records unit `name`'s key in unit_keys(cfg), else
     compute(); the old key goes before compute() writes and the new one after."""
+    key = unit_keys(cfg)[name]
     keys = _keys(cfg)
-    blob = json.dumps([reads, [keys.get(unit) for unit in upstream]], sort_keys=True)
-    key = hashlib.sha256(blob.encode()).hexdigest()
     if keys.get(name) == key:
         return load()
     if keys.pop(name, None):
@@ -152,8 +181,7 @@ def _unit(cfg, name, reads, upstream, compute, load=lambda: None):
 
 def stage_gen_data(cfg):
     data_dir = os.path.join(cfg.out_dir, "data")
-    return _unit(cfg, "gen-data", cfg.dataset.to_dict(), (),
-                 lambda: synthdata.generate_dataset(cfg.dataset, data_dir)[:2],
+    return _unit(cfg, "gen-data", lambda: synthdata.generate_dataset(cfg.dataset, data_dir)[:2],
                  lambda: synthdata.load_dataset(data_dir)[:2])
 
 
@@ -165,15 +193,14 @@ def stage_train_model(cfg, train_set):
         save_model(model, tpath, spath)
         return model
 
-    return _unit(cfg, "train-model", asdict(cfg.train), ("gen-data",), fit,
-                 lambda: load_model(tpath, spath))
+    return _unit(cfg, "train-model", fit, lambda: load_model(tpath, spath))
 
 
 def stage_gradcheck(cfg, model, val_set):
     """Finite-difference gradient check; raises InputError when it failed,
     also when the failure was recorded by an earlier run."""
     path = os.path.join(cfg.out_dir, "gradcheck.json")
-    _unit(cfg, "gradcheck", cfg.seed, ("gen-data", "train-model"), lambda: tensorio.write_json(
+    _unit(cfg, "gradcheck", lambda: tensorio.write_json(
         path, asdict(grad_check(model, val_set[0].image, val_set[0].labels, seed=cfg.seed))))
     doc = tensorio.read_json(path)
     if not doc["passed"]:
@@ -191,12 +218,10 @@ def _ifgsm_config(cfg, params):
                                 targeted=bool(params.get("targeted")))
 
 
-def _run_fgsm(cfg, model, acfg, train_set, val_set):
-    return map_items(lambda s: attacks.fgsm(model, s, acfg), val_set)
-
-
-def _run_ifgsm(cfg, model, acfg, train_set, val_set):
-    return map_items(lambda s: attacks.ifgsm(model, s, acfg), val_set)
+def _per_image(attack):
+    """The runner of attacks.<attack> (looked up per call) on each validation image."""
+    return lambda cfg, model, acfg, train_set, val_set: map_items(
+        lambda s: getattr(attacks, attack)(model, s, acfg), val_set)
 
 
 def _run_ssmm(cfg, model, scfg, train_set, val_set):
@@ -208,10 +233,6 @@ def _run_ssmm(cfg, model, scfg, train_set, val_set):
     tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_target.ten"), target)
     tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"), xi.noise)
     return [attacks.apply_universal(s, xi) for s in val_set]
-
-
-def _run_dnnm(cfg, model, dcfg, train_set, val_set):
-    return map_items(lambda s: attacks.dnnm_attack(model, s, dcfg), val_set)
 
 
 def _run_patch(cfg, model, pcfg, train_set, val_set):
@@ -228,12 +249,13 @@ def _run_patch(cfg, model, pcfg, train_set, val_set):
 # samples, the tag rule (kind, params) to the output tag; without one the
 # kind is the tag.
 ATTACKS = {
-    "fgsm": (attacks.AttackConfig, _fgsm_config, _run_fgsm, attacks.sign_tag, ("alpha", "n_iter")),
-    "ifgsm": (attacks.AttackConfig, _ifgsm_config, _run_ifgsm, attacks.sign_tag, ()),
+    "fgsm": (attacks.AttackConfig, _fgsm_config, _per_image("fgsm"), attacks.sign_tag,
+             ("alpha", "n_iter")),
+    "ifgsm": (attacks.AttackConfig, _ifgsm_config, _per_image("ifgsm"), attacks.sign_tag, ()),
     "ssmm": (attacks.SsmmConfig, lambda cfg, p: attacks.SsmmConfig(**p), _run_ssmm, None, ()),
     "dnnm": (attacks.DnnmConfig,
              lambda cfg, p: attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **p}),
-             _run_dnnm, None, ()),
+             _per_image("dnnm_attack"), None, ()),
     "patch": (attacks.PatchConfig, lambda cfg, p: attacks.PatchConfig(**{"seed": cfg.seed, **p}),
               _run_patch, None, ()),
 }
@@ -292,8 +314,7 @@ def stage_attack(cfg, model, train_set, val_set):
                         clean_id=sid, attack=tag, config=meta["config"])
                     for sid in meta["ids"]]
 
-        results[tag] = _unit(cfg, f"attack/{tag}", [asdict(acfg), cfg.seed, cfg.ssmm_train_size],
-                             ("gen-data", "train-model"), attack, load)
+        results[tag] = _unit(cfg, f"attack/{tag}", attack, load)
     return results
 
 
@@ -313,17 +334,21 @@ def stage_extract_features(cfg, model, val_set, attacked):
             probs = predict(model, s.image)
             f = uncertainty.feature_vector(probs, image_id=sid, label=label, attack=tag)
             f.apsr = metrics.apsr(np.argmax(probs, axis=2), labels[sid])
-            if cfg.export_heatmaps:
-                export_entropy_heatmap(probs, os.path.join(hdir, f"{name}_{sid}.pgm"))
             return f
+
+        def heatmap(s):
+            sid = s.id if hasattr(s, "id") else s.clean_id
+            export_entropy_heatmap(predict(model, s.image),
+                                   os.path.join(hdir, f"{name}_{sid}.pgm"))
 
         def compute():
             feats = map_items(features, samples)
             uncertainty.write_features(path, feats)
             return feats
 
-        upstream = ("gen-data", "train-model") + ((f"attack/{tag}",) if tag else ())
-        return _unit(cfg, f"extract-features/{name}", cfg.export_heatmaps, upstream, compute,
+        if cfg.export_heatmaps:
+            _unit(cfg, f"extract-features/heatmaps/{name}", lambda: map_items(heatmap, samples))
+        return _unit(cfg, f"extract-features/{name}", compute,
                      lambda: uncertainty.read_features(path))
 
     clean_feats = extract(val_set, "clean", "", "clean")
@@ -332,15 +357,17 @@ def stage_extract_features(cfg, model, val_set, attacked):
     return clean_feats, adv_feats
 
 
-def _detector_specs(cfg, adv_feats):
-    """(kind, hyperparameters) of each configured detector that can train: a
-    supervised kind needs its training attack's features. Raises InputError
-    on an unknown kind or key, or a value unlike its trainer default."""
+def _detector_specs(cfg):
+    """(kind, hyperparameters, training attacks) of each configured detector
+    that can train: a supervised kind needs its training attack. Raises
+    InputError on an unknown kind or key, or a value unlike its trainer default."""
     specs = [_spec_params(s, "detector_list") for s in cfg.detector_list]
     for kind, hyper in specs:
         _check_keys(detectors.hyperparameters(kind), hyper, f"detector {kind!r}")
-    return [(kind, hyper) for kind, hyper in specs
-            if not detectors.is_supervised(kind, hyper) or cfg.train_attack in adv_feats]
+    tags = {_attack_spec(cfg, spec)[2] for spec in cfg.attack_list}
+    specs = [(kind, hyper, [cfg.train_attack] if detectors.is_supervised(kind, hyper) else [])
+             for kind, hyper in specs]
+    return [spec for spec in specs if set(spec[2]) <= tags]
 
 
 def stage_train_detectors(cfg, clean_feats, adv_feats):
@@ -349,17 +376,15 @@ def stage_train_detectors(cfg, clean_feats, adv_feats):
     ddir = os.path.join(cfg.out_dir, "detectors")
     os.makedirs(ddir, exist_ok=True)
     models = {}
-    for kind, hyper in _detector_specs(cfg, adv_feats):
+    for kind, hyper, adv in _detector_specs(cfg):
         path = os.path.join(ddir, f"{kind}.json")
-        adv = [cfg.train_attack] if detectors.is_supervised(kind, hyper) else []
 
         def fit():
             model = detectors.train_detector(kind, clean_feats, *map(adv_feats.get, adv), **hyper)
             detectors.save_detector(model, path)
             return model
 
-        models[kind] = _unit(cfg, f"train-detector/{kind}", [hyper, adv],
-                             [f"extract-features/{name}" for name in ["clean", *adv]], fit,
+        models[kind] = _unit(cfg, f"train-detector/{kind}", fit,
                              lambda: detectors.load_detector(path))
     return models
 
@@ -374,7 +399,7 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
         apsr = {tag: float(np.mean([f.apsr for f in feats]))
                 for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
         report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean", apsr_mean=apsr["clean"])])
-        for kind, hyper in _detector_specs(cfg, adv_feats) if adv_feats else []:
+        for kind, hyper, _ in _detector_specs(cfg) if adv_feats else []:
             dspec = metrics.DetectorSpec(kind=kind, train_attack=cfg.train_attack,
                                          hyperparams=hyper)
             part = metrics.cross_validate(clean_feats, adv_feats, dspec, apsr_by_attack=apsr,
@@ -383,8 +408,7 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
         report.write_csv(csv_path)
         report.write_json(os.path.join(rdir, "report.json"))
 
-    _unit(cfg, "evaluate", [cfg.detector_list, cfg.train_attack, cfg.folds, cfg.seed],
-          [f"extract-features/{name}" for name in ["clean", *sorted(adv_feats)]], evaluate)
+    _unit(cfg, "evaluate", evaluate)
     return csv_path
 
 
@@ -411,9 +435,8 @@ def run_stages(cfg, force=None):
     yield "evaluate", stage_evaluate(cfg, clean_feats, adv_feats)
 
 
-def run_pipeline(cfg, force=False):
-    """Executes every stage in order, recomputing all of them when `force`;
-    returns the path of the report CSV."""
-    for _, result in run_stages(cfg, STAGES[0] if force else None):
+def run_pipeline(cfg):
+    """Executes every stage in order; returns the path of the report CSV."""
+    for _, result in run_stages(cfg):
         pass
     return result

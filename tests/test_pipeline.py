@@ -136,9 +136,13 @@ def test_changed_attack_config_recomputes(spec, change, key, small_dataset, smal
 
 
 def test_registered_attack_tags_unique():
-    tags = [pipeline.attack_tag(dict(spec, kind=kind)) for kind, spec in SMALL_SPECS.items()]
+    specs = [dict(spec, kind=kind) for kind, spec in SMALL_SPECS.items()]
     assert sorted(SMALL_SPECS) == sorted(pipeline.ATTACKS)
-    assert len(set(tags)) == len(tags)
+    tags = [pipeline.attack_tag(spec) for spec in specs]
+    assert tags == ["fgsm_e4", "ifgsm_ll_e4", "ssmm", "dnnm", "patch"]
+    # each spec makes its own unit, so all of them load side by side
+    keys = pipeline.unit_keys(pipeline.ExperimentConfig(attack_list=specs))
+    assert [unit for unit in keys if unit.startswith("attack/")] == [f"attack/{t}" for t in tags]
 
 
 def test_fgsm_rejects_iteration_keys():
@@ -270,14 +274,15 @@ class TestMiniPipeline:
         assert [name for name, _ in stages] == list(pipeline.STAGES)
         assert stages[-1][1] == csv_path
 
-    def test_heatmap_export_writes_one_pgm_per_image(self, mini_run, tmp_path):
+    def test_heatmap_export_writes_one_pgm_per_image(self, mini_run, tmp_path, monkeypatch):
         cfg, csv_path = mini_run
         out = tmp_path / "run"
         shutil.copytree(cfg.out_dir, out)
-        for rel in ("features", "detectors", "report"):
-            shutil.rmtree(out / rel)
+        calls = count_calls(monkeypatch, UNIT_WORK)
         hcfg = dataclasses.replace(cfg, out_dir=str(out), export_heatmaps=True)
         pipeline.run_pipeline(hcfg)
+        # the heatmaps are units of their own: no feature, detector or report reruns
+        assert {name for name, n in calls.items() if n} == {"export_entropy_heatmap"}
         ids = json.load(open(out / "data" / "manifest.json"))["val_ids"]
         names = ["clean"] + [pipeline.attack_tag(spec) for spec in cfg.attack_list]
         assert sorted(os.listdir(out / "heatmaps")) == sorted(
@@ -456,6 +461,31 @@ def run_cli(command, out, *extra, config=TINY):
     return cli.main([command, "--out", str(out), "--stage-overrides", json.dumps(config), *extra])
 
 
+def test_report_refuses_a_stale_report(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run-all", out) == 0
+    # a fresh run of 9 epochs fails the gradient check, before any later unit
+    assert run_cli("run-all", out, config=dict(TINY, train=dict(TINY["train"], epochs=9))) == 1
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "segdetect: report: stale report: keys.json differs from config.json for attack/fgsm_e8, "
+        "extract-features/clean, extract-features/fgsm_e8, train-detector/entropy, evaluate\n")
+
+
+@pytest.mark.parametrize("change,unit", [
+    ({"attack_list": [{"kind": "ifgsm", "eps": 4, "n_iter": 1},
+                      {"kind": "ifgsm", "eps": 4, "n_iter": 2}]}, "attack/ifgsm_e4"),
+    ({"detector_list": [{"kind": "entropy"}, {"kind": "entropy"}]}, "train-detector/entropy"),
+], ids=["attack", "detector"])
+def test_two_specs_of_one_unit_fail_at_load(change, unit, tmp_path, capsys):
+    assert run_cli("run-all", tmp_path / "run", config=dict(TINY, **change)) == 1
+    assert capsys.readouterr().err == f"segdetect: run-all: two specs make the one unit {unit}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_blas_thread_count_keeps_run_bytes(tmp_path):
     """run-all writes the same bytes with 1 and with 2 BLAS threads."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -484,6 +514,36 @@ def test_blas_thread_count_keeps_run_bytes(tmp_path):
 
 # TINY_ALL_ATTACKS with the heatmaps, which the feature workers write.
 TINY_HEATMAPS = dict(TINY_ALL_ATTACKS, export_heatmaps=True)
+
+
+# TINY_ALL_ATTACKS with every detector kind, lasso trained on fgsm_e8.
+TINY_ALL = dict(TINY_ALL_ATTACKS, train_attack="fgsm_e8",
+                detector_list=TINY_ALL_DETECTORS["detector_list"])
+
+
+@pytest.mark.parametrize("config", [TINY_ALL, TINY_HEATMAPS], ids=["all", "heatmaps"])
+def test_fresh_run_records_the_unit_keys(config, tmp_path):
+    assert run_cli("run-all", tmp_path / "run", config=config) == 0
+    keys = json.loads((tmp_path / "run" / "keys.json").read_text())
+    assert keys == pipeline.unit_keys(pipeline.ExperimentConfig.from_dict(config))
+
+
+@pytest.mark.parametrize("config", [TINY_ALL, TINY_HEATMAPS], ids=["all", "heatmaps"])
+def test_upstream_unit_keys_are_pinned(config):
+    """Existing run directories keep reusing their data, model, gradient
+    check and attacks: these keys must not move."""
+    keys = pipeline.unit_keys(pipeline.ExperimentConfig.from_dict(config))
+    assert {unit: key for unit, key in keys.items() if unit.split("/")[0] in (
+        "gen-data", "train-model", "gradcheck", "attack")} == {
+        "gen-data": "a4c785ef3c2939e230015ac5b90e9d0e13d6e9d0ddacfd7c36d44b65139621bb",
+        "train-model": "80916e5e37b57dbca49a9e86428e8c28955bbbd0573e2cc7645c644d1faf2c52",
+        "gradcheck": "4f8f3073cf69ecadeb02cef2cd5c5f28a22f744f60b0317da3266f7990c56a7f",
+        "attack/fgsm_e8": "3a93336ec368aac8dcb799044de158a2a1b20691a7fcb2af63324ce43d6b5288",
+        "attack/ifgsm_e4": "434be2e2211d7df02232faf5c4df92887b09691cef6f930b378e343bbe78d85a",
+        "attack/dnnm": "8cd396464fcd0e970f88824edc1755f97b18eb1489996b69b39bb1e3bda228ec",
+        "attack/ssmm": "542f089809e551d91d54239b490384d580dacc58e11a71d1064ff2651f0d9cd0",
+        "attack/patch": "0e93f8d3c6c660b1c356ae984275570ca069fd322a5c3dd83410f4297cd577c9",
+    }
 
 
 def test_worker_count_keeps_run_bytes(tmp_path, monkeypatch):
@@ -639,7 +699,20 @@ def tiny_80_run(tmp_path_factory):
 # The functions whose calls show which units a resume recomputes.
 UNIT_WORK = {"generate_dataset": synthdata, "train": pipeline, "grad_check": pipeline,
              "fgsm": attacks, "ifgsm": attacks, "feature_vector": uncertainty,
-             "save_detector": detectors, "cross_validate": metrics}
+             "export_entropy_heatmap": pipeline, "save_detector": detectors,
+             "cross_validate": metrics}
+
+
+def count_calls(monkeypatch, work):
+    """{name: calls} of each function `name` of module `work[name]`, counted
+    from now on."""
+    calls = dict.fromkeys(work, 0)
+    for name, module in work.items():
+        def counted(*args, _name=name, _real=getattr(module, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("change,recomputed", [
@@ -649,8 +722,9 @@ UNIT_WORK = {"generate_dataset": synthdata, "train": pipeline, "grad_check": pip
      {"ifgsm", "feature_vector", "cross_validate"}),
     ({"detector_list": TINY["detector_list"] + [{"kind": "ellipse"}]},
      {"save_detector", "cross_validate"}),
-    ({"export_heatmaps": True}, {"feature_vector", "save_detector", "cross_validate"}),
-    ({"dataset": dict(TINY_80["dataset"], noise_std=20.0)}, set(UNIT_WORK) - {"ifgsm"}),
+    ({"export_heatmaps": True}, {"export_entropy_heatmap"}),
+    ({"dataset": dict(TINY_80["dataset"], noise_std=20.0)},
+     set(UNIT_WORK) - {"ifgsm", "export_entropy_heatmap"}),
     ({"folds": 4}, {"cross_validate"}),
 ], ids=["epochs", "attack", "detector", "heatmaps", "dataset", "folds"])
 def test_resume_under_changed_config_equals_fresh_run(change, recomputed, tiny_80_run, tmp_path,
@@ -659,17 +733,14 @@ def test_resume_under_changed_config_equals_fresh_run(change, recomputed, tiny_8
     fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
     rc = run_cli("run-all", fresh, config=config)
     shutil.copytree(tiny_80_run, resumed)
-    calls = dict.fromkeys(UNIT_WORK, 0)
-    for name, module in UNIT_WORK.items():
-        def counted(*args, _name=name, _real=getattr(module, name), **kw):
-            calls[_name] += 1
-            return _real(*args, **kw)
-        monkeypatch.setattr(module, name, counted)
+    calls = count_calls(monkeypatch, UNIT_WORK)
     assert run_cli("run-all", resumed, config=config) == rc
     assert {name for name, n in calls.items() if n} == recomputed
     files, fresh_files = run_files(resumed), run_files(fresh)
     # when the gradient check stops both runs, the later stages' old files stay
     assert files.items() >= fresh_files.items() if rc else files == fresh_files
+    if not rc:
+        assert (resumed / "keys.json").read_bytes() == (fresh / "keys.json").read_bytes()
 
 
 def test_attack_force_then_run_all_rewrites_downstream(tiny_80_run, tmp_path):
