@@ -9,7 +9,7 @@ and emitted adversarial images are quantized back to whole values (truncating
 the perturbation toward zero) so the l-inf budget holds bit-exactly.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class SsmmConfig:
     tau: float = 0.75
 
     def __post_init__(self):
-        if not 0 < self.tau < 1:
-            raise InputError("tau must lie in (0, 1)")
+        if self.eps <= 0 or self.alpha <= 0 or self.n_iter < 0 or not 0 < self.tau < 1:
+            raise InputError("eps and alpha must be positive, n_iter >= 0, tau in (0, 1)")
 
 
 @dataclass
@@ -55,8 +55,8 @@ class DnnmConfig:
     n_iter: int = 60
 
     def __post_init__(self):
-        if not 0 <= self.omega <= 1:
-            raise InputError("omega must lie in [0, 1]")
+        if self.eps <= 0 or self.alpha <= 0 or self.n_iter < 0 or not 0 <= self.omega <= 1:
+            raise InputError("eps and alpha must be positive, n_iter >= 0, omega in [0, 1]")
 
 
 @dataclass
@@ -68,20 +68,9 @@ class PatchConfig:
     alpha: float = 2.0
     seed: int = 0
 
-
-@dataclass
-class UniversalPerturbation:
-    noise: np.ndarray             # H x W x 3 float32, |noise| <= eps
-    config: dict
-    iterations_run: int
-
-
-@dataclass
-class PerturbedSample:
-    image: np.ndarray
-    clean_id: str
-    attack: str
-    config: dict = field(default_factory=dict)
+    def __post_init__(self):
+        if min(self.height, self.width, self.placements) < 1 or self.n_iter < 0 or self.alpha <= 0:
+            raise InputError("height, width and placements must be >= 1, n_iter >= 0, alpha > 0")
 
 
 def iteration_count(eps):
@@ -102,17 +91,6 @@ def _quantize(clean, adv):
     strictly inside the budget, then clamp to the pixel range."""
     delta = np.trunc(adv.astype(np.float64) - clean.astype(np.float64))
     return np.clip(clean.astype(np.float64) + delta, 0, 255).astype(np.float32)
-
-
-def _echo(cfg, kind):
-    """The config as recorded beside an attack's outputs."""
-    return dict(asdict(cfg), kind=kind)
-
-
-def sign_tag(kind, spec):
-    """Tag of a sign attack spec or config: `<kind>_e<eps>`, or
-    `<kind>_ll_e<eps>` when it targets the least likely class."""
-    return f"{kind}{'_ll' if spec.get('targeted') else ''}_e{spec['eps']:g}"
 
 
 def _sign_descent(grad_fn, x0, step, project, n_iter):
@@ -154,7 +132,7 @@ def _first_forward_grad(model, objective):
     return grad
 
 
-def _sign_attack(model, sample, cfg, kind, alpha, n_iter):
+def _sign_attack(model, sample, cfg, alpha, n_iter):
     """Per-image sign attack in the eps-box; the targeted variant descends
     toward the least likely class of the clean prediction."""
     x = sample.image.astype(np.float32)
@@ -163,27 +141,25 @@ def _sign_attack(model, sample, cfg, kind, alpha, n_iter):
         grad, step = _first_forward_grad(model, lambda p: (least_likely_target(p), ones)), -alpha
     else:
         grad, step = (lambda a: loss_input_grad(model, a, sample.labels, ones)[1]), alpha
-    adv = _sign_descent(grad, x, step, _eps_box(x, cfg.eps), n_iter)
-    echo = _echo(cfg, kind)
-    return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id,
-                           attack=sign_tag(kind, echo), config=echo)
+    return _quantize(x, _sign_descent(grad, x, step, _eps_box(x, cfg.eps), n_iter))
 
 
 def fgsm(model, sample, cfg):
     """Single-step sign attack: one step of size eps (cfg.alpha and
     cfg.n_iter are not used)."""
-    return _sign_attack(model, sample, cfg, "fgsm", cfg.eps, 1)
+    return _sign_attack(model, sample, cfg, cfg.eps, 1)
 
 
 def ifgsm(model, sample, cfg):
     """Iterative sign attack with per-step clipping to the eps-ball around the
     clean image (and to [0, 255]). The targeted variant uses the least likely
     class of the clean prediction, fixed across iterations."""
-    return _sign_attack(model, sample, cfg, "ifgsm", cfg.alpha, cfg.n_iter)
+    return _sign_attack(model, sample, cfg, cfg.alpha, cfg.n_iter)
 
 
 def ssmm_train(model, train_samples, targets, cfg):
-    """Universal noise driving predictions toward fixed target label maps.
+    """Universal noise (H x W x 3 float32, |noise| <= eps) driving
+    predictions toward fixed target label maps.
 
     Each iteration averages the input gradients of the masked target loss over
     the training samples, steps by -alpha * sign and clips the noise to the
@@ -213,9 +189,8 @@ def ssmm_train(model, train_samples, targets, cfg):
         return gsum / len(train_samples)
 
     eps = np.float32(cfg.eps)
-    xi = _sign_descent(mean_grad, np.zeros(shape, np.float32), -cfg.alpha,
-                       lambda xi: np.clip(xi, -eps, eps), cfg.n_iter)
-    return UniversalPerturbation(noise=xi, config=_echo(cfg, "ssmm"), iterations_run=cfg.n_iter)
+    return _sign_descent(mean_grad, np.zeros(shape, np.float32), -cfg.alpha,
+                         lambda xi: np.clip(xi, -eps, eps), cfg.n_iter)
 
 
 def pick_ssmm_target(candidates, rng):
@@ -228,14 +203,11 @@ def pick_ssmm_target(candidates, rng):
     return candidates[int(rng.integers(len(candidates)))].labels
 
 
-def apply_universal(sample, perturbation):
-    xi = perturbation.noise if isinstance(perturbation, UniversalPerturbation) else perturbation
-    if xi.shape != sample.image.shape:
-        raise InputError(f"noise shape {xi.shape} does not match image {sample.image.shape}")
-    adv = np.clip(sample.image + xi, 0, 255)
-    cfg = perturbation.config if isinstance(perturbation, UniversalPerturbation) else {}
-    return PerturbedSample(image=_quantize(sample.image, adv), clean_id=sample.id,
-                           attack="ssmm", config=cfg)
+def apply_universal(image, noise):
+    """The image plus the universal noise, quantized like every attack's."""
+    if noise.shape != image.shape:
+        raise InputError(f"noise shape {noise.shape} does not match image {image.shape}")
+    return _quantize(image, np.clip(image + noise, 0, 255))
 
 
 def dnnm_target(pred, hidden_class, omega):
@@ -282,9 +254,7 @@ def dnnm_attack(model, sample, cfg):
     x = sample.image.astype(np.float32)
     grad = _first_forward_grad(
         model, lambda p: dnnm_target(np.argmax(p, axis=2), cfg.hidden_class, cfg.omega))
-    adv = _sign_descent(grad, x, -cfg.alpha, _eps_box(x, cfg.eps), cfg.n_iter)
-    return PerturbedSample(image=_quantize(x, adv), clean_id=sample.id, attack="dnnm",
-                           config=_echo(cfg, "dnnm"))
+    return _quantize(x, _sign_descent(grad, x, -cfg.alpha, _eps_box(x, cfg.eps), cfg.n_iter))
 
 
 def patch_attack(model, train_samples, cfg):
@@ -318,19 +288,13 @@ def patch_attack(model, train_samples, cfg):
     return _sign_descent(mean_grad, gray, cfg.alpha, lambda p: np.clip(p, 0, 255), cfg.n_iter)
 
 
-def apply_patch(sample, patch, cfg, top=None, left=None, rng=None):
-    """Paste the patch; pixels outside the window stay bit-identical."""
-    h, w = sample.image.shape[:2]
+def apply_patch(image, patch, top, left):
+    """The image with the patch pasted at (top, left); pixels outside the
+    window stay bit-identical."""
     ph, pw = patch.shape[:2]
-    if top is None or left is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        top = int(rng.integers(0, h - ph + 1))
-        left = int(rng.integers(0, w - pw + 1))
-    adv = sample.image.astype(np.float32).copy()
+    adv = image.astype(np.float32).copy()
     adv[top:top + ph, left:left + pw] = np.clip(np.rint(patch), 0, 255)
-    echo = dict(_echo(cfg, "patch") if cfg is not None else {}, top=top, left=left)
-    return PerturbedSample(image=adv, clean_id=sample.id, attack="patch", config=echo)
+    return adv
 
 
 def target_agreement(pred, target):

@@ -79,6 +79,8 @@ class ExperimentConfig:
         if "train" in d:
             d["train"] = TrainConfig(**_check_keys(_defaults(TrainConfig), d["train"], "train"))
         cfg = cls(**d)
+        if cfg.ssmm_train_size < 1:
+            raise InputError("ssmm_train_size must be >= 1")
         unit_keys(cfg)
         if cfg.attack_list and cfg.detector_list and (
                 cfg.folds < 2 or cfg.dataset.val_size // cfg.folds < metrics.MIN_CLEAN_SCORES):
@@ -218,10 +220,15 @@ def _ifgsm_config(cfg, params):
                                 targeted=bool(params.get("targeted")))
 
 
+def sign_tag(kind, spec):
+    """`<kind>_e<eps>`, or `<kind>_ll_e<eps>` when the spec targets the least likely class."""
+    return f"{kind}{'_ll' if spec.get('targeted') else ''}_e{spec['eps']:g}"
+
+
 def _per_image(attack):
     """The runner of attacks.<attack> (looked up per call) on each validation image."""
-    return lambda cfg, model, acfg, train_set, val_set: map_items(
-        lambda s: getattr(attacks, attack)(model, s, acfg), val_set)
+    return lambda cfg, model, acfg, train_set, val_set: (map_items(
+        lambda s: getattr(attacks, attack)(model, s, acfg), val_set), {})
 
 
 def _run_ssmm(cfg, model, scfg, train_set, val_set):
@@ -229,29 +236,32 @@ def _run_ssmm(cfg, model, scfg, train_set, val_set):
     subset = train_set[:cfg.ssmm_train_size]
     candidates = train_set[cfg.ssmm_train_size:] or train_set
     target = attacks.pick_ssmm_target(candidates, rng)
-    xi = attacks.ssmm_train(model, subset, [target] * len(subset), scfg)
+    noise = attacks.ssmm_train(model, subset, [target] * len(subset), scfg)
     tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_target.ten"), target)
-    tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"), xi.noise)
-    return [attacks.apply_universal(s, xi) for s in val_set]
+    tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"), noise)
+    return [attacks.apply_universal(s.image, noise) for s in val_set], {}
 
 
 def _run_patch(cfg, model, pcfg, train_set, val_set):
     patch = attacks.patch_attack(model, train_set[:cfg.ssmm_train_size], pcfg)
     tensorio.save_tensor(os.path.join(cfg.out_dir, "patch.ten"), patch)
     rng = np.random.default_rng([cfg.seed, 202])
-    return [attacks.apply_patch(s, patch, pcfg, rng=rng) for s in val_set]
+    windows = {s.id: [int(rng.integers(0, s.image.shape[0] - pcfg.height + 1)),
+                      int(rng.integers(0, s.image.shape[1] - pcfg.width + 1))] for s in val_set}
+    return ([attacks.apply_patch(s.image, patch, *windows[s.id]) for s in val_set],
+            {"windows": windows})
 
 
 # kind -> (config dataclass, config rule, runner, tag rule, config fields the
 # runner sets itself; the spec keys are the other fields). The config rule
 # maps (cfg, params) to the attack config with the runner's defaults filled
-# in, the runner (cfg, model, attack config, train_set, val_set) to perturbed
-# samples, the tag rule (kind, params) to the output tag; without one the
-# kind is the tag.
+# in, the runner (cfg, model, attack config, train_set, val_set) to the
+# attacked images in validation order and its extra attack.json entries, the
+# tag rule (kind, params) to the output tag; without one the kind is the tag.
 ATTACKS = {
-    "fgsm": (attacks.AttackConfig, _fgsm_config, _per_image("fgsm"), attacks.sign_tag,
+    "fgsm": (attacks.AttackConfig, _fgsm_config, _per_image("fgsm"), sign_tag,
              ("alpha", "n_iter")),
-    "ifgsm": (attacks.AttackConfig, _ifgsm_config, _per_image("ifgsm"), attacks.sign_tag, ()),
+    "ifgsm": (attacks.AttackConfig, _ifgsm_config, _per_image("ifgsm"), sign_tag, ()),
     "ssmm": (attacks.SsmmConfig, lambda cfg, p: attacks.SsmmConfig(**p), _run_ssmm, None, ()),
     "dnnm": (attacks.DnnmConfig,
              lambda cfg, p: attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **p}),
@@ -282,39 +292,28 @@ def attack_tag(spec):
 
 def stage_attack(cfg, model, train_set, val_set):
     """Runs every configured attack over the validation split; writes each
-    perturbed dataset in the synthdata layout plus attack.json. The returned
-    samples hold the uint8 images written, whole pixel values as the attacks
-    emit them."""
+    attacked dataset in the synthdata layout plus attack.json. Returns {tag:
+    samples}: the uint8 images written, read back, in validation order."""
     results = {}
     for spec in cfg.attack_list:
         run, acfg, tag = _attack_spec(cfg, spec)
         adir = os.path.join(cfg.out_dir, "attacks", tag)
+        paths = {s.id: os.path.join(adir, "images", f"{s.id}.ten") for s in val_set}
 
         def attack():
-            perturbed = run(cfg, model, acfg, train_set, val_set)
+            images, extras = run(cfg, model, acfg, train_set, val_set)
             os.makedirs(os.path.join(adir, "images"), exist_ok=True)
-            norms, windows = {}, {}
-            for p, clean in zip(perturbed, val_set):
-                norms[p.clean_id] = float(np.max(np.abs(p.image - clean.image)))
-                p.image = p.image.astype(np.uint8)
-                tensorio.save_tensor(os.path.join(adir, "images", f"{p.clean_id}.ten"), p.image)
-                if "top" in p.config:
-                    windows[p.clean_id] = [p.config["top"], p.config["left"]]
-            meta = {"config": perturbed[0].config, "ids": [p.clean_id for p in perturbed],
-                    "linf_norms": norms}
-            if windows:
-                meta["windows"] = windows
-            tensorio.write_json(os.path.join(adir, "attack.json"), meta)
-            return perturbed
+            norms = {}
+            for image, clean in zip(images, val_set):
+                norms[clean.id] = float(np.max(np.abs(image - clean.image)))
+                tensorio.save_tensor(paths[clean.id], image.astype(np.uint8))
+            tensorio.write_json(os.path.join(adir, "attack.json"), dict(
+                config=dict(asdict(acfg), kind=spec["kind"]), ids=[s.id for s in val_set],
+                linf_norms=norms, **extras))
 
-        def load():
-            meta = tensorio.read_json(os.path.join(adir, "attack.json"))
-            return [attacks.PerturbedSample(
-                        image=tensorio.load_tensor(os.path.join(adir, "images", f"{sid}.ten")),
-                        clean_id=sid, attack=tag, config=meta["config"])
-                    for sid in meta["ids"]]
-
-        results[tag] = _unit(cfg, f"attack/{tag}", attack, load)
+        _unit(cfg, f"attack/{tag}", attack)
+        results[tag] = [synthdata.SegSample(tensorio.load_tensor(paths[s.id]), s.labels, s.id)
+                        for s in val_set]
     return results
 
 
@@ -324,22 +323,19 @@ def stage_extract_features(cfg, model, val_set, attacked):
     hdir = os.path.join(cfg.out_dir, "heatmaps")
     if cfg.export_heatmaps:
         os.makedirs(hdir, exist_ok=True)
-    labels = {s.id: s.labels for s in val_set}
 
     def extract(samples, label, tag, name):
         path = os.path.join(fdir, f"{name}.csv")
 
         def features(s):
-            sid = s.id if hasattr(s, "id") else s.clean_id
             probs = predict(model, s.image)
-            f = uncertainty.feature_vector(probs, image_id=sid, label=label, attack=tag)
-            f.apsr = metrics.apsr(np.argmax(probs, axis=2), labels[sid])
+            f = uncertainty.feature_vector(probs, image_id=s.id, label=label, attack=tag)
+            f.apsr = metrics.apsr(np.argmax(probs, axis=2), s.labels)
             return f
 
         def heatmap(s):
-            sid = s.id if hasattr(s, "id") else s.clean_id
             export_entropy_heatmap(predict(model, s.image),
-                                   os.path.join(hdir, f"{name}_{sid}.pgm"))
+                                   os.path.join(hdir, f"{name}_{s.id}.pgm"))
 
         def compute():
             feats = map_items(features, samples)

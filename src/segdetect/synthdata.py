@@ -57,7 +57,7 @@ class DatasetConfig:
 
 @dataclass
 class SegSample:
-    image: np.ndarray    # H x W x 3 float32, whole values in [0, 255]
+    image: np.ndarray    # H x W x 3 whole values in [0, 255]: float32, uint8 if attacked
     labels: np.ndarray   # H x W int32 class ids
     id: str = ""
 

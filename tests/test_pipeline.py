@@ -65,10 +65,22 @@ class TestHeatmap:
 
 
 def test_attack_tag():
-    assert pipeline.attack_tag({"kind": "fgsm", "eps": 8}) == "fgsm_e8"
-    assert pipeline.attack_tag({"kind": "fgsm", "eps": 16, "targeted": True}) == "fgsm_ll_e16"
-    assert pipeline.attack_tag({"kind": "ifgsm", "eps": 2, "targeted": True}) == "ifgsm_ll_e2"
-    assert pipeline.attack_tag({"kind": "ssmm"}) == "ssmm"
+    for spec, tag in [
+        ({"kind": "fgsm", "eps": 8}, "fgsm_e8"),
+        ({"kind": "fgsm", "eps": 4, "targeted": False}, "fgsm_e4"),
+        ({"kind": "fgsm", "eps": 4, "targeted": True}, "fgsm_ll_e4"),
+        ({"kind": "fgsm", "eps": 8, "targeted": False}, "fgsm_e8"),
+        ({"kind": "fgsm", "eps": 8, "targeted": True}, "fgsm_ll_e8"),
+        ({"kind": "fgsm", "eps": 16, "targeted": False}, "fgsm_e16"),
+        ({"kind": "fgsm", "eps": 16, "targeted": True}, "fgsm_ll_e16"),
+        ({"kind": "ifgsm", "eps": 2, "targeted": True}, "ifgsm_ll_e2"),
+        ({"kind": "ifgsm", "eps": 4, "alpha": 1, "n_iter": 5, "targeted": True}, "ifgsm_ll_e4"),
+        ({"kind": "ifgsm", "eps": 8, "alpha": 1, "n_iter": 10, "targeted": True}, "ifgsm_ll_e8"),
+        ({"kind": "ssmm"}, "ssmm"),
+        ({"kind": "ssmm", "n_iter": 3}, "ssmm"),
+        ({"kind": "dnnm", "n_iter": 5}, "dnnm"),
+    ]:
+        assert pipeline.attack_tag(spec) == tag, spec
 
 
 def test_default_attack_list_covers_families():
@@ -97,22 +109,25 @@ def test_registered_attack_keeps_budget(kind, small_dataset, small_model, tmp_pa
                                     attack_list=[spec])
     tag = pipeline.attack_tag(spec)
     out = pipeline.stage_attack(cfg, small_model, train, val[:3])[tag]
-    assert [p.clean_id for p in out] == [s.id for s in val[:3]]
+    meta = json.loads((tmp_path / "attacks" / tag / "attack.json").read_text())
+    assert meta["config"]["kind"] == kind
+    assert [p.id for p in out] == meta["ids"] == [s.id for s in val[:3]]
     for p, clean in zip(out, val[:3]):
-        assert p.attack == tag and p.config["kind"] == kind
-        assert np.all(p.image == np.rint(p.image))
-        assert p.image.min() >= 0 and p.image.max() <= 255
+        assert p.image.dtype == np.uint8 and np.array_equal(p.labels, clean.labels)
         delta = np.abs(p.image.astype(np.float64) - clean.image)
+        assert delta.max() == meta["linf_norms"][p.id]
         if kind == "patch":
-            top, left = p.config["top"], p.config["left"]
+            top, left = meta["windows"][p.id]
             delta[top:top + spec["height"], left:left + spec["width"]] = 0.0
             assert delta.max() == 0
         else:
-            assert delta.max() <= p.config["eps"]
-    # resuming with the same spec reuses the recorded outputs
-    again = pipeline.stage_attack(cfg, small_model, train, val[:3])[tag]
+            assert delta.max() <= meta["config"]["eps"]
+    # resuming with the same spec reuses the recorded outputs: no model needed
+    again = pipeline.stage_attack(cfg, None, train, val[:3])[tag]
+    assert [q.id for q in again] == [p.id for p in out]
     for p, q in zip(out, again):
-        np.testing.assert_array_equal(p.image, q.image)
+        assert q.image.dtype == np.uint8 and q.image.tobytes() == p.image.tobytes()
+        np.testing.assert_array_equal(q.labels, p.labels)
 
 
 @pytest.mark.parametrize("spec,change,key", [
@@ -127,12 +142,14 @@ def test_changed_attack_config_recomputes(spec, change, key, small_dataset, smal
     dcfg, train, val = small_dataset
     cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path), ssmm_train_size=3,
                                     attack_list=[dict(spec)])
-    tag = pipeline.attack_tag(spec)
+    path = tmp_path / "attacks" / pipeline.attack_tag(spec) / "attack.json"
     pipeline.stage_attack(cfg, small_model, train, val[:2])
+    before = json.loads(path.read_text())["config"]
     change(cfg)
-    out = pipeline.stage_attack(cfg, small_model, train, val[:2])[tag]
-    meta = json.load(open(tmp_path / "attacks" / tag / "attack.json"))
-    assert out[0].config[key] == meta["config"][key] != spec.get(key, 0)
+    pipeline.stage_attack(cfg, small_model, train, val[:2])
+    after = json.loads(path.read_text())["config"]
+    assert before[key] == spec.get(key, 0) != after[key]
+    assert dict(before, **{key: after[key]}) == after
 
 
 def test_registered_attack_tags_unique():
@@ -386,6 +403,10 @@ class TestCli:
         ('{"train": null}', "config key train: expected object, got NoneType"),
         ('{"dataset": {"shapes_per_image": 3}}',
          "dataset key shapes_per_image: expected list, got int"),
+        ('{"ssmm_train_size": -3}', "ssmm_train_size must be >= 1"),
+        ('{"ssmm_train_size": 0, "attack_list": [{"kind": "patch"}]}',
+         "ssmm_train_size must be >= 1"),
+        ('{"attack_list": [{"kind": "patch", "placements": 0}]}', "placements must be >= 1"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
