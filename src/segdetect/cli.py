@@ -22,6 +22,8 @@ def _apply_thread_override():
 
 _apply_thread_override()
 
+from . import detectors, pipeline, tensorio, uncertainty  # noqa: E402 - after the BLAS variables
+
 
 def _deep_merge(base, override):
     for key, val in override.items():
@@ -33,15 +35,13 @@ def _deep_merge(base, override):
 
 
 def load_config(args):
-    from .pipeline import ExperimentConfig
-
     doc = {}
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
     if args.stage_overrides:
         _deep_merge(doc, json.loads(args.stage_overrides))
-    cfg = ExperimentConfig.from_dict(doc)
+    cfg = pipeline.ExperimentConfig.from_dict(doc)
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:
@@ -53,9 +53,10 @@ def load_config(args):
 
 # stage -> the line its command prints, from the results of the stages run
 STAGE_LINES = {
-    "gen-data": lambda cfg, r: (f"generated {len(r['gen-data'][0])} train / "
-                                f"{len(r['gen-data'][1])} val samples in {cfg.out_dir}/data"),
-    "train-model": lambda cfg, r: f"model written to {cfg.out_dir}/model.ten",
+    "gen-data": lambda cfg, r: "generated {} train / {} val samples in {}".format(
+        *map(len, r["gen-data"]), pipeline.unit_outputs(cfg.out_dir, "gen-data")[0].rstrip(os.sep)),
+    "train-model": lambda cfg, r: "model written to " + pipeline.unit_outputs(
+        cfg.out_dir, "train-model")[0],
     "gradcheck": lambda cfg, r: ("gradcheck passed={passed} frac_within={frac_within:.4f} "
                                  "median_rel_err={median_rel_err:.2e}".format(**r["gradcheck"])),
     "attack": lambda cfg, r: f"ran {len(r['attack'])} attacks over {len(r['gen-data'][1])} images",
@@ -69,8 +70,6 @@ STAGE_LINES = {
 def cmd_stage(cfg, args):
     """Runs the pipeline up to and including the command's stage (every stage
     for run-all); --force recomputes that stage and every later one."""
-    from . import pipeline
-
     named = pipeline.STAGES if args.command == "run-all" else (args.command,)
     results = {}
     for stage, result in pipeline.run_stages(cfg, named[0] if args.force else None):
@@ -81,8 +80,6 @@ def cmd_stage(cfg, args):
 
 
 def cmd_detect(cfg, args):
-    from . import detectors, uncertainty
-
     model = detectors.load_detector(args.detector)
     feats = uncertainty.read_features(args.features)
     for f, p in zip(feats, detectors.score_many(model, feats)):
@@ -91,16 +88,13 @@ def cmd_detect(cfg, args):
 
 def cmd_report(cfg, args):
     """Prints report.csv; fails, naming the stale units, if it is stale under config.json."""
-    from .pipeline import ExperimentConfig, unit_keys
-    from .tensorio import read_json
-
-    recorded, run = (read_json(os.path.join(cfg.out_dir, n)) for n in ("keys.json", "config.json"))
-    keys = unit_keys(ExperimentConfig.from_dict(run))
+    recorded, run = (tensorio.read_json(os.path.join(cfg.out_dir, n))
+                     for n in ("keys.json", "config.json"))
+    keys = pipeline.unit_keys(pipeline.ExperimentConfig.from_dict(run))
     if recorded.get("evaluate") != keys["evaluate"]:
         stale = ", ".join(unit for unit, key in keys.items() if recorded.get(unit) != key)
         raise ValueError(f"stale report: keys.json differs from config.json for {stale}")
-    path = os.path.join(cfg.out_dir, "report", "report.csv")
-    with open(path) as fh:
+    with open(pipeline.unit_outputs(cfg.out_dir, "evaluate")[0]) as fh:
         sys.stdout.write(fh.read())
 
 

@@ -116,6 +116,13 @@ def _newton_step(g, h, theta, lam, tol):
     return exact if ok and np.all(np.abs(g + h @ (exact - theta))[~on] <= lam) else z
 
 
+def _check(kind, *rules):
+    """Raises InputError for the first (key, value, ok, rule) that is not ok."""
+    for key, val, ok, rule in rules:
+        if not ok:
+            raise InputError(f"{kind} key {key}: must be {rule}, got {val!r}")
+
+
 def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-9, max_iter=100):
     """L1-regularized logistic regression (clean = 1, adversarial = 0) on
     clean-standardized features z: minimises mean(log(1 + e^t) - y t) +
@@ -126,11 +133,8 @@ def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-9, max_iter=100):
     params records the steps taken as "iterations" and r as "kkt_residual".
     Raises TrainingError if max_iter steps leave r >= tol, or on a non-finite
     iterate."""
-    for key, val, ok, rule in (("lam", lam, math.isfinite(lam) and lam >= 0, "finite and >= 0"),
-                               ("tol", tol, tol > 0, "> 0"),
-                               ("max_iter", max_iter, max_iter >= 1, ">= 1")):
-        if not ok:
-            raise InputError(f"lasso key {key}: must be {rule}, got {val!r}")
+    _check("lasso", ("lam", lam, 0 <= lam < math.inf, "finite and >= 0"),
+           ("tol", tol, tol > 0, "> 0"), ("max_iter", max_iter, max_iter >= 1, ">= 1"))
     if not clean_features or not adv_features:
         raise InputError("both clean and adversarial features are required")
     xc, xa = feature_matrix(clean_features), feature_matrix(adv_features)
@@ -184,10 +188,11 @@ def train_ocsvm(clean_features, nu=0.1, gamma=None, tol=1e-6, max_updates=100_00
     """RBF one-class SVM dual (0 <= a_i <= 1/(nu n), sum a = 1) solved by
     pairwise coordinate updates; p(x) is the empirical CDF of the training
     decision values."""
+    _check("ocsvm", ("nu", nu, 0 < nu < 1, "in (0, 1)"), ("gamma", gamma, gamma is None or (
+        isinstance(gamma, (int, float)) and 0 < gamma < math.inf), "None or finite and > 0"),
+           ("tol", tol, tol > 0, "> 0"), ("max_updates", max_updates, max_updates >= 1, ">= 1"))
     if len(clean_features) < 10:
         raise InputError("need at least 10 clean features")
-    if not 0 < nu < 1:
-        raise InputError("nu must lie in (0, 1)")
     xc = feature_matrix(clean_features)
     std = Standardizer.fit(xc)
     z = std.transform(xc)
@@ -232,6 +237,7 @@ def train_ocsvm(clean_features, nu=0.1, gamma=None, tol=1e-6, max_updates=100_00
 def train_ellipse(clean_features, shrinkage=1e-3):
     """Shrinkage-regularized Gaussian fit; p(x) is the empirical survival
     function of the training Mahalanobis distances."""
+    _check("ellipse", ("shrinkage", shrinkage, 0 <= shrinkage < math.inf, "finite and >= 0"))
     xc = feature_matrix(clean_features)
     std = Standardizer.fit(xc)
     z = std.transform(xc)

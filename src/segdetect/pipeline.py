@@ -4,12 +4,15 @@ Stage order (STAGES, chained once in run_stages): gen-data -> train-model ->
 gradcheck -> attack -> extract-features -> train-detector -> evaluate. Every
 stage is a pure function of its inputs, the config and the seed. Its outputs
 come in units (the stage, or one attack, feature table, heatmap set or
-detector of it), each reused only when keys.json records its key (_unit).
+detector of it) with keys (unit_keys) and files (unit_outputs); stages read
+them back, and recompute only those whose key keys.json lacks (_unit).
 """
 
 import hashlib
 import json
 import os
+import re
+import shutil
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -167,41 +170,73 @@ def unit_keys(cfg):
     return keys
 
 
-def _unit(cfg, name, compute, load=lambda: None):
-    """load() when keys.json records unit `name`'s key in unit_keys(cfg), else
-    compute(); the old key goes before compute() writes and the new one after."""
-    key = unit_keys(cfg)[name]
+# A unit is named by its stage, or its stage and one path component (a tag,
+# table or kind), so its paths stay in the run directory: "{}" stands for it in
+# the paths _OUTPUTS gives its stage, or the unit. A path ending "/" is a directory.
+_UNIT = re.compile(r"(gen-data|train-model|gradcheck|evaluate)"
+                   r"|(attack|extract-features(?:/heatmaps)?|train-detector)/(?!\.\.?$)([^/]+)")
+_OUTPUTS = {"gen-data": ["data/"], "train-model": ["model.ten", "model.json"],
+            "gradcheck": ["gradcheck.json"], "attack": ["attacks/{}/", "attacks/{}/images/"],
+            "attack/ssmm": ["ssmm_target.ten", "ssmm_noise.ten"], "attack/patch": ["patch.ten"],
+            "extract-features": ["features/{}.csv"], "extract-features/heatmaps": ["heatmaps/{}/"],
+            "train-detector": ["detectors/{}.json"],
+            "evaluate": ["report/report.csv", "report/report.json"]}
+
+
+def unit_outputs(out_dir, name):
+    """The paths unit `name` writes under out_dir, from the name alone: a stale
+    unit is not in the config. Raises InputError on a name no stage makes."""
+    match = _UNIT.fullmatch(name)
+    if not match:
+        raise InputError(f"unknown unit {name!r}")
+    stage = match[1] or match[2]
+    return [os.path.join(out_dir, path.format(match[3]))
+            for path in _OUTPUTS[stage] + (_OUTPUTS.get(name, []) if name != stage else [])]
+
+
+def _drop(cfg, units):
+    """Drops the keys of `units`, then their files; an unknown name raises first."""
+    paths = [path for unit in units for path in unit_outputs(cfg.out_dir, unit)]
     keys = _keys(cfg)
-    if keys.get(name) == key:
-        return load()
-    if keys.pop(name, None):
-        _write_keys(cfg, keys)
-    result = compute()
-    _write_keys(cfg, {**keys, name: key})
-    return result
+    if set(units) & set(keys):
+        _write_keys(cfg, {unit: key for unit, key in keys.items() if unit not in units})
+    for path in paths:
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
+
+
+def _unit(cfg, name, compute):
+    """Unless keys.json records unit `name`'s key in unit_keys(cfg): drops the
+    unit, makes its directories, runs compute() and records the new key."""
+    key = unit_keys(cfg)[name]
+    if _keys(cfg).get(name) == key:
+        return
+    _drop(cfg, [name])
+    for path in unit_outputs(cfg.out_dir, name):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+    compute()
+    _write_keys(cfg, {**_keys(cfg), name: key})
 
 
 def stage_gen_data(cfg):
-    data_dir = os.path.join(cfg.out_dir, "data")
-    return _unit(cfg, "gen-data", lambda: synthdata.generate_dataset(cfg.dataset, data_dir)[:2],
-                 lambda: synthdata.load_dataset(data_dir)[:2])
+    data_dir, = unit_outputs(cfg.out_dir, "gen-data")
+    _unit(cfg, "gen-data", lambda: synthdata.generate_dataset(cfg.dataset, data_dir))
+    return synthdata.load_dataset(data_dir)[:2]
 
 
 def stage_train_model(cfg, train_set):
-    tpath, spath = (os.path.join(cfg.out_dir, name) for name in ("model.ten", "model.json"))
-
-    def fit():
-        model = train([(s.image, s.labels) for s in train_set], cfg.train)
-        save_model(model, tpath, spath)
-        return model
-
-    return _unit(cfg, "train-model", fit, lambda: load_model(tpath, spath))
+    paths = unit_outputs(cfg.out_dir, "train-model")
+    _unit(cfg, "train-model", lambda: save_model(
+        train([(s.image, s.labels) for s in train_set], cfg.train), *paths))
+    return load_model(*paths)
 
 
 def stage_gradcheck(cfg, model, val_set):
     """Finite-difference gradient check; raises InputError when it failed,
     also when the failure was recorded by an earlier run."""
-    path = os.path.join(cfg.out_dir, "gradcheck.json")
+    path, = unit_outputs(cfg.out_dir, "gradcheck")
     _unit(cfg, "gradcheck", lambda: tensorio.write_json(
         path, asdict(grad_check(model, val_set[0].image, val_set[0].labels, seed=cfg.seed))))
     doc = tensorio.read_json(path)
@@ -237,14 +272,14 @@ def _run_ssmm(cfg, model, scfg, train_set, val_set):
     candidates = train_set[cfg.ssmm_train_size:] or train_set
     target = attacks.pick_ssmm_target(candidates, rng)
     noise = attacks.ssmm_train(model, subset, [target] * len(subset), scfg)
-    tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_target.ten"), target)
-    tensorio.save_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"), noise)
+    for path, array in zip(unit_outputs(cfg.out_dir, "attack/ssmm")[2:], (target, noise)):
+        tensorio.save_tensor(path, array)
     return [attacks.apply_universal(s.image, noise) for s in val_set], {}
 
 
 def _run_patch(cfg, model, pcfg, train_set, val_set):
     patch = attacks.patch_attack(model, train_set[:cfg.ssmm_train_size], pcfg)
-    tensorio.save_tensor(os.path.join(cfg.out_dir, "patch.ten"), patch)
+    tensorio.save_tensor(unit_outputs(cfg.out_dir, "attack/patch")[2], patch)
     rng = np.random.default_rng([cfg.seed, 202])
     windows = {s.id: [int(rng.integers(0, s.image.shape[0] - pcfg.height + 1)),
                       int(rng.integers(0, s.image.shape[1] - pcfg.width + 1))] for s in val_set}
@@ -297,12 +332,11 @@ def stage_attack(cfg, model, train_set, val_set):
     results = {}
     for spec in cfg.attack_list:
         run, acfg, tag = _attack_spec(cfg, spec)
-        adir = os.path.join(cfg.out_dir, "attacks", tag)
-        paths = {s.id: os.path.join(adir, "images", f"{s.id}.ten") for s in val_set}
+        adir, images_dir = unit_outputs(cfg.out_dir, f"attack/{tag}")[:2]
+        paths = {s.id: os.path.join(images_dir, f"{s.id}.ten") for s in val_set}
 
         def attack():
             images, extras = run(cfg, model, acfg, train_set, val_set)
-            os.makedirs(os.path.join(adir, "images"), exist_ok=True)
             norms = {}
             for image, clean in zip(images, val_set):
                 norms[clean.id] = float(np.max(np.abs(image - clean.image)))
@@ -318,34 +352,22 @@ def stage_attack(cfg, model, train_set, val_set):
 
 
 def stage_extract_features(cfg, model, val_set, attacked):
-    fdir = os.path.join(cfg.out_dir, "features")
-    os.makedirs(fdir, exist_ok=True)
-    hdir = os.path.join(cfg.out_dir, "heatmaps")
-    if cfg.export_heatmaps:
-        os.makedirs(hdir, exist_ok=True)
-
     def extract(samples, label, tag, name):
-        path = os.path.join(fdir, f"{name}.csv")
-
         def features(s):
             probs = predict(model, s.image)
             f = uncertainty.feature_vector(probs, image_id=s.id, label=label, attack=tag)
             f.apsr = metrics.apsr(np.argmax(probs, axis=2), s.labels)
             return f
 
-        def heatmap(s):
-            export_entropy_heatmap(predict(model, s.image),
-                                   os.path.join(hdir, f"{name}_{s.id}.pgm"))
-
-        def compute():
-            feats = map_items(features, samples)
-            uncertainty.write_features(path, feats)
-            return feats
-
         if cfg.export_heatmaps:
-            _unit(cfg, f"extract-features/heatmaps/{name}", lambda: map_items(heatmap, samples))
-        return _unit(cfg, f"extract-features/{name}", compute,
-                     lambda: uncertainty.read_features(path))
+            hdir, = unit_outputs(cfg.out_dir, f"extract-features/heatmaps/{name}")
+            _unit(cfg, f"extract-features/heatmaps/{name}", lambda: map_items(
+                lambda s: export_entropy_heatmap(predict(model, s.image),
+                                                 os.path.join(hdir, f"{s.id}.pgm")), samples))
+        path, = unit_outputs(cfg.out_dir, f"extract-features/{name}")
+        _unit(cfg, f"extract-features/{name}",
+              lambda: uncertainty.write_features(path, map_items(features, samples)))
+        return uncertainty.read_features(path)
 
     clean_feats = extract(val_set, "clean", "", "clean")
     adv_feats = {tag: extract(samples, "adv", tag, tag)
@@ -369,29 +391,20 @@ def _detector_specs(cfg):
 def stage_train_detectors(cfg, clean_feats, adv_feats):
     """Full-data detector models written to detectors/<kind>.json (the
     evaluation stage refits per fold; these are the deployable models)."""
-    ddir = os.path.join(cfg.out_dir, "detectors")
-    os.makedirs(ddir, exist_ok=True)
     models = {}
     for kind, hyper, adv in _detector_specs(cfg):
-        path = os.path.join(ddir, f"{kind}.json")
-
-        def fit():
-            model = detectors.train_detector(kind, clean_feats, *map(adv_feats.get, adv), **hyper)
-            detectors.save_detector(model, path)
-            return model
-
-        models[kind] = _unit(cfg, f"train-detector/{kind}", fit,
-                             lambda: detectors.load_detector(path))
+        path, = unit_outputs(cfg.out_dir, f"train-detector/{kind}")
+        _unit(cfg, f"train-detector/{kind}", lambda: detectors.save_detector(
+            detectors.train_detector(kind, clean_feats, *map(adv_feats.get, adv), **hyper), path))
+        models[kind] = detectors.load_detector(path)
     return models
 
 
 def stage_evaluate(cfg, clean_feats, adv_feats):
     """The report, built from the feature table alone."""
-    rdir = os.path.join(cfg.out_dir, "report")
-    csv_path = os.path.join(rdir, "report.csv")
+    csv_path, json_path = unit_outputs(cfg.out_dir, "evaluate")
 
     def evaluate():
-        os.makedirs(rdir, exist_ok=True)
         apsr = {tag: float(np.mean([f.apsr for f in feats]))
                 for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
         report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean", apsr_mean=apsr["clean"])])
@@ -402,7 +415,7 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
                                           folds=cfg.folds, seed=cfg.seed)
             report.rows.extend(part.rows)
         report.write_csv(csv_path)
-        report.write_json(os.path.join(rdir, "report.json"))
+        report.write_json(json_path)
 
     _unit(cfg, "evaluate", evaluate)
     return csv_path
@@ -410,11 +423,13 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
 
 def run_stages(cfg, force=None):
     """Runs the stages in STAGES order, yielding (stage name, result) after
-    each; the stage `force` names and every later one lose their keys. Stop
-    iterating to stop the chain. The stage functions are resolved at call
-    time, so wrappers set on this module's attributes see every call."""
+    each; the recorded units unit_keys(cfg) lacks are dropped, and the stage
+    `force` names and every later one lose their keys. Stop iterating to stop
+    the chain. The stage functions are resolved at call time, so wrappers set
+    on this module's attributes see every call."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     tensorio.write_json(os.path.join(cfg.out_dir, "config.json"), cfg.to_dict())
+    _drop(cfg, sorted(_keys(cfg).keys() - unit_keys(cfg).keys()))
     if force:
         _write_keys(cfg, {unit: key for unit, key in _keys(cfg).items()
                           if STAGES.index(unit.split("/")[0]) < STAGES.index(force)})

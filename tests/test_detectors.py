@@ -140,6 +140,25 @@ class TestLassoDetector:
             detectors.train_lasso(gaussian_features(), [])
 
 
+@pytest.mark.parametrize("kind,key,value,rule", [
+    ("ellipse", "shrinkage", -1.0, "finite and >= 0"),
+    ("ellipse", "shrinkage", float("nan"), "finite and >= 0"),
+    ("ellipse", "shrinkage", float("inf"), "finite and >= 0"),
+    ("ocsvm", "gamma", -1.0, "None or finite and > 0"),
+    ("ocsvm", "gamma", 0.0, "None or finite and > 0"),
+    ("ocsvm", "gamma", float("nan"), "None or finite and > 0"),
+    ("ocsvm", "gamma", "x", "None or finite and > 0"),
+    ("ocsvm", "tol", 0.0, "> 0"),
+    ("ocsvm", "tol", -1e-6, "> 0"),
+    ("ocsvm", "max_updates", 0, ">= 1"),
+])
+def test_bad_novelty_hyperparameter_raises(kind, key, value, rule):
+    """A value that would train a detector of meaningless scores fails, naming the key."""
+    with pytest.raises(InputError) as exc:
+        detectors.train_detector(kind, gaussian_features(), **{key: value})
+    assert str(exc.value) == f"{kind} key {key}: must be {rule}, got {value!r}"
+
+
 def lasso_kkt_residual(model, clean, adv):
     """The KKT residual of a lasso model, in plain numpy from its weights."""
     std = model.standardizer

@@ -1,9 +1,12 @@
-"""The benchmark's tracer bindings and workload configs match the package:
-a rename in segdetect fails here, not only under `perfbench/run.py --trace 1`."""
+"""The benchmark's tracer bindings, workload configs, the stage calls of
+`perfbench/run.py` and the run files `perfbench/checks.py` reads match the
+package: a rename or a layout change in segdetect fails here, not only under
+`perfbench/run.py`."""
 
 import copy
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -33,3 +36,26 @@ def test_traced_binding_resolves(module, attr):
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
 def test_workload_config_loads(name):
     pipeline.ExperimentConfig.from_dict(copy.deepcopy(run.WORKLOADS[name]["config"]))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("stage_gen_data", ["cfg"]), ("stage_train_model", ["cfg", "train_set"]),
+    ("stage_gradcheck", ["cfg", "model", "val_set"]), ("run_pipeline", ["cfg"])])
+def test_called_function_keeps_its_parameters(name, params):
+    """`run.py` calls these with these positional arguments."""
+    signature = inspect.signature(getattr(pipeline, name))
+    signature.bind(*params)
+    assert list(signature.parameters)[:len(params)] == params
+
+
+@pytest.mark.parametrize("unit,path", [
+    ("gradcheck", "gradcheck.json"), ("gen-data", "data/manifest.json"),
+    ("gen-data", "data/images/val_0000.ten"), ("attack/fgsm_e8", "attacks/fgsm_e8/attack.json"),
+    ("attack/fgsm_e8", "attacks/fgsm_e8/images/val_0000.ten"), ("evaluate", "report/report.csv")])
+def test_checked_file_is_a_unit_output(unit, path):
+    """`checks.py` reads `path` of a run directory: `unit` writes it, or owns
+    a directory it lies in."""
+    out = os.path.join("runs", "x")
+    path = os.path.join(out, path)
+    assert any(p == path or p.endswith(os.sep) and path.startswith(p)
+               for p in pipeline.unit_outputs(out, unit))

@@ -302,8 +302,9 @@ class TestMiniPipeline:
         assert {name for name, n in calls.items() if n} == {"export_entropy_heatmap"}
         ids = json.load(open(out / "data" / "manifest.json"))["val_ids"]
         names = ["clean"] + [pipeline.attack_tag(spec) for spec in cfg.attack_list]
-        assert sorted(os.listdir(out / "heatmaps")) == sorted(
-            f"{name}_{sid}.pgm" for name in names for sid in ids)
+        assert sorted(p.relative_to(out / "heatmaps").as_posix()
+                      for p in (out / "heatmaps").rglob("*") if p.is_file()) == sorted(
+            f"{name}/{sid}.pgm" for name in names for sid in ids)
         assert (out / "report" / "report.csv").read_bytes() == open(csv_path, "rb").read()
 
     def test_gradcheck_recorded_as_passed(self, mini_run):
@@ -632,7 +633,7 @@ class TestStageCommands:
         assert (out / "config.json").exists()
 
     def test_stage_commands_in_turn_match_run_all(self, tmp_path):
-        # later commands read the features back from CSV; run-all keeps them in memory
+        # every command reads its units back from their files, as run-all does
         for command in pipeline.STAGES:
             assert run_cli(command, tmp_path / "staged", config=TINY_ALL_DETECTORS) == 0
         assert run_cli("run-all", tmp_path / "all", config=TINY_ALL_DETECTORS) == 0
@@ -747,7 +748,11 @@ def count_calls(monkeypatch, work):
     ({"dataset": dict(TINY_80["dataset"], noise_std=20.0)},
      set(UNIT_WORK) - {"ifgsm", "export_entropy_heatmap"}),
     ({"folds": 4}, {"cross_validate"}),
-], ids=["epochs", "attack", "detector", "heatmaps", "dataset", "folds"])
+    ({"dataset": dict(TINY_80["dataset"], val_size=40)},
+     set(UNIT_WORK) - {"ifgsm", "export_entropy_heatmap"}),
+    ({"attack_list": []}, set()),
+], ids=["epochs", "attack", "detector", "heatmaps", "dataset", "folds", "val_size",
+        "no_attacks"])
 def test_resume_under_changed_config_equals_fresh_run(change, recomputed, tiny_80_run, tmp_path,
                                                       monkeypatch):
     config = dict(TINY_80, **change)
@@ -787,3 +792,36 @@ def test_unit_that_raised_midway_is_recomputed(tiny_80_run, tmp_path, monkeypatc
     monkeypatch.setattr(uncertainty, "write_features", real)
     assert run_cli("run-all", out, config=TINY_80) == 0
     assert run_files(out) == run_files(tiny_80_run)
+
+
+@pytest.mark.parametrize("before,after", [
+    (TINY_ALL_ATTACKS, dict(TINY_ALL_ATTACKS, attack_list=TINY["attack_list"])),
+    (TINY_HEATMAPS, dict(TINY_HEATMAPS, attack_list=TINY["attack_list"])),
+    (dict(TINY_80, export_heatmaps=True), dict(TINY, export_heatmaps=True)),
+], ids=["attacks", "heatmaps", "val_size"])
+def test_run_under_a_smaller_config_equals_fresh_run(before, after, tmp_path):
+    """The units the config dropped, and the images it no longer has, are removed."""
+    fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+    assert run_cli("run-all", fresh, config=after) == 0
+    assert run_cli("run-all", resumed, config=before) == 0
+    assert run_cli("run-all", resumed, config=after) == 0
+    assert run_files(resumed) == run_files(fresh)
+    assert (resumed / "keys.json").read_bytes() == (fresh / "keys.json").read_bytes()
+
+
+@pytest.mark.parametrize("unit", ["attack/../../outside", "extract-features/heatmaps/..",
+                                  "bogus/unit"])
+def test_unknown_recorded_unit_fails_and_deletes_nothing(unit, tiny_model_dir, tmp_path, capsys):
+    out, outside = tmp_path / "run", tmp_path / "outside"
+    shutil.copytree(tiny_model_dir, out)
+    for path in (outside / "keep", out / "attacks" / "ifgsm_e4" / "attack.json"):
+        path.parent.mkdir(parents=True)
+        path.write_text("keep")
+    keys = json.loads((out / "keys.json").read_text())
+    # a stale unit, which would be removed, and the unknown one
+    (out / "keys.json").write_text(json.dumps(dict(keys, **{"attack/ifgsm_e4": "0", unit: "0"})))
+    before = run_files(out), (out / "keys.json").read_bytes()
+    assert run_cli("run-all", out) == 1
+    assert capsys.readouterr().err == f"segdetect: run-all: unknown unit {unit!r}\n"
+    assert (run_files(out), (out / "keys.json").read_bytes()) == before
+    assert (outside / "keep").read_text() == "keep"
