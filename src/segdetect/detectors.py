@@ -116,10 +116,27 @@ def _newton_step(g, h, theta, lam, tol):
     return exact if ok and np.all(np.abs(g + h @ (exact - theta))[~on] <= lam) else z
 
 
-def _check(kind, *rules):
-    """Raises InputError for the first (key, value, ok, rule) that is not ok."""
-    for key, val, ok, rule in rules:
-        if not ok:
+# kind -> {key: (test, rule)}: the hyperparameter values its trainer accepts.
+# A config's detector specs are checked against them when it loads (_trainer),
+# and each trainer checks its arguments again.
+RULES = {
+    "lasso": {"lam": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+              "tol": (lambda v: v > 0, "> 0"),
+              "max_iter": (lambda v: v >= 1, ">= 1")},
+    "ocsvm": {"nu": (lambda v: 0 < v < 1, "in (0, 1)"),
+              "gamma": (lambda v: v is None or (isinstance(v, (int, float)) and 0 < v < math.inf),
+                        "None or finite and > 0"),
+              "tol": (lambda v: v > 0, "> 0"),
+              "max_updates": (lambda v: v >= 1, ">= 1")},
+    "ellipse": {"shrinkage": (lambda v: 0 <= v < math.inf, "finite and >= 0")},
+}
+
+
+def _check(kind, **values):
+    """Raises InputError for the first value that breaks its RULES[kind] test."""
+    for key, val in values.items():
+        test, rule = RULES[kind][key]
+        if not test(val):
             raise InputError(f"{kind} key {key}: must be {rule}, got {val!r}")
 
 
@@ -133,8 +150,7 @@ def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-9, max_iter=100):
     params records the steps taken as "iterations" and r as "kkt_residual".
     Raises TrainingError if max_iter steps leave r >= tol, or on a non-finite
     iterate."""
-    _check("lasso", ("lam", lam, 0 <= lam < math.inf, "finite and >= 0"),
-           ("tol", tol, tol > 0, "> 0"), ("max_iter", max_iter, max_iter >= 1, ">= 1"))
+    _check("lasso", lam=lam, tol=tol, max_iter=max_iter)
     if not clean_features or not adv_features:
         raise InputError("both clean and adversarial features are required")
     xc, xa = feature_matrix(clean_features), feature_matrix(adv_features)
@@ -143,6 +159,8 @@ def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-9, max_iter=100):
     x1 = np.hstack([np.vstack([std.transform(xc), std.transform(xa)]), np.ones((len(y), 1))])
     def objective(th):    # log(1 + e^t) - y t, written without cancellation at y = 1
         return np.mean(np.logaddexp(0.0, (1.0 - 2.0 * y) * (x1 @ th))) + lam * np.abs(th[:-1]).sum()
+    # no residual below the gradient's rounding, n terms of up to max|x1| each
+    tol = max(tol, len(y) * np.finfo(float).eps * float(np.abs(x1).max()))
     theta = np.zeros(x1.shape[1])     # the weights, then the intercept
     for it in range(max_iter + 1):
         t = x1 @ theta
@@ -188,9 +206,7 @@ def train_ocsvm(clean_features, nu=0.1, gamma=None, tol=1e-6, max_updates=100_00
     """RBF one-class SVM dual (0 <= a_i <= 1/(nu n), sum a = 1) solved by
     pairwise coordinate updates; p(x) is the empirical CDF of the training
     decision values."""
-    _check("ocsvm", ("nu", nu, 0 < nu < 1, "in (0, 1)"), ("gamma", gamma, gamma is None or (
-        isinstance(gamma, (int, float)) and 0 < gamma < math.inf), "None or finite and > 0"),
-           ("tol", tol, tol > 0, "> 0"), ("max_updates", max_updates, max_updates >= 1, ">= 1"))
+    _check("ocsvm", nu=nu, gamma=gamma, tol=tol, max_updates=max_updates)
     if len(clean_features) < 10:
         raise InputError("need at least 10 clean features")
     xc = feature_matrix(clean_features)
@@ -237,7 +253,7 @@ def train_ocsvm(clean_features, nu=0.1, gamma=None, tol=1e-6, max_updates=100_00
 def train_ellipse(clean_features, shrinkage=1e-3):
     """Shrinkage-regularized Gaussian fit; p(x) is the empirical survival
     function of the training Mahalanobis distances."""
-    _check("ellipse", ("shrinkage", shrinkage, 0 <= shrinkage < math.inf, "finite and >= 0"))
+    _check("ellipse", shrinkage=shrinkage)
     xc = feature_matrix(clean_features)
     std = Standardizer.fit(xc)
     z = std.transform(xc)
@@ -311,10 +327,11 @@ def hyperparameters(kind):
 
 def _trainer(kind, hyperparams):
     """(trainer, supervised) of `kind`; raises InputError on an unknown kind or
-    hyperparameter."""
+    hyperparameter, or a value its trainer would refuse."""
     unknown = set(hyperparams) - set(hyperparameters(kind))
     if unknown:
         raise InputError(f"detector {kind!r}: unknown key(s) {', '.join(sorted(unknown))}")
+    _check(kind, **dict(hyperparams))
     fn = globals()[DETECTORS[kind][0]]
     return fn, "adv_features" in inspect.signature(fn).parameters
 

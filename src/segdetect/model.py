@@ -4,11 +4,11 @@ Inputs are raw 0-255 images; normalization to (x - mean) / scale happens inside
 the model so attacks can work on the raw pixel scale.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import tensorio
+from . import tensorio, workers
 from .autodiff import (conv2d_bwd, conv2d_fwd, conv2d_input_grad, relu_bwd, relu_fwd, softmax,
                        softmax_ce)
 from .errors import InputError, TrainingError
@@ -28,6 +28,8 @@ class TrainConfig:
             raise InputError("learning rate must be >= 0")
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise InputError("batch_size must be >= 1")
 
 
 @dataclass
@@ -148,7 +150,10 @@ def loss_value_f64(model, image, target, pixel_weights):
 
 
 def train(dataset, cfg):
-    """Mini-batch SGD over (image, labels) pairs; deterministic for fixed seed."""
+    """Mini-batch SGD over (image, labels) pairs; deterministic for fixed seed.
+    Each batch is cut into contiguous shares, one per CPU (workers.forked_map),
+    and the per-sample gradients are summed in batch order, so the model does
+    not depend on the CPU count."""
     if not dataset:
         raise InputError("training dataset is empty")
     num_classes = int(max(lab.max() for _, lab in dataset)) + 1
@@ -156,26 +161,34 @@ def train(dataset, cfg):
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
     ones = np.ones(dataset[0][1].shape, np.float32)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            ksum = [np.zeros_like(k) for k in model.kernels]
-            bsum = [np.zeros_like(b) for b in model.biases]
-            for idx in batch:
-                image, labels = dataset[idx]
-                loss, kgrads, bgrads = _param_grads(model, image, labels, ones)
-                if not np.isfinite(loss):
-                    raise TrainingError(f"training diverged at epoch {epoch}")
-                for acc, g in zip(ksum, kgrads):
-                    acc += g
-                for acc, g in zip(bsum, bgrads):
-                    acc += g
-            lr = np.float32(cfg.lr / len(batch))
-            for k, g in zip(model.kernels, ksum):
-                k -= lr * g
-            for b, g in zip(model.biases, bsum):
-                b -= lr * g
+    procs = min(workers.cpu_count(), cfg.batch_size, n)
+
+    def share_grads(share):
+        kernels, biases, indices = share
+        at = replace(model, kernels=kernels, biases=biases)
+        return [_param_grads(at, *dataset[i], ones) for i in indices]
+
+    with workers.forked_map(share_grads, procs - 1) as run:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                shares = np.array_split(batch, min(procs, len(batch)))
+                ksum = [np.zeros_like(k) for k in model.kernels]
+                bsum = [np.zeros_like(b) for b in model.biases]
+                for grads in run([(model.kernels, model.biases, s) for s in shares]):
+                    for loss, kgrads, bgrads in grads:
+                        if not np.isfinite(loss):
+                            raise TrainingError(f"training diverged at epoch {epoch}")
+                        for acc, g in zip(ksum, kgrads):
+                            acc += g
+                        for acc, g in zip(bsum, bgrads):
+                            acc += g
+                lr = np.float32(cfg.lr / len(batch))
+                for k, g in zip(model.kernels, ksum):
+                    k -= lr * g
+                for b, g in zip(model.biases, bsum):
+                    b -= lr * g
     return model
 
 

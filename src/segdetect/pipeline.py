@@ -378,7 +378,8 @@ def stage_extract_features(cfg, model, val_set, attacked):
 def _detector_specs(cfg):
     """(kind, hyperparameters, training attacks) of each configured detector
     that can train: a supervised kind needs its training attack. Raises
-    InputError on an unknown kind or key, or a value unlike its trainer default."""
+    InputError on an unknown kind or key, a value unlike its trainer default,
+    or one its trainer would refuse (detectors.RULES)."""
     specs = [_spec_params(s, "detector_list") for s in cfg.detector_list]
     for kind, hyper in specs:
         _check_keys(detectors.hyperparameters(kind), hyper, f"detector {kind!r}")

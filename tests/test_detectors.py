@@ -215,6 +215,19 @@ class TestLassoCertificate:
         m = detectors.train_lasso(clean, adv, lam=lam)
         assert lasso_kkt_residual(m, clean, adv) < 1e-9
 
+    @pytest.mark.parametrize("lam", [1e-8, 0.01])
+    def test_features_1e12_deviations_apart_certify(self, lam):
+        # a near-constant clean feature standardizes this far out; the absolute
+        # tol of 1e-9 then lies below the gradient's rounding
+        rng = np.random.default_rng(0)
+        clean = make_features(rng.normal(size=(30, 1)))
+        adv = make_features(-1e12 * (1.0 + rng.uniform(size=(30, 1))), "adv")
+        m = detectors.train_lasso(clean, adv, lam=lam)
+        z = m.standardizer.transform(np.vstack([feature_matrix(clean), feature_matrix(adv)]))
+        assert m.params["kkt_residual"] < 60 * np.finfo(float).eps * np.abs(z).max()
+        assert detectors.score_many(m, clean).min() > 0.99
+        assert detectors.score_many(m, adv).max() < 0.01
+
     def test_matches_accelerated_proximal_gradient(self):
         # one feature, nearly separable, intercept near 7: the shape of the
         # benchmark's fits, which proximal gradient methods reach only slowly

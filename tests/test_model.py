@@ -1,12 +1,13 @@
 import os
 import resource
+import signal
 
 import numpy as np
 import pytest
 
 from segdetect import model as seg_model
 from segdetect import workers
-from segdetect.errors import InputError
+from segdetect.errors import InputError, TrainingError
 
 
 def tiny_dataset(n=6, size=16, seed=0):
@@ -347,6 +348,107 @@ class TestTraining:
             seg_model.TrainConfig(lr=-0.1)
         with pytest.raises(InputError):
             seg_model.TrainConfig(epochs=0)
+        for batch_size in (0, -1):
+            with pytest.raises(InputError, match="batch_size must be >= 1"):
+                seg_model.TrainConfig(batch_size=batch_size)
+
+
+def serial_train(dataset, cfg):
+    """The reference: one process sums each batch's per-sample gradients in
+    batch order."""
+    num_classes = int(max(lab.max() for _, lab in dataset)) + 1
+    model = seg_model.init_model(num_classes, seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    ones = np.ones(dataset[0][1].shape, np.float32)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(dataset), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            ksum = [np.zeros_like(k) for k in model.kernels]
+            bsum = [np.zeros_like(b) for b in model.biases]
+            for idx in batch:
+                loss, kgrads, bgrads = seg_model._param_grads(model, *dataset[idx], ones)
+                if not np.isfinite(loss):
+                    raise TrainingError(f"training diverged at epoch {epoch}")
+                for acc, g in zip(ksum + bsum, kgrads + bgrads):
+                    acc += g
+            lr = np.float32(cfg.lr / len(batch))
+            for p, g in zip(model.kernels + model.biases, ksum + bsum):
+                p -= lr * g
+    return model
+
+
+@pytest.fixture()
+def forks(monkeypatch, reaped):
+    """Sets the CPU count train sees; returns the list of pids forked since.
+    No child may be left after the test."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def set_cpus(n):
+        monkeypatch.setattr(workers, "cpu_count", lambda: n)
+        return pids
+
+    monkeypatch.setattr(os, "fork", fork)
+    return set_cpus
+
+
+class TestForkedTraining:
+    """Training computes each batch on one process per CPU, summed in batch order."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 8])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bit_identical_to_serial_loop(self, forks, cpus, batch_size):
+        data = tiny_dataset(11, seed=9)     # every batch size leaves a ragged last batch
+        cfg = seg_model.TrainConfig(epochs=2, lr=0.2, batch_size=batch_size, seed=9)
+        pids = forks(cpus)
+        assert params_equal(seg_model.train(data, cfg), serial_train(data, cfg))
+        assert len(pids) == min(cpus, batch_size) - 1
+
+    def test_divergence_message_of_serial_loop(self, forks):
+        data = tiny_dataset(6, seed=10)
+        cfg = seg_model.TrainConfig(epochs=6, lr=1e20, batch_size=4, seed=10)
+        pids = forks(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError) as serial:
+                serial_train(data, cfg)
+            with pytest.raises(TrainingError) as forked:
+                seg_model.train(data, cfg)
+        assert str(forked.value) == str(serial.value) == "training diverged at epoch 1"
+        assert len(pids) == 1
+
+    def test_worker_error_reaches_caller(self, forks, monkeypatch):
+        parent, real = os.getpid(), seg_model._param_grads
+
+        def param_grads(*args):
+            if os.getpid() != parent:
+                raise ValueError("in a worker")
+            return real(*args)
+
+        monkeypatch.setattr(seg_model, "_param_grads", param_grads)
+        pids = forks(2)
+        with pytest.raises(ValueError, match="in a worker"):
+            seg_model.train(tiny_dataset(4), seg_model.TrainConfig(epochs=1, batch_size=2))
+        assert len(pids) == 1
+
+    def test_killed_worker_raises(self, forks, monkeypatch):
+        parent, real = os.getpid(), seg_model._param_grads
+
+        def param_grads(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(seg_model, "_param_grads", param_grads)
+        pids = forks(2)
+        with pytest.raises(ChildProcessError):
+            seg_model.train(tiny_dataset(4), seg_model.TrainConfig(epochs=1, batch_size=2))
+        assert len(pids) == 1
 
 
 def test_save_load_roundtrip(tmp_path, small_model):

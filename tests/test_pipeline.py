@@ -408,6 +408,16 @@ class TestCli:
         ('{"ssmm_train_size": 0, "attack_list": [{"kind": "patch"}]}',
          "ssmm_train_size must be >= 1"),
         ('{"attack_list": [{"kind": "patch", "placements": 0}]}', "placements must be >= 1"),
+        ('{"train": {"batch_size": 0}}', "batch_size must be >= 1"),
+        ('{"train": {"batch_size": -1}}', "batch_size must be >= 1"),
+        ('{"detector_list": [{"kind": "lasso", "lam": -1}]}',
+         "lasso key lam: must be finite and >= 0, got -1"),
+        ('{"detector_list": [{"kind": "lasso", "max_iter": 0}]}',
+         "lasso key max_iter: must be >= 1, got 0"),
+        ('{"detector_list": [{"kind": "ocsvm", "nu": 2.0}]}',
+         "ocsvm key nu: must be in (0, 1), got 2.0"),
+        ('{"detector_list": [{"kind": "ellipse", "shrinkage": -0.5}]}',
+         "ellipse key shrinkage: must be finite and >= 0, got -0.5"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import os
+import signal
 import sys
 import threading
 import time
@@ -116,6 +117,62 @@ class TestMapItems:
         with pytest.raises(KeyboardInterrupt):
             workers.map_items(fn, range(20))
         assert len(ran) <= 2
+
+
+def square_and_pid(i):
+    if i < 0:
+        raise ValueError(f"item {i}")
+    return i * i, os.getpid()
+
+
+class TestForkedMap:
+    def test_results_in_input_order_one_process_each(self, reaped):
+        with workers.forked_map(square_and_pid, 2) as run:
+            out = run([1, 2, 3])
+            assert [v for v, _ in out] == [1, 4, 9]
+            pids = [p for _, p in out]
+            assert pids[0] == os.getpid() and len(set(pids)) == 3
+            assert run([4, 5, 6]) == [(16, pids[0]), (25, pids[1]), (36, pids[2])]
+            assert run([7]) == [(49, pids[0])]     # fewer items than workers
+
+    def test_count_zero_forks_nothing(self, reaped, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        with workers.forked_map(square_and_pid, 0) as run:
+            assert run([3]) == [(9, os.getpid())]
+            with pytest.raises(ValueError, match="2 items for 0 workers"):
+                run([1, 2])
+
+    @pytest.mark.parametrize("items,message", [([1, -2, -3], "item -2"), ([-1, -2, 3], "item -1"),
+                                               ([1, 2, -3], "item -3")])
+    def test_lowest_index_error_raised(self, reaped, items, message):
+        with workers.forked_map(square_and_pid, 2) as run:
+            with pytest.raises(ValueError, match=message):
+                run(items)
+            assert [v for v, _ in run([1, 2, 3])] == [1, 4, 9]   # no stale reply is left
+
+    def test_killed_worker_raises(self, reaped):
+        def fn(i):
+            if i == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with workers.forked_map(fn, 2) as run:
+            with pytest.raises(ChildProcessError, match="ended"):
+                run([0, 1, 2])
+
+    def test_workers_ignore_sigint_and_end_with_the_caller(self, reaped):
+        def fn(i):
+            if i < 0:
+                raise KeyboardInterrupt
+            return os.getpid()
+
+        with pytest.raises(KeyboardInterrupt):
+            with workers.forked_map(fn, 2) as run:
+                pids = run([0, 1, 2])
+                for pid in pids[1:]:
+                    os.kill(pid, signal.SIGINT)
+                assert run([0, 1, 2]) == pids
+                run([-1, 1, 2])     # Ctrl-C on the calling process
 
 
 # Float32 sums whose value depends on their order: ((1 + 1e8) - 1e8) is 0,
