@@ -67,25 +67,26 @@ def _check_image(image):
 
 
 def _forward(model, image, dtype=np.float32):
-    """Returns (logits, nodes) keeping the per-layer backward contexts; the
-    pass runs in `dtype`."""
+    """Returns (logits, nodes): H x W x C logits and the per-layer backward
+    contexts. The pass runs in `dtype`, on channels-first planes."""
     z = ((image.astype(dtype) - model.mean) / model.scale).astype(dtype)
     nodes = []
-    a = z
+    a = z.transpose(2, 0, 1)
     for i, (k, b) in enumerate(zip(model.kernels, model.biases)):
         a, cn = conv2d_fwd(a, k, b)
         nodes.append(("conv", cn))
         if i < len(model.kernels) - 1:
             a, rn = relu_fwd(a)
             nodes.append(("relu", rn))
-    return a, nodes
+    return a.transpose(1, 2, 0), nodes
 
 
 def _backward(model, nodes, grad_logits, want_params=False):
-    """Walks the cached nodes in reverse. Returns the input grad, or with
-    want_params the per-layer parameter grads (in layer order) and no input
-    grad: training never reads it, so the first conv does not compute it."""
-    g = grad_logits
+    """Walks the cached nodes in reverse from the H x W x C grad_logits.
+    Returns the H x W x C input grad, or with want_params the per-layer
+    parameter grads (in layer order) and no input grad: training never reads
+    it, so the first conv does not compute it."""
+    g = grad_logits.transpose(2, 0, 1)
     kgrads, bgrads = [], []
     for n, (kind, node) in reversed(list(enumerate(nodes))):
         if kind == "relu":
@@ -98,8 +99,8 @@ def _backward(model, nodes, grad_logits, want_params=False):
             g = conv2d_input_grad(node, g)
     if want_params:
         return kgrads[::-1], bgrads[::-1]
-    # chain rule through (x - mean) / scale
-    return (g / np.float32(model.scale)).astype(np.float32)
+    # chain rule through (x - mean) / scale, back to H x W x C
+    return np.ascontiguousarray((g / np.float32(model.scale)).transpose(1, 2, 0), np.float32)
 
 
 def predict(model, image):

@@ -33,34 +33,51 @@ class FeatureVector:
         return len(self.values) - 3
 
 
+def _classes(p):
+    """The class slices of an H x W x C map, in class order."""
+    return [p[..., c] for c in range(p.shape[2])]
+
+
 def _check_probs(probs):
     if probs.ndim != 3:
         raise InputError(f"probability map must be HxWxC, got shape {probs.shape}")
-    sums = probs.sum(axis=2)
+    # the classes summed in order, as probs.sum(axis=2) sums below 8 classes,
+    # without its slow reduction over the short class axis
+    sums = np.add.reduce(_classes(probs))
     if np.max(np.abs(sums - 1.0)) > 1e-4:
         raise InputError("probability rows do not sum to 1 within 1e-4")
 
 
-def dispersion_maps(probs):
-    _check_probs(probs)
-    p = probs.astype(np.float64)
+def _dispersion(p):
+    """dispersion_maps of a checked float64 map. The entropy sums the classes
+    in order, and the top two probabilities are a running maximum and
+    runner-up: below 8 classes the bits of a sum over the class axis and of
+    np.partition, at a fraction of their cost."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0, p * np.log(p), 0.0)
-    entropy = -plogp.sum(axis=2)
-    part = np.partition(p, p.shape[2] - 2, axis=2)
-    top = part[:, :, -1]
-    second = part[:, :, -2]
+        plogp = [np.where(pc > 0, pc * np.log(pc), 0.0) for pc in _classes(p)]
+    entropy = -np.add.reduce(plogp)
+    p0, p1, *rest = _classes(p)
+    top, second = np.maximum(p0, p1), np.minimum(p0, p1)
+    for pc in rest:
+        second = np.maximum(second, np.minimum(top, pc))
+        top = np.maximum(top, pc)
     variation = 1.0 - top
     margin = variation + second
     return DispersionMaps(entropy=entropy, variation_ratio=variation, margin=margin)
 
 
+def dispersion_maps(probs):
+    _check_probs(probs)
+    return _dispersion(probs.astype(np.float64))
+
+
 def feature_vector(probs, image_id="", label="clean", attack=""):
-    maps = dispersion_maps(probs)
-    class_means = probs.astype(np.float64).mean(axis=(0, 1))
+    _check_probs(probs)
+    p = probs.astype(np.float64)
+    maps = _dispersion(p)
     values = np.concatenate([
         [maps.entropy.mean(), maps.variation_ratio.mean(), maps.margin.mean()],
-        class_means,
+        p.mean(axis=(0, 1)),
     ])
     return FeatureVector(values=values, image_id=image_id, label=label, attack=attack)
 

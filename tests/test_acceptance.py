@@ -201,6 +201,21 @@ def test_a9_cross_attack_detection(full_run, announce):
     announce("A9 cross-attack detection", ok)
 
 
+
+def test_certainty_raising_attacks_evade_one_sided_detectors(full_run):
+    """dnnm and patch make the network more certain. entropy and lasso flag
+    only higher uncertainty, so they rank these attacked images below the
+    clean ones; ocsvm and ellipse flag a distance either way and catch them.
+    A check of the default report's behaviour, not an acceptance criterion."""
+    _, csv_path = full_run
+    auroc = {(r["detector"], r["attack"]): float(r["auroc_mean"]) for r in read_report(csv_path)}
+    for attack in ("dnnm", "patch"):
+        for detector in ("entropy", "lasso"):
+            assert auroc[detector, attack] < 0.5, (detector, attack)
+        for detector in ("ocsvm", "ellipse"):
+            assert auroc[detector, attack] > 0.9, (detector, attack)
+
+
 def test_a10_determinism(full_run, tmp_path_factory, announce):
     cfg, csv_path = full_run
     out2 = tmp_path_factory.mktemp("acceptance2") / "run"

@@ -7,6 +7,16 @@ from segdetect import autodiff
 from segdetect.errors import ConfigError, InputError
 
 
+def chw(a):
+    """An H x W x C array as the conv ops' C x H x W planes."""
+    return np.ascontiguousarray(a.transpose(2, 0, 1))
+
+
+def hwc(a):
+    """C x H x W planes as H x W x C, the oracles' layout."""
+    return a.transpose(1, 2, 0)
+
+
 def naive_conv2d(x, kernel, bias):
     """Direct float64 evaluation of the convolution sum (oracle)."""
     h, w, cin = x.shape
@@ -70,21 +80,22 @@ class TestConv2d:
     def test_identity_1x1(self):
         x = np.random.default_rng(0).normal(size=(4, 5, 1)).astype(np.float32)
         k = np.ones((1, 1, 1, 1), np.float32)
-        out, _ = autodiff.conv2d_fwd(x, k, np.zeros(1, np.float32))
-        np.testing.assert_array_equal(out, x)
+        out, _ = autodiff.conv2d_fwd(chw(x), k, np.zeros(1, np.float32))
+        np.testing.assert_array_equal(hwc(out), x)
 
     def test_zero_input_gives_bias(self):
         x = np.zeros((3, 3, 2), np.float32)
         k = np.ones((3, 3, 2, 4), np.float32)
         b = np.array([1, 2, 3, 4], np.float32)
-        out, _ = autodiff.conv2d_fwd(x, k, b)
-        assert np.all(out == b)
+        out, _ = autodiff.conv2d_fwd(chw(x), k, b)
+        assert np.all(hwc(out) == b)
 
     def test_all_ones_3x3(self):
         # hand evaluation: center sees all 9 taps, corner sees 4
         x = np.ones((3, 3, 1), np.float32)
         k = np.ones((3, 3, 1, 1), np.float32)
-        out, _ = autodiff.conv2d_fwd(x, k, np.zeros(1, np.float32))
+        out, _ = autodiff.conv2d_fwd(chw(x), k, np.zeros(1, np.float32))
+        out = hwc(out)
         assert out[1, 1, 0] == 9.0
         assert out[0, 0, 0] == 4.0
         assert out[0, 1, 0] == 6.0
@@ -95,7 +106,8 @@ class TestConv2d:
         x = rng.normal(size=(h, w, cin)).astype(dtype)
         kern = rng.normal(size=(k, k, cin, 2)).astype(np.float32)
         b = rng.normal(size=2).astype(np.float32)
-        out, _ = autodiff.conv2d_fwd(x, kern, b)
+        out, _ = autodiff.conv2d_fwd(chw(x), kern, b)
+        out = hwc(out)
         assert out.shape == (h, w, 2) and out.dtype == dtype
         tol = 1e-5 if dtype == np.float32 else 1e-12
         np.testing.assert_allclose(out, naive_conv2d(x, kern, b), rtol=tol, atol=tol)
@@ -104,27 +116,27 @@ class TestConv2d:
         x = np.zeros((3, 3, 2), np.float32)
         k = np.zeros((3, 3, 4, 1), np.float32)
         with pytest.raises(ConfigError):
-            autodiff.conv2d_fwd(x, k, np.zeros(1, np.float32))
+            autodiff.conv2d_fwd(chw(x), k, np.zeros(1, np.float32))
         with pytest.raises(ConfigError):
-            autodiff.conv2d_fwd(x, np.zeros((2, 2, 2, 1), np.float32), np.zeros(1, np.float32))
+            autodiff.conv2d_fwd(chw(x), np.zeros((2, 2, 2, 1), np.float32), np.zeros(1, np.float32))
 
 
 class TestConv2dBackward:
     def test_identity_kernel_grad_passthrough(self):
         x = np.random.default_rng(2).normal(size=(4, 4, 1)).astype(np.float32)
         k = np.ones((1, 1, 1, 1), np.float32)
-        _, node = autodiff.conv2d_fwd(x, k, np.zeros(1, np.float32))
+        _, node = autodiff.conv2d_fwd(chw(x), k, np.zeros(1, np.float32))
         go = np.random.default_rng(3).normal(size=(4, 4, 1)).astype(np.float32)
-        gx, _, _ = autodiff.conv2d_bwd(node, go)
-        np.testing.assert_array_equal(gx, go)
+        gx, _, _ = autodiff.conv2d_bwd(node, chw(go))
+        np.testing.assert_array_equal(hwc(gx), go)
 
     def test_grad_bias_is_sum(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 5, 2)).astype(np.float32)
         k = rng.normal(size=(3, 3, 2, 3)).astype(np.float32)
-        _, node = autodiff.conv2d_fwd(x, k, np.zeros(3, np.float32))
+        _, node = autodiff.conv2d_fwd(chw(x), k, np.zeros(3, np.float32))
         go = rng.normal(size=(5, 5, 3)).astype(np.float32)
-        _, _, gb = autodiff.conv2d_bwd(node, go)
+        _, _, gb = autodiff.conv2d_bwd(node, chw(go))
         np.testing.assert_allclose(gb, go.sum(axis=(0, 1)), rtol=1e-5)
 
     @pytest.mark.parametrize("h,w,cin,k", [(6, 7, 3, 3), (5, 4, 3, 1), (7, 6, 2, 5),
@@ -135,8 +147,9 @@ class TestConv2dBackward:
         x = rng.normal(size=(h, w, cin)).astype(np.float32)
         kern = rng.normal(size=(k, k, cin, cout)).astype(np.float32)
         go = rng.normal(size=(h, w, cout)).astype(np.float32)
-        _, node = autodiff.conv2d_fwd(x, kern, np.zeros(cout, np.float32))
-        gx, gk, _ = autodiff.conv2d_bwd(node, go)
+        _, node = autodiff.conv2d_fwd(chw(x), kern, np.zeros(cout, np.float32))
+        gx, gk, _ = autodiff.conv2d_bwd(node, chw(go))
+        gx = hwc(gx)
         (gx_ref, gx_abs), (gk_ref, gk_abs) = naive_conv2d_adjoint(x, kern, go)
         # a float32 sum of n rounded products errs by at most (n + 1) eps
         # times the sum of their absolute values, in any summation order;
@@ -152,9 +165,9 @@ class TestConv2dBackward:
         x = rng.normal(size=(6, 7, 3)).astype(np.float32)
         k = rng.normal(size=(3, 3, 3, 4)).astype(np.float32)
         go = rng.normal(size=(6, 7, 4)).astype(np.float32)
-        _, node = autodiff.conv2d_fwd(x, k, np.zeros(4, np.float32))
-        _, gk, gb = autodiff.conv2d_bwd(node, go)
-        gx_skipped, gk_skipped, gb_skipped = autodiff.conv2d_bwd(node, go, want_input=False)
+        _, node = autodiff.conv2d_fwd(chw(x), k, np.zeros(4, np.float32))
+        _, gk, gb = autodiff.conv2d_bwd(node, chw(go))
+        gx_skipped, gk_skipped, gb_skipped = autodiff.conv2d_bwd(node, chw(go), want_input=False)
         assert gx_skipped is None
         assert gk_skipped.tobytes() == gk.tobytes() and gb_skipped.tobytes() == gb.tobytes()
 
@@ -165,8 +178,9 @@ class TestConv2dBackward:
         k = rng.normal(0, 0.1, (3, 3, 2, 2)).astype(np.float32)
         b = rng.normal(size=2).astype(np.float32)
         go = rng.normal(size=(5, 5, 2)).astype(np.float32)
-        _, node = autodiff.conv2d_fwd(x, k, b)
-        gx, gk, gb = autodiff.conv2d_bwd(node, go)
+        _, node = autodiff.conv2d_fwd(chw(x), k, b)
+        gx, gk, gb = autodiff.conv2d_bwd(node, chw(go))
+        gx = hwc(gx)
         h = 0.1
 
         def objective(xv, kv, bv):
@@ -308,9 +322,9 @@ def test_backward_linearity():
     x = rng.normal(size=(4, 4, 2)).astype(np.float32)
     k = rng.normal(size=(3, 3, 2, 3)).astype(np.float32)
     b = np.zeros(3, np.float32)
-    _, node = autodiff.conv2d_fwd(x, k, b)
-    g1 = rng.normal(size=(4, 4, 3)).astype(np.float32)
-    g2 = rng.normal(size=(4, 4, 3)).astype(np.float32)
+    _, node = autodiff.conv2d_fwd(chw(x), k, b)
+    g1 = chw(rng.normal(size=(4, 4, 3)).astype(np.float32))
+    g2 = chw(rng.normal(size=(4, 4, 3)).astype(np.float32))
     gx1, gk1, gb1 = autodiff.conv2d_bwd(node, g1)
     gx2, gk2, gb2 = autodiff.conv2d_bwd(node, g2)
     gxs, gks, gbs = autodiff.conv2d_bwd(node, g1 + g2)

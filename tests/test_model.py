@@ -186,10 +186,10 @@ class TestWindowedGradCheck:
 
         def border_broken(node, go):
             gx = real_grad(node, go)
-            if gx.shape[2] == 3:
-                ring = np.ones(gx.shape[:2], bool)
+            if gx.shape[0] == 3:
+                ring = np.ones(gx.shape[1:], bool)
                 ring[r:-r, r:-r] = False
-                gx = np.where(ring[:, :, None], 1.5 * gx, gx)
+                gx = np.where(ring, 1.5 * gx, gx)
             return gx
 
         monkeypatch.setattr(seg_model, "conv2d_input_grad", border_broken)
@@ -204,6 +204,7 @@ class TestWindowedGradCheck:
         loss, kgrads, bgrads = seg_model._param_grads(m, img, lab, ones)
         logits, nodes = seg_model._forward(m, img)
         _, _, g = seg_model.softmax_ce(logits, lab, ones)
+        g = g.transpose(2, 0, 1)
         ref_k, ref_b = [], []
         for kind, node in reversed(nodes):
             if kind == "relu":
@@ -228,7 +229,7 @@ class TestInputOnlyBackward:
         assert [n.kernel.shape[0] for n in convs] == [3, 3, 1]
         rng = np.random.default_rng(3)
         for node in convs:
-            go = rng.normal(size=node.input_shape[:2] + (node.kernel.shape[3],))
+            go = rng.normal(size=(node.kernel.shape[3],) + node.input_shape[1:])
             go = go.astype(np.float32)
             gx, _, _ = seg_model.conv2d_bwd(node, go)
             got = seg_model.conv2d_input_grad(node, go)
@@ -240,9 +241,10 @@ class TestInputOnlyBackward:
         weights = np.random.default_rng(1).uniform(0.5, 2.0, lab.shape).astype(np.float32)
         logits, nodes = seg_model._forward(m, img)
         ref_loss, _, g = seg_model.softmax_ce(logits, lab, weights)
+        g = g.transpose(2, 0, 1)
         for kind, node in reversed(nodes):
             g = seg_model.relu_bwd(node, g) if kind == "relu" else seg_model.conv2d_bwd(node, g)[0]
-        ref = (g / np.float32(m.scale)).astype(np.float32)
+        ref = (g.transpose(1, 2, 0) / np.float32(m.scale)).astype(np.float32)
         loss, grad = seg_model.loss_input_grad(m, img, lab, weights)
         assert loss == ref_loss
         assert grad.dtype == np.float32 and grad.tobytes() == ref.tobytes()
@@ -260,6 +262,164 @@ class TestInputOnlyBackward:
         assert probs.tobytes() == seg_model.predict(m, img).tobytes()
         ref_loss, ref_grad = seg_model.loss_input_grad(m, img, lab, np.ones(lab.shape, np.float32))
         assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
+
+
+# The model as it ran channels-last, before its activations became
+# channels-first planes: the reference for the bits of every public pass.
+def cl_padded(x, pad, dtype):
+    h, w, c = x.shape
+    if pad == 0:
+        return x.astype(dtype, copy=False).reshape(h * w, c)
+    xp = np.zeros((h + 2 * pad + 1, w + 2 * pad, c), dtype)
+    xp[pad:pad + h, pad:pad + w] = x
+    return xp.reshape(-1, c)
+
+
+def cl_window(flat, u, v, h, wp):
+    start = u * wp + v
+    return flat[start:start + h * wp]
+
+
+def cl_shifted_gemm(flat, kernel, h, wp):
+    k = kernel.shape[0]
+    out = cl_window(flat, 0, 0, h, wp) @ kernel[0, 0]
+    tap = np.empty_like(out)
+    for u in range(k):
+        for v in range(k):
+            if u or v:
+                out += np.matmul(cl_window(flat, u, v, h, wp), kernel[u, v], out=tap)
+    return out
+
+
+def cl_conv_fwd(x, kernel, bias):
+    h, w, _ = x.shape
+    k, cout = kernel.shape[0], kernel.shape[3]
+    dtype = np.promote_types(x.dtype, np.float32)
+    xpad = cl_padded(x, k // 2, dtype)
+    out = cl_shifted_gemm(xpad, kernel.astype(dtype, copy=False), h, w + k - 1)
+    return out.reshape(h, w + k - 1, cout)[:, :w] + bias.astype(dtype), (xpad, kernel, x.shape)
+
+
+def cl_conv_bwd(node, grad_out, want_input, want_params):
+    xpad, kernel, (h, w, cin) = node
+    k, cout = kernel.shape[0], kernel.shape[3]
+    pad, wp = k // 2, w + k - 1
+    gpad = cl_padded(grad_out.astype(np.float32, copy=False), pad, np.float32)
+    gx = gk = gb = None
+    if want_input:
+        adjoint = kernel[::-1, ::-1].transpose(0, 1, 3, 2).astype(np.float32, copy=False)
+        gx = cl_shifted_gemm(gpad, adjoint, h, wp).reshape(h, wp, cin)[:, :w]
+    if want_params:
+        gb = grad_out.astype(np.float32, copy=False).reshape(h * w, cout).sum(axis=0)
+        go_grid = cl_window(gpad, pad, pad, h, wp)
+        gk = np.empty((k, k, cin, cout), np.promote_types(xpad.dtype, np.float32))
+        for u in range(k):
+            for v in range(k):
+                np.matmul(cl_window(xpad, u, v, h, wp).T, go_grid, out=gk[u, v])
+    return gx, gk, gb
+
+
+def cl_forward(m, image, dtype=np.float32):
+    """(logits, [conv node, relu mask, conv node, relu mask, conv node])."""
+    a = ((image.astype(dtype) - m.mean) / m.scale).astype(dtype)
+    nodes = []
+    for i, (k, b) in enumerate(zip(m.kernels, m.biases)):
+        a, node = cl_conv_fwd(a, k, b)
+        nodes.append(node)
+        if i < len(m.kernels) - 1:
+            nodes.append(a > 0)
+            a = np.maximum(a, 0)
+    return a, nodes
+
+
+def cl_backward(m, nodes, g, want_params=False):
+    kgrads, bgrads = [], []
+    for n, node in reversed(list(enumerate(nodes))):
+        if n % 2:
+            g = g.astype(np.float32, copy=False) * node + np.float32(0)
+        else:
+            g, gk, gb = cl_conv_bwd(node, g, want_input=not want_params or n > 0,
+                                    want_params=want_params)
+            kgrads.insert(0, gk)
+            bgrads.insert(0, gb)
+    if want_params:
+        return kgrads, bgrads
+    return (g / np.float32(m.scale)).astype(np.float32)
+
+
+def cl_predict_and_grad(m, image, objective):
+    logits, nodes = cl_forward(m, image)
+    probs = seg_model.softmax(logits)
+    target, pixel_weights = objective(probs)
+    loss, _, grad_logits = seg_model.softmax_ce(logits, target, pixel_weights, probs)
+    return probs, loss, cl_backward(m, nodes, grad_logits)
+
+
+def cl_loss_input_grad(m, image, target, pixel_weights):
+    _, loss, grad = cl_predict_and_grad(m, image, lambda probs: (target, pixel_weights))
+    return loss, grad
+
+
+def cl_param_grads(m, image, target, pixel_weights):
+    logits, nodes = cl_forward(m, image)
+    loss, _, grad_logits = seg_model.softmax_ce(logits, target, pixel_weights)
+    return (loss, *cl_backward(m, nodes, grad_logits, want_params=True))
+
+
+def cl_loss_value_f64(m, image, target, pixel_weights):
+    logits, _ = cl_forward(m, image, np.float64)
+    p = seg_model.softmax(logits, dtype=np.float64)
+    ce = -np.log(np.take_along_axis(p, target[:, :, None], axis=2)[:, :, 0])
+    return float(np.sum(pixel_weights * ce) / target.size)
+
+
+def flat(result):
+    """A pass's results, its lists of per-layer grads unpacked."""
+    return [a for r in result for a in (r if isinstance(r, list) else [r])]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestChannelsLastBits:
+    """Every public pass returns the bytes the channels-last model returned."""
+
+    # the image's dtype; loss_value_f64 and the gradient check run float64
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("size", [(64, 64), (96, 96), (37, 50), (50, 96)],
+                             ids=["64x64", "96x96", "37x50", "50x96"])
+    def test_passes_equal_channels_last_model(self, trained_tiny, size, dtype, monkeypatch):
+        m = trained_tiny[0]
+        rng = np.random.default_rng(size[0] * size[1])
+        img = rng.uniform(0, 255, size + (3,)).astype(dtype)
+        lab = rng.integers(0, m.num_classes, size).astype(np.int32)
+        weights = rng.uniform(0.5, 2.0, size).astype(np.float32)
+
+        def objective(probs):
+            return np.argmin(probs, axis=2).astype(np.int32), probs.max(axis=2)
+
+        assert same_bits(seg_model.predict(m, img),
+                         seg_model.softmax(cl_forward(m, img)[0]))
+        for got, want in ((seg_model.predict_and_grad(m, img, objective),
+                           cl_predict_and_grad(m, img, objective)),
+                          (seg_model.loss_input_grad(m, img, lab, weights),
+                           cl_loss_input_grad(m, img, lab, weights)),
+                          (seg_model._param_grads(m, img, lab, weights),
+                           cl_param_grads(m, img, lab, weights))):
+            got, want = flat(got), flat(want)
+            assert len(got) == len(want) and all(map(same_bits, got, want))
+        x64 = img.astype(np.float64)
+        assert same_bits(seg_model._forward(m, x64, np.float64)[0],
+                         cl_forward(m, x64, np.float64)[0])
+        assert seg_model.loss_value_f64(m, x64, lab, weights) == \
+            cl_loss_value_f64(m, x64, lab, weights)
+        report = seg_model.grad_check(m, img, lab, weights, n_samples=100, seed=3)
+        monkeypatch.setattr(seg_model, "loss_input_grad", cl_loss_input_grad)
+        monkeypatch.setattr(seg_model, "loss_value_f64", cl_loss_value_f64)
+        assert report == seg_model.grad_check(m, img, lab, weights, n_samples=100, seed=3)
 
 
 def on_glibc():

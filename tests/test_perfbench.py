@@ -11,7 +11,9 @@ import os
 
 import pytest
 
-from segdetect import pipeline
+import numpy as np
+
+from segdetect import model, pipeline
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -59,3 +61,28 @@ def test_checked_file_is_a_unit_output(unit, path):
     path = os.path.join(out, path)
     assert any(p == path or p.endswith(os.sep) and path.startswith(p)
                for p in pipeline.unit_outputs(out, unit))
+
+
+def test_tracer_names_and_counts_the_conv_layers():
+    """The tracer names each conv layer from its kernel and counts its flop
+    from the shapes of what the model passes to the conv ops."""
+    m = model.init_model(3, seed=0)
+    rng = np.random.default_rng(0)
+    h, w = 6, 7
+    image = rng.uniform(0, 255, (h, w, 3)).astype(np.float32)
+    labels = rng.integers(0, 3, (h, w)).astype(np.int32)
+    ones = np.ones((h, w), np.float32)
+    tracer = tracing.Tracer()
+    tracer.instrument()
+    try:
+        model._param_grads(m, image, labels, ones)
+        model.loss_input_grad(m, image, labels, ones)
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans if span[0].startswith("autodiff.conv2d")]
+    layers = ["L1", "L2", "L3"]
+    assert sorted(names) == sorted([f"autodiff.conv2d_fwd.{layer}" for layer in layers] * 2
+                                   + [f"autodiff.conv2d_bwd.{layer}" for layer in layers])
+    # loss_input_grad's backward calls conv2d_input_grad, which is not traced
+    macs = sum(h * w * k.shape[0] * k.shape[1] * k.shape[2] * k.shape[3] for k in m.kernels)
+    assert tracer.counts["conv_flop"] == 2 * (2 * macs) + 4 * macs

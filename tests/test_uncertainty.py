@@ -66,6 +66,45 @@ class TestDispersionMaps:
         np.testing.assert_allclose(a.margin, b.margin, atol=1e-12)
 
 
+
+def partition_features(probs):
+    """The features as computed over the class axis with np.partition for
+    the top two: the reference for the bits of the per-class loops."""
+    p = probs.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
+    entropy = -plogp.sum(axis=2)
+    part = np.partition(p, p.shape[2] - 2, axis=2)
+    variation = 1.0 - part[:, :, -1]
+    margin = variation + part[:, :, -2]
+    values = np.concatenate([[entropy.mean(), variation.mean(), margin.mean()],
+                             p.mean(axis=(0, 1))])
+    return (entropy, variation, margin), values
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", range(2, 8))
+def test_features_equal_partition_reference_bitwise(c, dtype):
+    rng = np.random.default_rng(c)
+    z = rng.normal(0, 4, (20, 23, c))
+    z[8:10, :, 1] = z[8:10, :, 0]       # ties inside softmax rows
+    z[10:12, :, :2] = z[10:12].max(axis=2, keepdims=True)   # ... for the top two
+    p = np.exp(z - z.max(axis=2, keepdims=True))
+    p = (p / p.sum(axis=2, keepdims=True)).astype(dtype)
+    p[:4] = 0.0                         # one-hot rows: exact zeros
+    p[:2, :, c - 1] = 1.0
+    p[2:4, :, 0] = 1.0
+    p[4:6, :, :2] = 0.5                 # the top two tie
+    p[4:6, :, 2:] = 0.0
+    p[6:8] = dtype(1.0 / c)             # every class ties
+    (entropy, variation, margin), values = partition_features(p)
+    maps = uncertainty.dispersion_maps(p)
+    assert maps.entropy.tobytes() == entropy.tobytes()
+    assert maps.variation_ratio.tobytes() == variation.tobytes()
+    assert maps.margin.tobytes() == margin.tobytes()
+    assert uncertainty.feature_vector(p).values.tobytes() == values.tobytes()
+
+
 class TestFeatureVector:
     def test_length_is_classes_plus_three(self):
         p = np.full((4, 4, 5), 0.2)
