@@ -1,9 +1,9 @@
 """Command-line front end for the experiment pipeline.
 
 Each stage subcommand runs the pipeline up to and including its stage;
-`run-all` executes everything.
-The SEGDETECT_THREADS environment variable sets BLAS thread counts (default
-1: the attack and feature stages already run one image per CPU).
+`run-all` executes everything. Each command declares only the flags it reads.
+BLAS runs one thread unless a standard BLAS variable says otherwise: the
+attack and feature stages already run one image per CPU.
 """
 
 import argparse
@@ -13,11 +13,9 @@ import sys
 
 
 def _apply_thread_override():
-    """BLAS threads: SEGDETECT_THREADS, else 1, wherever the user has not set
-    a BLAS variable. BLAS reads them when numpy loads."""
-    threads = os.environ.get("SEGDETECT_THREADS") or "1"
+    """BLAS threads: 1 wherever the user set none; BLAS reads them when numpy loads."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+        os.environ.setdefault(var, "1")
 
 
 _apply_thread_override()
@@ -44,7 +42,7 @@ def load_config(args):
     cfg = pipeline.ExperimentConfig.from_dict(doc)
     if args.out:
         cfg.out_dir = args.out
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
         cfg.dataset.seed = args.seed
         cfg.train.seed = args.seed
@@ -67,9 +65,10 @@ STAGE_LINES = {
 }
 
 
-def cmd_stage(cfg, args):
+def cmd_stage(args):
     """Runs the pipeline up to and including the command's stage (every stage
     for run-all); --force recomputes that stage and every later one."""
+    cfg = load_config(args)
     named = pipeline.STAGES if args.command == "run-all" else (args.command,)
     results = {}
     for stage, result in pipeline.run_stages(cfg, named[0] if args.force else None):
@@ -79,22 +78,23 @@ def cmd_stage(cfg, args):
     print(STAGE_LINES[stage](cfg, results))
 
 
-def cmd_detect(cfg, args):
+def cmd_detect(args):
     model = detectors.load_detector(args.detector)
     feats = uncertainty.read_features(args.features)
     for f, p in zip(feats, detectors.score_many(model, feats)):
         print(f"{f.image_id},{p:.6f},{detectors.classify(p, args.kappa)}")
 
 
-def cmd_report(cfg, args):
+def cmd_report(args):
     """Prints report.csv; fails, naming the stale units, if it is stale under config.json."""
-    recorded, run = (tensorio.read_json(os.path.join(cfg.out_dir, n))
+    out_dir = load_config(args).out_dir
+    recorded, run = (tensorio.read_json(os.path.join(out_dir, n))
                      for n in ("keys.json", "config.json"))
     keys = pipeline.unit_keys(pipeline.ExperimentConfig.from_dict(run))
     if recorded.get("evaluate") != keys["evaluate"]:
         stale = ", ".join(unit for unit, key in keys.items() if recorded.get(unit) != key)
         raise ValueError(f"stale report: keys.json differs from config.json for {stale}")
-    with open(pipeline.unit_outputs(cfg.out_dir, "evaluate")[0]) as fh:
+    with open(pipeline.unit_outputs(out_dir, "evaluate")[0]) as fh:
         sys.stdout.write(fh.read())
 
 
@@ -108,22 +108,24 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--seed", type=int, help="override the global seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--stage-overrides", help="JSON fragment merged into the config")
-        p.add_argument("--force", action="store_true", help="recompute this and later stages")
         if name == "detect":
             p.add_argument("--detector", required=True, help="detector JSON file")
             p.add_argument("--features", required=True, help="feature CSV to score")
             p.add_argument("--kappa", type=float, default=0.5)
+            continue
+        p.add_argument("--config", help="experiment config JSON")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--stage-overrides", help="JSON fragment merged into the config")
+        if name != "report":
+            p.add_argument("--seed", type=int, help="override the global seed")
+            p.add_argument("--force", action="store_true", help="recompute this and later stages")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        COMMANDS[args.command](load_config(args), args)
+        COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - stage-tagged diagnostics on stderr
         print(f"segdetect: {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,12 @@
-"""Attack-strength and detection metrics plus the 5-fold evaluation harness.
+"""Attack-strength and detection metrics plus the k-fold evaluation harness.
 
 APSR: fraction of pixels whose argmax prediction differs from ground truth.
 ADA*: best averaged detection accuracy over a 40-point kappa grid.
 AUROC: probability a random clean score exceeds a random perturbed one.
 TPR5%: true positive rate at a threshold capping the clean FPR at 5%.
+
+cross_validate trains one detector kind on the attacks its caller names
+(pipeline._detector_specs) and scores it against every attack.
 """
 
 import csv
@@ -22,8 +25,6 @@ MIN_CLEAN_SCORES = 20   # the least a 5% FPR threshold can be read from
 class ScoreSet:
     clean: np.ndarray
     adv: np.ndarray
-    detector: str = ""
-    attack: str = ""
 
     def __post_init__(self):
         self.clean = np.asarray(self.clean, dtype=np.float64)
@@ -46,13 +47,10 @@ def ada_star(scores):
     total = len(scores.clean) + len(scores.adv)
     if total == 0:
         raise InputError("empty score set")
-    best_ada, best_kappa = -1.0, 0.0
-    for kappa in KAPPA_GRID:
-        correct = int(np.sum(scores.clean >= kappa)) + int(np.sum(scores.adv < kappa))
-        ada = correct / total
-        if ada > best_ada:
-            best_ada, best_kappa = ada, float(kappa)
-    return best_ada, best_kappa
+    grid = KAPPA_GRID[:, None]
+    correct = np.sum(scores.clean >= grid, axis=1) + np.sum(scores.adv < grid, axis=1)
+    best = int(np.argmax(correct))      # the first maximum: the smallest kappa
+    return int(correct[best]) / total, float(KAPPA_GRID[best])
 
 
 def auroc(scores):
@@ -122,54 +120,34 @@ def make_folds(ids, folds, seed):
     return [[ids[i] for i in order[f::folds]] for f in range(folds)]
 
 
-@dataclass
-class DetectorSpec:
-    kind: str
-    train_attack: str = "ifgsm_ll_e2"   # lasso only
-    hyperparams: dict = field(default_factory=dict)
-
-
-def cross_validate(clean_features, adv_by_attack, spec, apsr_by_attack=None,
-                   folds=5, seed=0):
+def cross_validate(clean_features, adv_by_attack, kind, hyperparams, train_attacks, folds,
+                   seed):
     """K-fold evaluation partitioned by image id (a clean image and its
-    attacked versions never straddle train/test). Returns one EvalRow per
-    attack with mean and std over folds."""
+    attacked versions never straddle train/test): each fold trains on its
+    training ids' clean features and their features under `train_attacks`.
+    Returns one EvalRow per attack, sorted by tag: fold means and stds, no APSR."""
+    for tag in train_attacks:
+        if tag not in adv_by_attack:
+            raise InputError(f"training attack {tag!r} has no features")
     ids = [f.image_id for f in clean_features]
-    fold_ids = make_folds(ids, folds, seed)
-    apsr_by_attack = apsr_by_attack or {}
-    if (detectors.is_supervised(spec.kind, spec.hyperparams)
-            and spec.train_attack not in adv_by_attack):
-        raise InputError(f"training attack {spec.train_attack!r} has no features")
-    per_attack = {tag: {"ada": [], "kappa": [], "auroc": [], "tpr": []}
-                  for tag in adv_by_attack}
-    for test_ids in fold_ids:
-        test_set = set(test_ids)
-        train_ids = set(ids) - test_set
-        clean_train = [f for f in clean_features if f.image_id in train_ids]
-        clean_test = [f for f in clean_features if f.image_id in test_set]
-        adv_train = [f for f in adv_by_attack.get(spec.train_attack, [])
-                     if f.image_id in train_ids]
-        model = detectors.train_detector(spec.kind, clean_train, adv_train, **spec.hyperparams)
-        clean_scores = detectors.score_many(model, clean_test)
-        for tag, adv_features in adv_by_attack.items():
-            adv_test = [f for f in adv_features if f.image_id in test_set]
-            adv_scores = detectors.score_many(model, adv_test)
-            ss = ScoreSet(clean=clean_scores, adv=adv_scores,
-                          detector=spec.kind, attack=tag)
-            ada, kappa = ada_star(ss)
-            per_attack[tag]["ada"].append(ada)
-            per_attack[tag]["kappa"].append(kappa)
-            per_attack[tag]["auroc"].append(auroc(ss))
-            per_attack[tag]["tpr"].append(tpr_at_fpr(ss))
-    rows = []
-    for tag in sorted(per_attack):
-        st = per_attack[tag]
-        rows.append(EvalRow(
-            detector=spec.kind, attack=tag,
-            apsr_mean=float(apsr_by_attack.get(tag, np.nan)),
-            ada_mean=float(np.mean(st["ada"])), ada_std=float(np.std(st["ada"])),
-            kappa_mean=float(np.mean(st["kappa"])),
-            auroc_mean=float(np.mean(st["auroc"])), auroc_std=float(np.std(st["auroc"])),
-            tpr_mean=float(np.mean(st["tpr"])), tpr_std=float(np.std(st["tpr"])),
-        ))
-    return EvalReport(rows=rows)
+    tags = sorted(adv_by_attack)
+    # attack x (ada, kappa, auroc, tpr) x fold: the fold axis is contiguous, so
+    # each mean and std sums its folds as numpy sums a list (pairwise from 8 on)
+    table = np.empty((len(tags), 4, folds))
+    for k, test_ids in enumerate(make_folds(ids, folds, seed)):
+        test, train = set(test_ids), set(ids) - set(test_ids)
+        model = detectors.train_detector(
+            kind, [f for f in clean_features if f.image_id in train],
+            [f for tag in train_attacks for f in adv_by_attack[tag] if f.image_id in train],
+            **hyperparams)
+        clean_scores = detectors.score_many(
+            model, [f for f in clean_features if f.image_id in test])
+        for i, tag in enumerate(tags):
+            ss = ScoreSet(clean_scores, detectors.score_many(
+                model, [f for f in adv_by_attack[tag] if f.image_id in test]))
+            table[i, :, k] = (*ada_star(ss), auroc(ss), tpr_at_fpr(ss))
+    mean, std = table.mean(axis=2), table.std(axis=2)
+    return [EvalRow(kind, tag, ada_mean=float(m[0]), ada_std=float(s[0]), kappa_mean=float(m[1]),
+                    auroc_mean=float(m[2]), auroc_std=float(s[2]), tpr_mean=float(m[3]),
+                    tpr_std=float(s[3]))
+            for tag, m, s in zip(tags, mean, std)]

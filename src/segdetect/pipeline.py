@@ -255,6 +255,12 @@ def _ifgsm_config(cfg, params):
                                 targeted=bool(params.get("targeted")))
 
 
+def _dnnm_config(cfg, params):
+    dcfg = attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **params})
+    synthdata.check_hidden_class(dcfg.hidden_class, cfg.dataset.num_classes)
+    return dcfg
+
+
 def sign_tag(kind, spec):
     """`<kind>_e<eps>`, or `<kind>_ll_e<eps>` when the spec targets the least likely class."""
     return f"{kind}{'_ll' if spec.get('targeted') else ''}_e{spec['eps']:g}"
@@ -298,9 +304,7 @@ ATTACKS = {
              ("alpha", "n_iter")),
     "ifgsm": (attacks.AttackConfig, _ifgsm_config, _per_image("ifgsm"), sign_tag, ()),
     "ssmm": (attacks.SsmmConfig, lambda cfg, p: attacks.SsmmConfig(**p), _run_ssmm, None, ()),
-    "dnnm": (attacks.DnnmConfig,
-             lambda cfg, p: attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **p}),
-             _per_image("dnnm_attack"), None, ()),
+    "dnnm": (attacks.DnnmConfig, _dnnm_config, _per_image("dnnm_attack"), None, ()),
     "patch": (attacks.PatchConfig, lambda cfg, p: attacks.PatchConfig(**{"seed": cfg.seed, **p}),
               _run_patch, None, ()),
 }
@@ -377,9 +381,9 @@ def stage_extract_features(cfg, model, val_set, attacked):
 
 def _detector_specs(cfg):
     """(kind, hyperparameters, training attacks) of each configured detector
-    that can train: a supervised kind needs its training attack. Raises
-    InputError on an unknown kind or key, a value unlike its trainer default,
-    or one its trainer would refuse (detectors.RULES)."""
+    whose training attacks run; its deployable and per-fold models train on
+    them. Raises InputError on an unknown kind or key, a value unlike its
+    trainer default, or one its trainer would refuse (detectors.RULES)."""
     specs = [_spec_params(s, "detector_list") for s in cfg.detector_list]
     for kind, hyper in specs:
         _check_keys(detectors.hyperparameters(kind), hyper, f"detector {kind!r}")
@@ -395,8 +399,9 @@ def stage_train_detectors(cfg, clean_feats, adv_feats):
     models = {}
     for kind, hyper, adv in _detector_specs(cfg):
         path, = unit_outputs(cfg.out_dir, f"train-detector/{kind}")
+        adv_train = [f for tag in adv for f in adv_feats[tag]]
         _unit(cfg, f"train-detector/{kind}", lambda: detectors.save_detector(
-            detectors.train_detector(kind, clean_feats, *map(adv_feats.get, adv), **hyper), path))
+            detectors.train_detector(kind, clean_feats, adv_train, **hyper), path))
         models[kind] = detectors.load_detector(path)
     return models
 
@@ -408,13 +413,12 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
     def evaluate():
         apsr = {tag: float(np.mean([f.apsr for f in feats]))
                 for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
-        report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean", apsr_mean=apsr["clean"])])
-        for kind, hyper, _ in _detector_specs(cfg) if adv_feats else []:
-            dspec = metrics.DetectorSpec(kind=kind, train_attack=cfg.train_attack,
-                                         hyperparams=hyper)
-            part = metrics.cross_validate(clean_feats, adv_feats, dspec, apsr_by_attack=apsr,
-                                          folds=cfg.folds, seed=cfg.seed)
-            report.rows.extend(part.rows)
+        report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean")])
+        for kind, hyper, adv in _detector_specs(cfg) if adv_feats else []:
+            report.rows += metrics.cross_validate(clean_feats, adv_feats, kind, hyper, adv,
+                                                  cfg.folds, cfg.seed)
+        for row in report.rows:
+            row.apsr_mean = apsr[row.attack]
         report.write_csv(csv_path)
         report.write_json(json_path)
 

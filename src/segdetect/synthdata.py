@@ -23,6 +23,12 @@ DEFAULT_PALETTE = [
 ]
 
 
+def check_hidden_class(hidden_class, num_classes):
+    """Raises InputError unless hidden_class names a shape class (not the background)."""
+    if not 1 <= hidden_class < num_classes:
+        raise InputError(f"hidden_class must be in [1, {num_classes - 1}], got {hidden_class}")
+
+
 @dataclass
 class DatasetConfig:
     height: int = 64
@@ -43,6 +49,15 @@ class DatasetConfig:
             raise InputError("images must be at least 32x32")
         if len(self.palette) < self.num_classes:
             raise InputError("palette must cover every class")
+        check_hidden_class(self.hidden_class, self.num_classes)
+        if len(self.shapes_per_image) != 2 or not (
+                0 <= self.shapes_per_image[0] <= self.shapes_per_image[1]):
+            raise InputError(f"shapes_per_image must be [lo, hi] with 0 <= lo <= hi, "
+                             f"got {list(self.shapes_per_image)}")
+        if not 0 <= self.noise_std < np.inf:     # NaN fails too
+            raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.train_size < 1 or self.val_size < 1:
+            raise InputError("train_size and val_size must be >= 1")
 
     def to_dict(self):
         return dict(asdict(self), shapes_per_image=list(self.shapes_per_image),

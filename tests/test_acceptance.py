@@ -13,7 +13,7 @@ import pytest
 
 from segdetect import attacks, detectors, metrics, pipeline, synthdata, tensorio
 from segdetect.model import load_model, predicted_labels
-from segdetect.uncertainty import FeatureVector, feature_vector
+from segdetect.uncertainty import FeatureVector, feature_vector, read_features
 
 
 @pytest.fixture()
@@ -214,6 +214,18 @@ def test_certainty_raising_attacks_evade_one_sided_detectors(full_run):
             assert auroc[detector, attack] < 0.5, (detector, attack)
         for detector in ("ocsvm", "ellipse"):
             assert auroc[detector, attack] > 0.9, (detector, attack)
+
+
+def test_report_apsr_is_each_feature_table_mean(full_run):
+    """evaluate takes each row's APSR from its attack's feature table. Here,
+    unlike on the small test runs, every attack moves the APSR its own way."""
+    cfg, _ = full_run
+    rows = json.load(open(os.path.join(cfg.out_dir, "report", "report.json")))
+    apsr = {tag: float(np.mean([f.apsr for f in read_features(
+        os.path.join(cfg.out_dir, "features", f"{tag}.csv"))])) for tag in {r["attack"] for r in rows}}
+    assert len(set(apsr.values())) == len(apsr) == 17
+    for row in rows:
+        assert row["apsr_mean"] == apsr[row["attack"]], row
 
 
 def test_a10_determinism(full_run, tmp_path_factory, announce):

@@ -1,9 +1,11 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segdetect import metrics
+from segdetect import detectors, metrics
 from segdetect.errors import InputError
 from segdetect.uncertainty import FeatureVector
 
@@ -181,13 +183,10 @@ class TestCrossValidate:
         lnc = np.log(4)
         clean = entropy_features(100, lnc, 0.2 * lnc, seed=0)
         adv = entropy_features(100, lnc, 0.8 * lnc, seed=1, label="adv", attack="atk")
-        spec = metrics.DetectorSpec(kind="entropy")
-        report = metrics.cross_validate(clean, {"atk": adv}, spec,
-                                        apsr_by_attack={"atk": 0.5}, folds=5, seed=0)
-        assert len(report.rows) == 1
-        row = report.rows[0]
+        rows = metrics.cross_validate(clean, {"atk": adv}, "entropy", {}, [], folds=5, seed=0)
+        assert len(rows) == 1
+        row = rows[0]
         assert row.detector == "entropy" and row.attack == "atk"
-        assert row.apsr_mean == 0.5
         assert row.ada_mean > 0.95
         assert row.auroc_mean > 0.99
         assert row.tpr_mean > 0.9
@@ -196,20 +195,119 @@ class TestCrossValidate:
         lnc = np.log(4)
         clean = entropy_features(60, lnc, 0.3 * lnc, seed=2)
         adv = entropy_features(60, lnc, 0.6 * lnc, seed=3, label="adv", attack="a")
-        spec = metrics.DetectorSpec(kind="entropy")
-        r1 = metrics.cross_validate(clean, {"a": adv}, spec,
-                                    apsr_by_attack={"a": 0.4}, folds=3, seed=1)
-        r2 = metrics.cross_validate(clean, {"a": adv}, spec,
-                                    apsr_by_attack={"a": 0.4}, folds=3, seed=1)
+        r1 = metrics.cross_validate(clean, {"a": adv}, "entropy", {}, [], folds=3, seed=1)
+        r2 = metrics.cross_validate(clean, {"a": adv}, "entropy", {}, [], folds=3, seed=1)
         assert r1 == r2
 
     def test_lasso_requires_train_attack(self):
         lnc = np.log(4)
         clean = entropy_features(60, lnc, 0.3 * lnc, seed=4)
         adv = entropy_features(60, lnc, 0.6 * lnc, seed=5, label="adv", attack="a")
-        spec = metrics.DetectorSpec(kind="lasso", train_attack="missing")
-        with pytest.raises(InputError):
-            metrics.cross_validate(clean, {"a": adv}, spec, folds=3, seed=0)
+        with pytest.raises(InputError, match="training attack 'missing' has no features"):
+            metrics.cross_validate(clean, {"a": adv}, "lasso", {}, ["missing"], folds=3, seed=0)
+
+
+def parent_ada_star(scores):
+    """ada_star as a loop over the kappa grid, as it was before it compared
+    the whole grid at once."""
+    total = len(scores.clean) + len(scores.adv)
+    best_ada, best_kappa = -1.0, 0.0
+    for kappa in metrics.KAPPA_GRID:
+        correct = int(np.sum(scores.clean >= kappa)) + int(np.sum(scores.adv < kappa))
+        ada = correct / total
+        if ada > best_ada:
+            best_ada, best_kappa = ada, float(kappa)
+    return best_ada, best_kappa
+
+
+def parent_cross_validate(clean_features, adv_by_attack, kind, hyperparams, train_attack,
+                          folds, seed):
+    """cross_validate as it was before its caller named the training attacks:
+    every kind gets `train_attack`'s features (only a supervised one reads
+    them), and each attack keeps four lists of per-fold values."""
+    ids = [f.image_id for f in clean_features]
+    per_attack = {tag: {"ada": [], "kappa": [], "auroc": [], "tpr": []} for tag in adv_by_attack}
+    for test_ids in metrics.make_folds(ids, folds, seed):
+        test_set = set(test_ids)
+        train_ids = set(ids) - test_set
+        clean_train = [f for f in clean_features if f.image_id in train_ids]
+        clean_test = [f for f in clean_features if f.image_id in test_set]
+        adv_train = [f for f in adv_by_attack.get(train_attack, []) if f.image_id in train_ids]
+        model = detectors.train_detector(kind, clean_train, adv_train, **hyperparams)
+        clean_scores = detectors.score_many(model, clean_test)
+        for tag, adv_features in adv_by_attack.items():
+            adv_test = [f for f in adv_features if f.image_id in test_set]
+            ss = metrics.ScoreSet(clean=clean_scores, adv=detectors.score_many(model, adv_test))
+            ada, kappa = parent_ada_star(ss)
+            per_attack[tag]["ada"].append(ada)
+            per_attack[tag]["kappa"].append(kappa)
+            per_attack[tag]["auroc"].append(metrics.auroc(ss))
+            per_attack[tag]["tpr"].append(metrics.tpr_at_fpr(ss))
+    rows = []
+    for tag in sorted(per_attack):
+        st = per_attack[tag]
+        rows.append(metrics.EvalRow(
+            detector=kind, attack=tag,
+            ada_mean=float(np.mean(st["ada"])), ada_std=float(np.std(st["ada"])),
+            kappa_mean=float(np.mean(st["kappa"])),
+            auroc_mean=float(np.mean(st["auroc"])), auroc_std=float(np.std(st["auroc"])),
+            tpr_mean=float(np.mean(st["tpr"])), tpr_std=float(np.std(st["tpr"]))))
+    return rows
+
+
+def tied_features(n, shift, seed, attack=""):
+    """n 4-class feature vectors (entropy, variation ratio, margin, class
+    means), drawn from 12 vectors, so that many images share one score."""
+    rng = np.random.default_rng(seed)
+    pool = rng.normal([0.6, 0.3, 0.4, 0.4, 0.2, 0.2, 0.2], 0.3, (12, 7)) + shift
+    values = pool[rng.integers(0, len(pool), n)]
+    return [FeatureVector(values=np.abs(v), image_id=f"val_{i:04d}",
+                          label="adv" if attack else "clean", attack=attack)
+            for i, v in enumerate(values)]
+
+
+def tied_and_floored_sets():
+    """160 clean images (8 folds of 20) and four attacks: the supervised kinds
+    train on "train"; "copy" repeats the clean vectors (every score ties), and
+    "far" lies beyond every clean one (entropy, ocsvm and ellipse score 0)."""
+    clean = tied_features(160, 0.0, seed=0)
+    adv = {"train": tied_features(160, 0.5, seed=1, attack="train"),
+           "near": tied_features(160, 0.25, seed=2, attack="near"),
+           "copy": [FeatureVector(values=f.values, image_id=f.image_id, label="adv",
+                                  attack="copy") for f in clean],
+           "far": tied_features(160, 40.0, seed=3, attack="far")}
+    return clean, adv
+
+
+# from 8 folds on numpy sums a list pairwise, so the fold means and stds
+# also pin the order in which cross_validate sums its folds
+@pytest.mark.parametrize("folds", [2, 5, 8])
+@pytest.mark.parametrize("kind", sorted(detectors.DETECTORS))
+def test_cross_validate_equals_parent_bitwise(kind, folds):
+    clean, adv = tied_and_floored_sets()
+    train = ["train"] if detectors.is_supervised(kind) else []
+    model = detectors.train_detector(kind, clean, adv["train"])
+    scores = detectors.score_many(model, clean + adv["near"] + adv["far"])
+    assert len(np.unique(scores)) < len(scores) / 2
+    assert kind == "lasso" or np.all(detectors.score_many(model, adv["far"]) == 0)
+    rows = metrics.cross_validate(clean, adv, kind, {}, train, folds, seed=3)
+    expected = parent_cross_validate(clean, adv, kind, {}, "train", folds, seed=3)
+    assert [(r.detector, r.attack) for r in rows] == [(r.detector, r.attack) for r in expected]
+    for row, ref in zip(rows, expected):
+        assert np.array(astuple(row)[2:]).tobytes() == np.array(astuple(ref)[2:]).tobytes(), row
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n_clean=st.integers(0, 30), n_adv=st.integers(0, 30))
+def test_ada_star_equals_parent_loop(seed, n_clean, n_adv):
+    # scores on a grid coarser and finer than kappa's, with zeros and ones
+    rng = np.random.default_rng(seed)
+    step = rng.choice([1 / 2, 1 / 39, 1 / 78, 1 / 1000])
+    clean, adv = (np.round(rng.uniform(size=n) / step) * step for n in (n_clean, n_adv))
+    ss = scoreset(np.minimum(clean, 1.0), np.minimum(adv, 1.0))
+    if n_clean + n_adv == 0:
+        return
+    assert metrics.ada_star(ss) == parent_ada_star(ss)
 
 
 def test_report_csv_sorted_and_formatted(tmp_path):

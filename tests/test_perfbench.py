@@ -13,7 +13,7 @@ import pytest
 
 import numpy as np
 
-from segdetect import model, pipeline
+from segdetect import metrics, model, pipeline
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -27,7 +27,7 @@ def load(name):
     return module
 
 
-tracing, run = load("tracing"), load("run")
+tracing, run, checks = load("tracing"), load("run"), load("checks")
 
 
 @pytest.mark.parametrize("module,attr", sorted({(m, a) for m, a, _ in tracing.BINDINGS}))
@@ -86,3 +86,21 @@ def test_tracer_names_and_counts_the_conv_layers():
     # loss_input_grad's backward calls conv2d_input_grad, which is not traced
     macs = sum(h * w * k.shape[0] * k.shape[1] * k.shape[2] * k.shape[3] for k in m.kernels)
     assert tracer.counts["conv_flop"] == 2 * (2 * macs) + 4 * macs
+
+
+@pytest.mark.parametrize("config", [
+    *(run.WORKLOADS[name]["config"] for name in sorted(run.WORKLOADS)), {},
+    {"attack_list": [{"kind": "fgsm", "eps": 8}], "folds": 2, "train_attack": "ifgsm_ll_e2"}],
+    ids=[*sorted(run.WORKLOADS), "default", "train_attack_not_run"])
+def test_checked_report_rows_are_the_rows_evaluate_writes(config, tmp_path):
+    """`checks.py` writes out its own rule for which detectors report (lasso
+    only when its training attack runs): it must name the rows stage_evaluate
+    writes, the clean row and each _detector_specs kind x each attack."""
+    cfg = pipeline.ExperimentConfig.from_dict(copy.deepcopy(config))
+    tags = [pipeline.attack_tag(spec) for spec in cfg.attack_list]
+    kinds = [kind for kind, _, _ in pipeline._detector_specs(cfg)] if tags else []
+    report = metrics.EvalReport([metrics.EvalRow("-", "clean", 0.0)] + [
+        metrics.EvalRow(kind, tag, *[0.5] * 8) for kind in kinds for tag in tags])
+    os.makedirs(tmp_path / "report")
+    report.write_csv(tmp_path / "report" / "report.csv")
+    assert checks.check_report(str(tmp_path), cfg.to_dict(), run.CLEAN_APSR_MAX) == []

@@ -313,6 +313,23 @@ class TestMiniPipeline:
         assert doc["passed"] is True
         assert (doc["h"], doc["n_samples"], doc["radius"]) == (0.1, 200, 2)
 
+    def test_report_apsr_is_the_feature_table_mean(self, mini_run):
+        cfg, _ = mini_run
+        rows = json.load(open(os.path.join(cfg.out_dir, "report", "report.json")))
+        assert len(rows) == 1 + 4 * len(cfg.attack_list)
+        for row in rows:
+            feats = uncertainty.read_features(
+                os.path.join(cfg.out_dir, "features", f"{row['attack']}.csv"))
+            assert row["apsr_mean"] == float(np.mean([f.apsr for f in feats])), row
+
+    def test_lasso_trains_on_clean_and_the_training_attack(self, mini_run, tmp_path):
+        cfg, _ = mini_run
+        clean, adv = (uncertainty.read_features(os.path.join(cfg.out_dir, "features", f"{n}.csv"))
+                      for n in ("clean", cfg.train_attack))
+        detectors.save_detector(detectors.train_detector("lasso", clean, adv), tmp_path / "l.json")
+        assert ((tmp_path / "l.json").read_bytes()
+                == open(os.path.join(cfg.out_dir, "detectors", "lasso.json"), "rb").read())
+
     def test_lasso_records_iterations(self, mini_run):
         cfg, _ = mini_run
         doc = json.load(open(os.path.join(cfg.out_dir, "detectors", "lasso.json")))
@@ -346,7 +363,7 @@ class TestCli:
 
     def test_detect_command(self, mini_run, capsys):
         cfg, _ = mini_run
-        rc = cli.main(["detect", "--out", cfg.out_dir,
+        rc = cli.main(["detect",
                        "--detector", os.path.join(cfg.out_dir, "detectors", "entropy.json"),
                        "--features", os.path.join(cfg.out_dir, "features", "clean.csv"),
                        "--kappa", "0.5"])
@@ -368,7 +385,7 @@ class TestCli:
             return real(model, features)
 
         monkeypatch.setattr(detectors, "score_many", counting)
-        rc = cli.main(["detect", "--out", cfg.out_dir,
+        rc = cli.main(["detect",
                        "--detector", os.path.join(cfg.out_dir, "detectors", "lasso.json"),
                        "--features", os.path.join(cfg.out_dir, "features", "fgsm_e8.csv")])
         assert rc == 0
@@ -418,6 +435,19 @@ class TestCli:
          "ocsvm key nu: must be in (0, 1), got 2.0"),
         ('{"detector_list": [{"kind": "ellipse", "shrinkage": -0.5}]}',
          "ellipse key shrinkage: must be finite and >= 0, got -0.5"),
+        ('{"dataset": {"noise_std": -1}}', "noise_std must be finite and >= 0, got -1"),
+        ('{"dataset": {"noise_std": NaN}}', "noise_std must be finite and >= 0, got nan"),
+        ('{"dataset": {"shapes_per_image": [-1, -1]}}',
+         "shapes_per_image must be [lo, hi] with 0 <= lo <= hi, got [-1, -1]"),
+        ('{"dataset": {"shapes_per_image": [5, 2]}}',
+         "shapes_per_image must be [lo, hi] with 0 <= lo <= hi, got [5, 2]"),
+        ('{"dataset": {"hidden_class": 7}}', "hidden_class must be in [1, 3], got 7"),
+        ('{"dataset": {"hidden_class": 0}}', "hidden_class must be in [1, 3], got 0"),
+        ('{"attack_list": [{"kind": "dnnm", "hidden_class": 4}]}',
+         "hidden_class must be in [1, 3], got 4"),
+        ('{"dataset": {"train_size": 0}}', "train_size and val_size must be >= 1"),
+        ('{"attack_list": [], "dataset": {"val_size": -4}}',
+         "train_size and val_size must be >= 1"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -434,7 +464,7 @@ class TestCli:
         path = tmp_path / "old.csv"
         path.write_text("id,label,attack,E,V,M,P0,P1,P2,P3\n"
                         "val_0000,clean,,0.1,0.05,0.06,0.7,0.1,0.1,0.1\n")
-        rc = cli.main(["detect", "--out", cfg.out_dir,
+        rc = cli.main(["detect",
                        "--detector", os.path.join(cfg.out_dir, "detectors", "entropy.json"),
                        "--features", str(path)])
         assert rc == 1
@@ -442,11 +472,31 @@ class TestCli:
         assert err.startswith("segdetect: detect: ") and "old.csv" in err and "--force" in err
 
     def test_unknown_detector_file_errors(self, tmp_path, capsys):
-        rc = cli.main(["detect", "--out", str(tmp_path),
-                       "--detector", str(tmp_path / "nope.json"),
+        rc = cli.main(["detect", "--detector", str(tmp_path / "nope.json"),
                        "--features", str(tmp_path / "nope.csv")])
         assert rc == 1
         assert "segdetect: detect:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--detector", "d.json", "--features", "f.csv", "--out", "run"],
+        ["detect", "--detector", "d.json", "--features", "f.csv", "--config", "c.json"],
+        ["detect", "--detector", "d.json", "--features", "f.csv", "--force"],
+        ["report", "--seed", "1"],
+        ["report", "--force"],
+        ["evaluate", "--kappa", "0.5"],
+    ])
+    def test_command_refuses_a_flag_it_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+    def test_detect_reads_no_config(self, mini_run, monkeypatch, capsys):
+        cfg, _ = mini_run
+        monkeypatch.setattr(pipeline.ExperimentConfig, "from_dict", None)
+        rc = cli.main(["detect",
+                       "--detector", os.path.join(cfg.out_dir, "detectors", "entropy.json"),
+                       "--features", os.path.join(cfg.out_dir, "features", "clean.csv")])
+        assert rc == 0 and len(capsys.readouterr().out.splitlines()) == cfg.dataset.val_size
 
     def test_seed_flag_overrides_config(self, tmp_path):
         from segdetect.cli import build_parser, load_config
@@ -516,6 +566,25 @@ def test_two_specs_of_one_unit_fail_at_load(change, unit, tmp_path, capsys):
     assert run_cli("run-all", tmp_path / "run", config=dict(TINY, **change)) == 1
     assert capsys.readouterr().err == f"segdetect: run-all: two specs make the one unit {unit}\n"
     assert not (tmp_path / "run").exists()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user,expected", [
+    ({}, ("1", "1", "1")),
+    # a name the CLI once read in place of the standard ones
+    ({"SEGDETECT_THREADS": "3"}, ("1", "1", "1")),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ("2", "1", "1")),
+])
+def test_cli_import_defaults_unset_blas_variables_to_one(user, expected):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS + ("SEGDETECT_THREADS",)}
+    env.update(user, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import os, segdetect.cli; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert tuple(out.split()) == expected
 
 
 def test_blas_thread_count_keeps_run_bytes(tmp_path):
