@@ -157,9 +157,9 @@ def ifgsm(model, sample, cfg):
     return _sign_attack(model, sample, cfg, cfg.alpha, cfg.n_iter)
 
 
-def ssmm_train(model, train_samples, targets, cfg):
+def ssmm_train(model, train_samples, target, cfg):
     """Universal noise (H x W x 3 float32, |noise| <= eps) driving
-    predictions toward fixed target label maps.
+    predictions toward one fixed target label map.
 
     Each iteration averages the input gradients of the masked target loss over
     the training samples, steps by -alpha * sign and clips the noise to the
@@ -172,19 +172,20 @@ def ssmm_train(model, train_samples, targets, cfg):
         if s.image.shape != shape:
             raise InputError("all ssmm training samples must share one image shape")
 
-    def masked_grad(xi, sample, tgt):
+    def masked_grad(xi, sample):
         """Gradient of the target loss, without the pixels already predicted
         as their target with confidence above tau."""
         def masked(probs):
             pred = np.argmax(probs, axis=2)
-            conf = np.take_along_axis(probs, tgt[:, :, None], axis=2)[:, :, 0]
-            return tgt, np.where((pred == tgt) & (conf > cfg.tau), 0.0, 1.0).astype(np.float32)
+            conf = np.take_along_axis(probs, target[:, :, None], axis=2)[:, :, 0]
+            done = (pred == target) & (conf > cfg.tau)
+            return target, np.where(done, 0.0, 1.0).astype(np.float32)
         xadv = np.clip(sample.image + xi, 0, 255).astype(np.float32)
         return predict_and_grad(model, xadv, masked)[2]
 
     def mean_grad(xi):
         gsum = np.zeros(shape, np.float32)
-        for grad in map_items(lambda st: masked_grad(xi, *st), zip(train_samples, targets)):
+        for grad in map_items(lambda s: masked_grad(xi, s), train_samples):
             gsum += grad
         return gsum / len(train_samples)
 

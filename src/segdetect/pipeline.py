@@ -69,7 +69,7 @@ class ExperimentConfig:
     ssmm_train_size: int = 20
 
     def to_dict(self):
-        return dict(asdict(self), dataset=self.dataset.to_dict())
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -77,8 +77,8 @@ class ExperimentConfig:
         its fold size, so that bad config fails before any stage runs."""
         d = dict(_check_keys(_defaults(cls), d, "config"))
         if "dataset" in d:
-            d["dataset"] = DatasetConfig.from_dict(
-                _check_keys(_defaults(DatasetConfig), d["dataset"], "dataset"))
+            d["dataset"] = DatasetConfig(
+                **_check_keys(_defaults(DatasetConfig), d["dataset"], "dataset"))
         if "train" in d:
             d["train"] = TrainConfig(**_check_keys(_defaults(TrainConfig), d["train"], "train"))
         cfg = cls(**d)
@@ -100,13 +100,13 @@ def _defaults(cls, fixed=()):
 
 # type of a default -> (the JSON types that may replace it, their name)
 _ACCEPTS = {bool: (bool, "bool"), int: (int, "int"), float: ((int, float), "float"),
-            str: (str, "str"), list: (list, "list"), tuple: (list, "list"), dict: (dict, "object")}
+            str: (str, "str"), list: (list, "list"), dict: (dict, "object")}
 
 
 def _check_keys(known, d, section):
     """Returns `d`; raises InputError unless its keys are keys of `known`
-    ({key: default}), valued like their defaults: an int counts as a float, a
-    list as a tuple, an object as a nested config."""
+    ({key: default}), valued like their defaults: an int counts as a float,
+    an object as a nested config."""
     unknown = set(d) - set(known)
     if unknown:
         raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
@@ -150,7 +150,7 @@ def unit_keys(cfg):
         keys[name] = hashlib.sha256(blob.encode()).hexdigest()
 
     model = ("gen-data", "train-model")
-    add("gen-data", cfg.dataset.to_dict())
+    add("gen-data", asdict(cfg.dataset))
     add("train-model", asdict(cfg.train), model[:1])
     add("gradcheck", cfg.seed, model)
     specs = [_attack_spec(cfg, spec)[1:] for spec in cfg.attack_list]
@@ -175,7 +175,7 @@ def unit_keys(cfg):
 # the paths _OUTPUTS gives its stage, or the unit. A path ending "/" is a directory.
 _UNIT = re.compile(r"(gen-data|train-model|gradcheck|evaluate)"
                    r"|(attack|extract-features(?:/heatmaps)?|train-detector)/(?!\.\.?$)([^/]+)")
-_OUTPUTS = {"gen-data": ["data/"], "train-model": ["model.ten", "model.json"],
+_OUTPUTS = {"gen-data": ["data/", "data/images/"], "train-model": ["model.ten", "model.json"],
             "gradcheck": ["gradcheck.json"], "attack": ["attacks/{}/", "attacks/{}/images/"],
             "attack/ssmm": ["ssmm_target.ten", "ssmm_noise.ten"], "attack/patch": ["patch.ten"],
             "extract-features": ["features/{}.csv"], "extract-features/heatmaps": ["heatmaps/{}/"],
@@ -221,7 +221,7 @@ def _unit(cfg, name, compute):
 
 
 def stage_gen_data(cfg):
-    data_dir, = unit_outputs(cfg.out_dir, "gen-data")
+    data_dir = unit_outputs(cfg.out_dir, "gen-data")[0]
     _unit(cfg, "gen-data", lambda: synthdata.generate_dataset(cfg.dataset, data_dir))
     return synthdata.load_dataset(data_dir)[:2]
 
@@ -250,7 +250,7 @@ def _fgsm_config(cfg, params):
 
 
 def _ifgsm_config(cfg, params):
-    n = params.get("n_iter") or attacks.iteration_count(params["eps"])
+    n = params["n_iter"] if "n_iter" in params else attacks.iteration_count(params["eps"])
     return attacks.AttackConfig(eps=params["eps"], alpha=params.get("alpha", 1.0), n_iter=n,
                                 targeted=bool(params.get("targeted")))
 
@@ -277,7 +277,7 @@ def _run_ssmm(cfg, model, scfg, train_set, val_set):
     subset = train_set[:cfg.ssmm_train_size]
     candidates = train_set[cfg.ssmm_train_size:] or train_set
     target = attacks.pick_ssmm_target(candidates, rng)
-    noise = attacks.ssmm_train(model, subset, [target] * len(subset), scfg)
+    noise = attacks.ssmm_train(model, subset, target, scfg)
     for path, array in zip(unit_outputs(cfg.out_dir, "attack/ssmm")[2:], (target, noise)):
         tensorio.save_tensor(path, array)
     return [attacks.apply_universal(s.image, noise) for s in val_set], {}
@@ -331,34 +331,36 @@ def attack_tag(spec):
 
 def stage_attack(cfg, model, train_set, val_set):
     """Runs every configured attack over the validation split; writes each
-    attacked dataset in the synthdata layout plus attack.json. Returns {tag:
-    samples}: the uint8 images written, read back, in validation order."""
-    results = {}
+    unit's uint8 images/<id>.ten and attack.json. Returns the tags in order."""
+    tags = []
     for spec in cfg.attack_list:
         run, acfg, tag = _attack_spec(cfg, spec)
-        adir, images_dir = unit_outputs(cfg.out_dir, f"attack/{tag}")[:2]
-        paths = {s.id: os.path.join(images_dir, f"{s.id}.ten") for s in val_set}
+        adir, idir = unit_outputs(cfg.out_dir, f"attack/{tag}")[:2]
 
         def attack():
-            images, extras = run(cfg, model, acfg, train_set, val_set)
-            norms = {}
-            for image, clean in zip(images, val_set):
-                norms[clean.id] = float(np.max(np.abs(image - clean.image)))
-                tensorio.save_tensor(paths[clean.id], image.astype(np.uint8))
+            adv, extras = run(cfg, model, acfg, train_set, val_set)
+            for image, s in zip(adv, val_set):
+                tensorio.save_tensor(os.path.join(idir, f"{s.id}.ten"), image.astype(np.uint8))
             tensorio.write_json(os.path.join(adir, "attack.json"), dict(
                 config=dict(asdict(acfg), kind=spec["kind"]), ids=[s.id for s in val_set],
-                linf_norms=norms, **extras))
+                linf_norms={s.id: float(np.abs(a - s.image).max()) for a, s in zip(adv, val_set)},
+                **extras))
 
         _unit(cfg, f"attack/{tag}", attack)
-        results[tag] = [synthdata.SegSample(tensorio.load_tensor(paths[s.id]), s.labels, s.id)
-                        for s in val_set]
-    return results
+        tags.append(tag)
+    return tags
 
 
-def stage_extract_features(cfg, model, val_set, attacked):
-    def extract(samples, label, tag, name):
+def stage_extract_features(cfg, model, val_set, tags):
+    """Each table's features, and heatmaps, from its unit's images, one at a time."""
+    def extract(name, label, tag, unit):
+        images = unit_outputs(cfg.out_dir, unit)[1]
+
+        def predicted(s):   # predict casts the uint8 image to float32, exactly
+            return predict(model, tensorio.load_tensor(os.path.join(images, f"{s.id}.ten")))
+
         def features(s):
-            probs = predict(model, s.image)
+            probs = predicted(s)
             f = uncertainty.feature_vector(probs, image_id=s.id, label=label, attack=tag)
             f.apsr = metrics.apsr(np.argmax(probs, axis=2), s.labels)
             return f
@@ -366,17 +368,15 @@ def stage_extract_features(cfg, model, val_set, attacked):
         if cfg.export_heatmaps:
             hdir, = unit_outputs(cfg.out_dir, f"extract-features/heatmaps/{name}")
             _unit(cfg, f"extract-features/heatmaps/{name}", lambda: map_items(
-                lambda s: export_entropy_heatmap(predict(model, s.image),
-                                                 os.path.join(hdir, f"{s.id}.pgm")), samples))
+                lambda s: export_entropy_heatmap(predicted(s), os.path.join(hdir, f"{s.id}.pgm")),
+                val_set))
         path, = unit_outputs(cfg.out_dir, f"extract-features/{name}")
         _unit(cfg, f"extract-features/{name}",
-              lambda: uncertainty.write_features(path, map_items(features, samples)))
+              lambda: uncertainty.write_features(path, map_items(features, val_set)))
         return uncertainty.read_features(path)
 
-    clean_feats = extract(val_set, "clean", "", "clean")
-    adv_feats = {tag: extract(samples, "adv", tag, tag)
-                 for tag, samples in sorted(attacked.items())}
-    return clean_feats, adv_feats
+    return (extract("clean", "clean", "", "gen-data"),
+            {tag: extract(tag, "adv", tag, f"attack/{tag}") for tag in sorted(tags)})
 
 
 def _detector_specs(cfg):
@@ -443,9 +443,9 @@ def run_stages(cfg, force=None):
     model = stage_train_model(cfg, train_set)
     yield "train-model", model
     yield "gradcheck", stage_gradcheck(cfg, model, val_set)
-    attacked = stage_attack(cfg, model, train_set, val_set)
-    yield "attack", attacked
-    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set, attacked)
+    tags = stage_attack(cfg, model, train_set, val_set)
+    yield "attack", tags
+    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set, tags)
     yield "extract-features", (clean_feats, adv_feats)
     yield "train-detector", stage_train_detectors(cfg, clean_feats, adv_feats)
     yield "evaluate", stage_evaluate(cfg, clean_feats, adv_feats)

@@ -34,7 +34,7 @@ class DatasetConfig:
     height: int = 64
     width: int = 64
     num_classes: int = 4
-    shapes_per_image: tuple = (3, 5)
+    shapes_per_image: list = field(default_factory=lambda: [3, 5])
     palette: list = field(default_factory=lambda: [list(c) for c in DEFAULT_PALETTE])
     noise_std: float = 25.0
     seed: int = 0
@@ -53,26 +53,16 @@ class DatasetConfig:
         if len(self.shapes_per_image) != 2 or not (
                 0 <= self.shapes_per_image[0] <= self.shapes_per_image[1]):
             raise InputError(f"shapes_per_image must be [lo, hi] with 0 <= lo <= hi, "
-                             f"got {list(self.shapes_per_image)}")
+                             f"got {self.shapes_per_image}")
         if not 0 <= self.noise_std < np.inf:     # NaN fails too
             raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.train_size < 1 or self.val_size < 1:
             raise InputError("train_size and val_size must be >= 1")
 
-    def to_dict(self):
-        return dict(asdict(self), shapes_per_image=list(self.shapes_per_image),
-                    palette=[list(c) for c in self.palette])
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["shapes_per_image"] = tuple(d.get("shapes_per_image", (3, 5)))
-        return cls(**d)
-
 
 @dataclass
 class SegSample:
-    image: np.ndarray    # H x W x 3 whole values in [0, 255]: float32, uint8 if attacked
+    image: np.ndarray    # H x W x 3 float32, whole values in [0, 255]
     labels: np.ndarray   # H x W int32 class ids
     id: str = ""
 
@@ -178,7 +168,7 @@ def generate_dataset(cfg, out_dir):
     save_samples(out_dir, train)
     save_samples(out_dir, val)
     manifest = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "train_ids": [s.id for s in train],
         "val_ids": [s.id for s in val],
     }
@@ -188,7 +178,7 @@ def generate_dataset(cfg, out_dir):
 
 def load_dataset(data_dir):
     manifest = tensorio.read_json(os.path.join(data_dir, "manifest.json"))
-    cfg = DatasetConfig.from_dict(manifest["config"])
+    cfg = DatasetConfig(**manifest["config"])
     train = load_samples(data_dir, manifest["train_ids"])
     val = load_samples(data_dir, manifest["val_ids"])
     return train, val, cfg

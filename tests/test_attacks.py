@@ -143,7 +143,7 @@ class TestSsmm:
         m, train, _ = attack_setup
         cfg = attacks.SsmmConfig(n_iter=0)
         target = train[0].labels
-        noise = attacks.ssmm_train(m, train[:3], [target] * 3, cfg)
+        noise = attacks.ssmm_train(m, train[:3], target, cfg)
         assert noise.dtype == np.float32 and noise.shape == train[0].image.shape
         assert np.all(noise == 0)
 
@@ -151,7 +151,7 @@ class TestSsmm:
         m, train, _ = attack_setup
         cfg = attacks.SsmmConfig(n_iter=3)
         target = train[0].labels
-        noise = attacks.ssmm_train(m, train[:4], [target] * 4, cfg)
+        noise = attacks.ssmm_train(m, train[:4], target, cfg)
         assert np.max(np.abs(noise)) <= cfg.eps + 1e-6
 
     def test_apply_universal_zero_noise_identity(self, attack_setup):
@@ -163,7 +163,7 @@ class TestSsmm:
         m, train, val = attack_setup
         cfg = attacks.SsmmConfig(n_iter=2)
         target = train[0].labels
-        noise = attacks.ssmm_train(m, train[:3], [target] * 3, cfg)
+        noise = attacks.ssmm_train(m, train[:3], target, cfg)
         out = attacks.apply_universal(val[0].image, noise)
         assert budget_ok(val[0].image, out, cfg.eps)
 
@@ -385,7 +385,7 @@ class TestOneForwardPerGradient:
                 gsum += seg_model.loss_input_grad(m, xadv, target, weights)[1]
             step = np.float32(-cfg.alpha) * np.sign(gsum / len(subset), dtype=np.float32)
             xi = np.clip(xi + step, -eps, eps)
-        got = attacks.ssmm_train(m, subset, [target] * len(subset), cfg)
+        got = attacks.ssmm_train(m, subset, target, cfg)
         assert got.dtype == np.float32 and got.tobytes() == xi.tobytes()
 
 

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from segdetect import (attacks, cli, detectors, metrics, pipeline, synthdata, uncertainty,
-                       workers)
+from segdetect import (attacks, cli, detectors, metrics, pipeline, synthdata, tensorio,
+                       uncertainty, workers)
 from segdetect.errors import AttackError, InputError
 from segdetect.model import CheckReport, TrainConfig
 
@@ -108,26 +108,32 @@ def test_registered_attack_keeps_budget(kind, small_dataset, small_model, tmp_pa
     cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path), ssmm_train_size=3,
                                     attack_list=[spec])
     tag = pipeline.attack_tag(spec)
-    out = pipeline.stage_attack(cfg, small_model, train, val[:3])[tag]
-    meta = json.loads((tmp_path / "attacks" / tag / "attack.json").read_text())
+    assert pipeline.stage_attack(cfg, small_model, train, val[:3]) == [tag]
+    adir, images = pipeline.unit_outputs(cfg.out_dir, f"attack/{tag}")[:2]
+
+    def read_back():
+        return {s.id: tensorio.load_tensor(os.path.join(images, f"{s.id}.ten")) for s in val[:3]}
+
+    out = read_back()
+    meta = json.load(open(os.path.join(adir, "attack.json")))
     assert meta["config"]["kind"] == kind
-    assert [p.id for p in out] == meta["ids"] == [s.id for s in val[:3]]
-    for p, clean in zip(out, val[:3]):
-        assert p.image.dtype == np.uint8 and np.array_equal(p.labels, clean.labels)
-        delta = np.abs(p.image.astype(np.float64) - clean.image)
-        assert delta.max() == meta["linf_norms"][p.id]
+    assert sorted(os.listdir(images)) == [f"{sid}.ten" for sid in meta["ids"]]
+    assert meta["ids"] == [s.id for s in val[:3]]
+    for clean in val[:3]:
+        image = out[clean.id]
+        assert image.dtype == np.uint8 and image.shape == clean.image.shape
+        delta = np.abs(image.astype(np.float64) - clean.image)
+        assert delta.max() == meta["linf_norms"][clean.id]
         if kind == "patch":
-            top, left = meta["windows"][p.id]
+            top, left = meta["windows"][clean.id]
             delta[top:top + spec["height"], left:left + spec["width"]] = 0.0
             assert delta.max() == 0
         else:
             assert delta.max() <= meta["config"]["eps"]
     # resuming with the same spec reuses the recorded outputs: no model needed
-    again = pipeline.stage_attack(cfg, None, train, val[:3])[tag]
-    assert [q.id for q in again] == [p.id for p in out]
-    for p, q in zip(out, again):
-        assert q.image.dtype == np.uint8 and q.image.tobytes() == p.image.tobytes()
-        np.testing.assert_array_equal(q.labels, p.labels)
+    assert pipeline.stage_attack(cfg, None, train, val[:3]) == [tag]
+    for sid, image in read_back().items():
+        assert image.dtype == np.uint8 and image.tobytes() == out[sid].tobytes()
 
 
 @pytest.mark.parametrize("spec,change,key", [
@@ -307,6 +313,36 @@ class TestMiniPipeline:
             f"{name}/{sid}.pgm" for name in names for sid in ids)
         assert (out / "report" / "report.csv").read_bytes() == open(csv_path, "rb").read()
 
+    def test_features_load_each_image_once_from_its_unit(self, mini_run, tmp_path,
+                                                         monkeypatch):
+        """The attack stage hands on its tags alone; extract-features loads
+        every (table, id) image once, from the unit that wrote it."""
+        cfg, csv_path = mini_run
+        out = tmp_path / "run"
+        shutil.copytree(cfg.out_dir, out)
+        keys = json.loads((out / "keys.json").read_text())
+        (out / "keys.json").write_text(json.dumps(
+            {unit: key for unit, key in keys.items() if not unit.startswith("extract-features")}))
+        stages = pipeline.run_stages(dataclasses.replace(cfg, out_dir=str(out)))
+        for name, result in stages:
+            if name == "attack":
+                break
+        tags = [pipeline.attack_tag(spec) for spec in cfg.attack_list]
+        assert result == tags
+        loaded, load = [], tensorio.load_tensor
+        monkeypatch.setattr(tensorio, "load_tensor", lambda path: loaded.append(path) or load(path))
+        assert next(stages)[0] == "extract-features"
+        units = ["gen-data"] + [f"attack/{tag}" for tag in tags]
+        ids = json.load(open(out / "data" / "manifest.json"))["val_ids"]
+        assert sorted(loaded) == sorted(
+            os.path.join(pipeline.unit_outputs(str(out), unit)[1], f"{sid}.ten")
+            for unit in units for sid in ids)
+        assert [name for name, _ in stages] == ["train-detector", "evaluate"]
+        for name in ["clean", *tags]:
+            assert ((out / "features" / f"{name}.csv").read_bytes() == open(
+                os.path.join(cfg.out_dir, "features", f"{name}.csv"), "rb").read()), name
+        assert (out / "report" / "report.csv").read_bytes() == open(csv_path, "rb").read()
+
     def test_gradcheck_recorded_as_passed(self, mini_run):
         cfg, _ = mini_run
         doc = json.load(open(os.path.join(cfg.out_dir, "gradcheck.json")))
@@ -399,6 +435,7 @@ class TestCli:
         ('{"folz": 2}', "unknown config key(s) folz"),
         ('{"attack_list": [{"kind": "fgsm"}]}', "attack 'fgsm': missing key 'eps'"),
         ('{"attack_list": [{"kind": "ifgsm", "eps": -2}]}', "eps"),
+        ('{"attack_list": [{"kind": "ifgsm", "eps": 8, "n_iter": 0}]}', "n_iter >= 1"),
         ('{"detector_list": [{"kind": "svm"}]}', "unknown detector kind 'svm'"),
         ('{"dataset": {"foo": 1}}', "unknown dataset key(s) foo"),
         ('{"train": {"epochs": 2, "bar": 1}}', "unknown train key(s) bar"),

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ class TestConfig:
 
     def test_dict_roundtrip(self):
         cfg = synthdata.DatasetConfig(noise_std=5.0, seed=3)
-        back = synthdata.DatasetConfig.from_dict(cfg.to_dict())
+        back = synthdata.DatasetConfig(**json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert back == cfg
 
 

@@ -208,7 +208,7 @@ class TestMeanGradientOrder:
 
         monkeypatch.setattr(attacks, "predict_and_grad", fake)
         grads = capture_first_gradient(monkeypatch)
-        attacks.ssmm_train(None, samples, [np.zeros((4, 4), np.int32)] * 3, attacks.SsmmConfig())
+        attacks.ssmm_train(None, samples, np.zeros((4, 4), np.int32), attacks.SsmmConfig())
         expect = np.float32(0.0)
         for v in ORDERED:
             expect += np.float32(v)
