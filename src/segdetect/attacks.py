@@ -22,6 +22,11 @@ from .workers import map_items
 DNNM_BLOCK = 1024   # hidden pixels per dnnm_target distance block
 
 
+def _finite_positive(*values):
+    """True when every value is finite and > 0 (NaN is not)."""
+    return all(0 < v < np.inf for v in values)
+
+
 @dataclass
 class AttackConfig:
     eps: float = 8.0
@@ -30,8 +35,8 @@ class AttackConfig:
     targeted: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0 or self.alpha <= 0 or self.n_iter < 1:
-            raise InputError("eps and alpha must be positive, n_iter >= 1")
+        if not _finite_positive(self.eps, self.alpha) or self.n_iter < 1:
+            raise InputError("eps and alpha must be finite and > 0, n_iter >= 1")
 
 
 @dataclass
@@ -42,8 +47,8 @@ class SsmmConfig:
     tau: float = 0.75
 
     def __post_init__(self):
-        if self.eps <= 0 or self.alpha <= 0 or self.n_iter < 0 or not 0 < self.tau < 1:
-            raise InputError("eps and alpha must be positive, n_iter >= 0, tau in (0, 1)")
+        if not (_finite_positive(self.eps, self.alpha) and self.n_iter >= 0 and 0 < self.tau < 1):
+            raise InputError("eps and alpha must be finite and > 0, n_iter >= 0, tau in (0, 1)")
 
 
 @dataclass
@@ -55,8 +60,9 @@ class DnnmConfig:
     n_iter: int = 60
 
     def __post_init__(self):
-        if self.eps <= 0 or self.alpha <= 0 or self.n_iter < 0 or not 0 <= self.omega <= 1:
-            raise InputError("eps and alpha must be positive, n_iter >= 0, omega in [0, 1]")
+        if (not _finite_positive(self.eps, self.alpha) or self.n_iter < 0
+                or not 0 <= self.omega <= 1):
+            raise InputError("eps and alpha must be finite and > 0, n_iter >= 0, omega in [0, 1]")
 
 
 @dataclass
@@ -69,13 +75,15 @@ class PatchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.height, self.width, self.placements) < 1 or self.n_iter < 0 or self.alpha <= 0:
-            raise InputError("height, width and placements must be >= 1, n_iter >= 0, alpha > 0")
+        if (min(self.height, self.width, self.placements) < 1 or self.n_iter < 0
+                or not _finite_positive(self.alpha)):
+            raise InputError("height, width and placements must be >= 1, n_iter >= 0, "
+                             "alpha finite and > 0")
 
 
 def iteration_count(eps):
     """Iteration rule for the iterative sign attacks: min(eps + 4, floor(1.25 eps))."""
-    if eps < 1 or int(eps) != eps:
+    if not 1 <= eps < np.inf or int(eps) != eps:
         raise InputError("eps must be a positive integer for the iteration rule")
     eps = int(eps)
     return min(eps + 4, (5 * eps) // 4)

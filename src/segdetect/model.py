@@ -24,8 +24,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise InputError("learning rate must be >= 0")
+        if not 0 <= self.lr < np.inf:       # NaN fails too
+            raise InputError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
         if self.batch_size < 1:

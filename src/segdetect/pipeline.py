@@ -267,9 +267,9 @@ def sign_tag(kind, spec):
 
 
 def _per_image(attack):
-    """The runner of attacks.<attack> (looked up per call) on each validation image."""
-    return lambda cfg, model, acfg, train_set, val_set: (map_items(
-        lambda s: getattr(attacks, attack)(model, s, acfg), val_set), {})
+    """The runner of attacks.<attack> (looked up per call) on one validation image."""
+    return lambda cfg, model, acfg, train_set, val_set: (
+        lambda s: getattr(attacks, attack)(model, s, acfg), {})
 
 
 def _run_ssmm(cfg, model, scfg, train_set, val_set):
@@ -280,7 +280,7 @@ def _run_ssmm(cfg, model, scfg, train_set, val_set):
     noise = attacks.ssmm_train(model, subset, target, scfg)
     for path, array in zip(unit_outputs(cfg.out_dir, "attack/ssmm")[2:], (target, noise)):
         tensorio.save_tensor(path, array)
-    return [attacks.apply_universal(s.image, noise) for s in val_set], {}
+    return lambda s: attacks.apply_universal(s.image, noise), {}
 
 
 def _run_patch(cfg, model, pcfg, train_set, val_set):
@@ -289,16 +289,15 @@ def _run_patch(cfg, model, pcfg, train_set, val_set):
     rng = np.random.default_rng([cfg.seed, 202])
     windows = {s.id: [int(rng.integers(0, s.image.shape[0] - pcfg.height + 1)),
                       int(rng.integers(0, s.image.shape[1] - pcfg.width + 1))] for s in val_set}
-    return ([attacks.apply_patch(s.image, patch, *windows[s.id]) for s in val_set],
-            {"windows": windows})
+    return lambda s: attacks.apply_patch(s.image, patch, *windows[s.id]), {"windows": windows}
 
 
 # kind -> (config dataclass, config rule, runner, tag rule, config fields the
 # runner sets itself; the spec keys are the other fields). The config rule
 # maps (cfg, params) to the attack config with the runner's defaults filled
-# in, the runner (cfg, model, attack config, train_set, val_set) to the
-# attacked images in validation order and its extra attack.json entries, the
-# tag rule (kind, params) to the output tag; without one the kind is the tag.
+# in; the runner (cfg, model, attack config, train_set, val_set) to the attack
+# of one validation sample (sample -> float32 image) and its extra attack.json
+# entries; the tag rule (kind, params) to the output tag (none: the kind).
 ATTACKS = {
     "fgsm": (attacks.AttackConfig, _fgsm_config, _per_image("fgsm"), sign_tag,
              ("alpha", "n_iter")),
@@ -330,21 +329,24 @@ def attack_tag(spec):
 
 
 def stage_attack(cfg, model, train_set, val_set):
-    """Runs every configured attack over the validation split; writes each
-    unit's uint8 images/<id>.ten and attack.json. Returns the tags in order."""
+    """Runs each configured attack on the validation split one image at a time:
+    writes it as uint8 images/<id>.ten, its l-inf norm to attack.json. Returns the tags."""
     tags = []
     for spec in cfg.attack_list:
         run, acfg, tag = _attack_spec(cfg, spec)
         adir, idir = unit_outputs(cfg.out_dir, f"attack/{tag}")[:2]
 
         def attack():
-            adv, extras = run(cfg, model, acfg, train_set, val_set)
-            for image, s in zip(adv, val_set):
+            attacked, extras = run(cfg, model, acfg, train_set, val_set)
+
+            def write(s):
+                image = attacked(s)
                 tensorio.save_tensor(os.path.join(idir, f"{s.id}.ten"), image.astype(np.uint8))
+                return s.id, float(np.abs(image - s.image).max())
+
             tensorio.write_json(os.path.join(adir, "attack.json"), dict(
                 config=dict(asdict(acfg), kind=spec["kind"]), ids=[s.id for s in val_set],
-                linf_norms={s.id: float(np.abs(a - s.image).max()) for a, s in zip(adv, val_set)},
-                **extras))
+                linf_norms=dict(map_items(write, val_set)), **extras))
 
         _unit(cfg, f"attack/{tag}", attack)
         tags.append(tag)

@@ -24,6 +24,9 @@ class TestIterationCount:
             attacks.iteration_count(2.5)
         with pytest.raises(InputError):
             attacks.iteration_count(0)
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(InputError):
+                attacks.iteration_count(eps)
 
 
 @pytest.mark.parametrize("config,change", [
@@ -33,6 +36,11 @@ class TestIterationCount:
     (attacks.PatchConfig, {"height": 0}), (attacks.PatchConfig, {"width": -1}),
     (attacks.PatchConfig, {"placements": 0}), (attacks.PatchConfig, {"n_iter": -1}),
     (attacks.PatchConfig, {"alpha": 0}),
+    *[(config, {key: value}) for value in (float("nan"), float("inf"))
+      for config, key in [(attacks.AttackConfig, "eps"), (attacks.AttackConfig, "alpha"),
+                          (attacks.SsmmConfig, "eps"), (attacks.SsmmConfig, "alpha"),
+                          (attacks.DnnmConfig, "eps"), (attacks.DnnmConfig, "alpha"),
+                          (attacks.PatchConfig, "alpha")]],
 ])
 def test_bad_config_raises(config, change):
     with pytest.raises(InputError):

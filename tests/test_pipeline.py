@@ -136,6 +136,52 @@ def test_registered_attack_keeps_budget(kind, small_dataset, small_model, tmp_pa
         assert image.dtype == np.uint8 and image.tobytes() == out[sid].tobytes()
 
 
+# The attacks function that each kind's runner calls once per validation image.
+PER_IMAGE = {"fgsm": "fgsm", "ifgsm": "ifgsm", "dnnm": "dnnm_attack",
+             "ssmm": "apply_universal", "patch": "apply_patch"}
+
+
+@pytest.mark.parametrize("kind", pipeline.ATTACKS)
+def test_attack_writes_each_image_before_the_next(kind, small_dataset, small_model, tmp_path,
+                                                  monkeypatch):
+    """On one CPU the attack stage writes each image before it attacks the
+    next; an image's error fails the stage, and its unit stays unrecorded."""
+    dcfg, train, val = small_dataset
+    assert sorted(PER_IMAGE) == sorted(pipeline.ATTACKS)
+    spec = dict(SMALL_SPECS[kind], kind=kind)
+    unit = f"attack/{pipeline.attack_tag(spec)}"
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
+    events, fail_on = [], [None]
+    real_attack, real_save = getattr(attacks, PER_IMAGE[kind]), tensorio.save_tensor
+
+    def attack(*args, **kw):
+        events.append("attack")
+        if events.count("attack") == fail_on[0]:
+            raise AttackError("the second image")
+        return real_attack(*args, **kw)
+
+    def save(path, array):
+        events.append(os.path.basename(path))
+        return real_save(path, array)
+
+    monkeypatch.setattr(attacks, PER_IMAGE[kind], attack)
+    monkeypatch.setattr(tensorio, "save_tensor", save)
+    cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path / "run"),
+                                    ssmm_train_size=3, attack_list=[spec])
+    pipeline.stage_attack(cfg, small_model, train, val[:3])
+    assert events[events.index("attack"):] == [
+        event for s in val[:3] for event in ("attack", f"{s.id}.ten")]
+    assert unit in pipeline._keys(cfg)
+
+    events.clear()
+    fail_on[0] = 2
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "fail"))
+    with pytest.raises(AttackError, match="the second image"):
+        pipeline.stage_attack(cfg, small_model, train, val[:3])
+    assert events[events.index("attack"):] == ["attack", f"{val[0].id}.ten", "attack"]
+    assert unit not in pipeline._keys(cfg)
+
+
 @pytest.mark.parametrize("spec,change,key", [
     ({"kind": "ifgsm", "eps": 4, "n_iter": 1}, lambda cfg: cfg.attack_list[0].update(n_iter=3),
      "n_iter"),
@@ -474,6 +520,14 @@ class TestCli:
          "ellipse key shrinkage: must be finite and >= 0, got -0.5"),
         ('{"dataset": {"noise_std": -1}}', "noise_std must be finite and >= 0, got -1"),
         ('{"dataset": {"noise_std": NaN}}', "noise_std must be finite and >= 0, got nan"),
+        ('{"attack_list": [{"kind": "fgsm", "eps": NaN}]}',
+         "eps and alpha must be finite and > 0"),
+        ('{"attack_list": [{"kind": "ifgsm", "eps": 8, "alpha": Infinity}]}',
+         "eps and alpha must be finite and > 0"),
+        ('{"attack_list": [{"kind": "ifgsm", "eps": NaN}]}',
+         "eps must be a positive integer for the iteration rule"),
+        ('{"attack_list": [{"kind": "patch", "alpha": NaN}]}', "alpha finite and > 0"),
+        ('{"train": {"lr": NaN}}', "learning rate must be finite and >= 0, got nan"),
         ('{"dataset": {"shapes_per_image": [-1, -1]}}',
          "shapes_per_image must be [lo, hi] with 0 <= lo <= hi, got [-1, -1]"),
         ('{"dataset": {"shapes_per_image": [5, 2]}}',
