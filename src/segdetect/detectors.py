@@ -44,7 +44,6 @@ class Standardizer:
         return cls(mean=mean, std=std, kept=kept)
 
     def transform(self, x):
-        x = np.atleast_2d(x)
         if x.shape[1] != len(self.mean):
             raise InputError(f"feature length {x.shape[1]} does not match standardizer ({len(self.mean)})")
         z = (x[:, self.kept] - self.mean[self.kept]) / self.std[self.kept]
@@ -116,26 +115,10 @@ def _newton_step(g, h, theta, lam, tol):
     return exact if ok and np.all(np.abs(g + h @ (exact - theta))[~on] <= lam) else z
 
 
-# kind -> {key: (test, rule)}: the hyperparameter values its trainer accepts.
-# A config's detector specs are checked against them when it loads (_trainer),
-# and each trainer checks its arguments again.
-RULES = {
-    "lasso": {"lam": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
-              "tol": (lambda v: v > 0, "> 0"),
-              "max_iter": (lambda v: v >= 1, ">= 1")},
-    "ocsvm": {"nu": (lambda v: 0 < v < 1, "in (0, 1)"),
-              "gamma": (lambda v: v is None or (isinstance(v, (int, float)) and 0 < v < math.inf),
-                        "None or finite and > 0"),
-              "tol": (lambda v: v > 0, "> 0"),
-              "max_updates": (lambda v: v >= 1, ">= 1")},
-    "ellipse": {"shrinkage": (lambda v: 0 <= v < math.inf, "finite and >= 0")},
-}
-
-
 def _check(kind, **values):
-    """Raises InputError for the first value that breaks its RULES[kind] test."""
+    """Raises InputError for the first value that breaks its rule in DETECTORS[kind]."""
     for key, val in values.items():
-        test, rule = RULES[kind][key]
+        test, rule = DETECTORS[kind][2][key]
         if not test(val):
             raise InputError(f"{kind} key {key}: must be {rule}, got {val!r}")
 
@@ -275,43 +258,54 @@ def train_ellipse(clean_features, shrinkage=1e-3):
 
 
 def mahalanobis(model, z):
-    diff = np.atleast_2d(z) - model.params["mu"]
+    diff = z - model.params["mu"]
     return np.sqrt(np.maximum(
         np.einsum("ij,jk,ik->i", diff, model.params["precision"], diff), 0.0))
 
 
-def _score_entropy(model, values):
-    return float(np.clip(1.0 - values[0] / model.params["ln_c"], 0.0, 1.0))
+def _score_entropy(model, x):
+    return np.clip(1.0 - x[:, 0] / model.params["ln_c"], 0.0, 1.0)
 
 
 def _score_lasso(model, z):
-    return float(_sigmoid(np.array([float(z @ model.params["w"] + model.params["b"])]))[0])
+    return _sigmoid(z @ model.params["w"] + model.params["b"])
 
 
 def _score_ocsvm(model, z):
-    k = _rbf(z[None, :], model.params["sv"], model.params["gamma"])
-    d = float((k @ model.params["alpha"])[0] - model.params["rho"])
+    k = _rbf(z, model.params["sv"], model.params["gamma"])
+    d = k @ model.params["alpha"] - model.params["rho"]
     td = model.params["train_decisions"]
-    return float(np.searchsorted(td, d, side="right") / len(td))
+    return np.searchsorted(td, d, side="right") / len(td)
 
 
 def _score_ellipse(model, z):
-    m = float(mahalanobis(model, z)[0])
     tm = model.params["train_m"]
     # fraction of training points at least as far out
-    return float((len(tm) - np.searchsorted(tm, m, side="left")) / len(tm))
+    return (len(tm) - np.searchsorted(tm, mahalanobis(model, z), side="left")) / len(tm)
 
 
-# kind -> (trainer, one-row scorer). Trainers are named, and looked up here
-# when called, so a wrapper set on the module attribute (perfbench/tracing.py)
-# runs. A trainer taking `adv_features` is supervised; its parameters after
-# the features are the detector spec's keys. Scorers see standardized
-# features when the model has a standardizer.
+# kind -> (trainer, scorer, {key: (test, rule)}). Trainers are named, and
+# looked up here when called, so a wrapper set on the module attribute
+# (perfbench/tracing.py) runs. A trainer taking `adv_features` is supervised;
+# its parameters after the features are the detector spec's keys, and the
+# rules say which values it accepts: a config's specs are checked against them
+# when it loads (_trainer), and each trainer checks its arguments again. A
+# scorer maps the n x d feature matrix, standardized when the model has a
+# standardizer, to the n images' scores.
 DETECTORS = {
-    "entropy": ("train_entropy", _score_entropy),
-    "lasso": ("train_lasso", _score_lasso),
-    "ocsvm": ("train_ocsvm", _score_ocsvm),
-    "ellipse": ("train_ellipse", _score_ellipse),
+    "entropy": ("train_entropy", _score_entropy, {}),
+    "lasso": ("train_lasso", _score_lasso, {
+        "lam": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+        "tol": (lambda v: v > 0, "> 0"),
+        "max_iter": (lambda v: v >= 1, ">= 1")}),
+    "ocsvm": ("train_ocsvm", _score_ocsvm, {
+        "nu": (lambda v: 0 < v < 1, "in (0, 1)"),
+        "gamma": (lambda v: v is None or (isinstance(v, (int, float)) and 0 < v < math.inf),
+                  "None or finite and > 0"),
+        "tol": (lambda v: v > 0, "> 0"),
+        "max_updates": (lambda v: v >= 1, ">= 1")}),
+    "ellipse": ("train_ellipse", _score_ellipse, {
+        "shrinkage": (lambda v: 0 <= v < math.inf, "finite and >= 0")}),
 }
 
 
@@ -347,18 +341,16 @@ def train_detector(kind, clean_features, adv_features=None, **hyperparams):
     return fn(clean_features, *([adv_features] if supervised else []), **hyperparams)
 
 
-def score(model, feature):
-    """Probability of the image being clean, in [0, 1]."""
+def score_many(model, features):
+    """Each feature vector's probability of its image being clean, in [0, 1]."""
     if model.kind not in DETECTORS:
         raise InputError(f"unknown detector kind {model.kind!r}")
-    x = feature.values if hasattr(feature, "values") else np.asarray(feature)
+    if not features:
+        return np.zeros(0)
+    x = feature_matrix(features)
     if model.standardizer is not None:
-        x = model.standardizer.transform(x[None, :])[0]
+        x = model.standardizer.transform(x)
     return DETECTORS[model.kind][1](model, x)
-
-
-def score_many(model, features):
-    return np.array([score(model, f) for f in features])
 
 
 def classify(p, kappa):

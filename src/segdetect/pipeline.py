@@ -175,8 +175,9 @@ def unit_keys(cfg):
 # the paths _OUTPUTS gives its stage, or the unit. A path ending "/" is a directory.
 _UNIT = re.compile(r"(gen-data|train-model|gradcheck|evaluate)"
                    r"|(attack|extract-features(?:/heatmaps)?|train-detector)/(?!\.\.?$)([^/]+)")
-_OUTPUTS = {"gen-data": ["data/", "data/images/"], "train-model": ["model.ten", "model.json"],
-            "gradcheck": ["gradcheck.json"], "attack": ["attacks/{}/", "attacks/{}/images/"],
+_OUTPUTS = {"gen-data": ["data/", "data/images/", "data/labels/"],
+            "train-model": ["model.ten", "model.json"], "gradcheck": ["gradcheck.json"],
+            "attack": ["attacks/{}/", "attacks/{}/images/"],
             "attack/ssmm": ["ssmm_target.ten", "ssmm_noise.ten"], "attack/patch": ["patch.ten"],
             "extract-features": ["features/{}.csv"], "extract-features/heatmaps": ["heatmaps/{}/"],
             "train-detector": ["detectors/{}.json"],
@@ -221,9 +222,29 @@ def _unit(cfg, name, compute):
 
 
 def stage_gen_data(cfg):
-    data_dir = unit_outputs(cfg.out_dir, "gen-data")[0]
-    _unit(cfg, "gen-data", lambda: synthdata.generate_dataset(cfg.dataset, data_dir))
-    return synthdata.load_dataset(data_dir)[:2]
+    """Draws the dataset and writes each sample as uint8 images/<id>.ten and
+    int32 labels/<id>.ten, then manifest.json; returns (train, val) as read
+    back by the manifest's ids."""
+    data_dir, images, labels = unit_outputs(cfg.out_dir, "gen-data")
+    manifest = os.path.join(data_dir, "manifest.json")
+
+    def gen_data():
+        train_set, val_set = synthdata.generate_dataset(cfg.dataset)
+        for s in train_set + val_set:
+            tensorio.save_tensor(os.path.join(images, f"{s.id}.ten"), s.image.astype(np.uint8))
+            tensorio.save_tensor(os.path.join(labels, f"{s.id}.ten"), s.labels)
+        tensorio.write_json(manifest, {"config": asdict(cfg.dataset),
+                                       "train_ids": [s.id for s in train_set],
+                                       "val_ids": [s.id for s in val_set]})
+
+    def load(sid):
+        return synthdata.SegSample(
+            tensorio.load_tensor(os.path.join(images, f"{sid}.ten")).astype(np.float32),
+            tensorio.load_tensor(os.path.join(labels, f"{sid}.ten")), sid)
+
+    _unit(cfg, "gen-data", gen_data)
+    ids = tensorio.read_json(manifest)
+    return [load(sid) for sid in ids["train_ids"]], [load(sid) for sid in ids["val_ids"]]
 
 
 def stage_train_model(cfg, train_set):
@@ -385,7 +406,8 @@ def _detector_specs(cfg):
     """(kind, hyperparameters, training attacks) of each configured detector
     whose training attacks run; its deployable and per-fold models train on
     them. Raises InputError on an unknown kind or key, a value unlike its
-    trainer default, or one its trainer would refuse (detectors.RULES)."""
+    trainer default, or one its trainer would refuse (the rules in
+    detectors.DETECTORS)."""
     specs = [_spec_params(s, "detector_list") for s in cfg.detector_list]
     for kind, hyper in specs:
         _check_keys(detectors.hyperparameters(kind), hyper, f"detector {kind!r}")

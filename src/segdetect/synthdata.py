@@ -2,15 +2,14 @@
 
 Class 0 is background; shape classes cycle through circle, rectangle, triangle.
 Images are whole-valued (8-bit scale) so that attack budgets on the 0-255 axis
-can be checked exactly.
+can be checked exactly. Scenes are drawn in memory only; the pipeline's
+gen-data unit writes them and reads them back.
 """
 
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensorio
 from .errors import InputError
 
 # Muted palette on purpose: class colors close enough that the trained model
@@ -142,43 +141,6 @@ def generate_samples(cfg, split):
     return samples
 
 
-def save_samples(out_dir, samples):
-    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "labels"), exist_ok=True)
-    for s in samples:
-        tensorio.save_tensor(os.path.join(out_dir, "images", f"{s.id}.ten"),
-                             s.image.astype(np.uint8))
-        tensorio.save_tensor(os.path.join(out_dir, "labels", f"{s.id}.ten"), s.labels)
-
-
-def load_samples(data_dir, ids):
-    samples = []
-    for sid in ids:
-        img = tensorio.load_tensor(os.path.join(data_dir, "images", f"{sid}.ten"))
-        lab = tensorio.load_tensor(os.path.join(data_dir, "labels", f"{sid}.ten"))
-        samples.append(SegSample(image=img.astype(np.float32), labels=lab, id=sid))
-    return samples
-
-
-def generate_dataset(cfg, out_dir):
-    """Writes images/<id>.ten, labels/<id>.ten and manifest.json; returns
-    (train samples, val samples, manifest dict)."""
-    train = generate_samples(cfg, "train")
-    val = generate_samples(cfg, "val")
-    save_samples(out_dir, train)
-    save_samples(out_dir, val)
-    manifest = {
-        "config": asdict(cfg),
-        "train_ids": [s.id for s in train],
-        "val_ids": [s.id for s in val],
-    }
-    tensorio.write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return train, val, manifest
-
-
-def load_dataset(data_dir):
-    manifest = tensorio.read_json(os.path.join(data_dir, "manifest.json"))
-    cfg = DatasetConfig(**manifest["config"])
-    train = load_samples(data_dir, manifest["train_ids"])
-    val = load_samples(data_dir, manifest["val_ids"])
-    return train, val, cfg
+def generate_dataset(cfg):
+    """(train samples, val samples) of `cfg`, drawn in memory."""
+    return generate_samples(cfg, "train"), generate_samples(cfg, "val")

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from segdetect import attacks, detectors, metrics, pipeline, synthdata, tensorio
+from segdetect import attacks, detectors, metrics, pipeline, tensorio
 from segdetect.model import load_model, predicted_labels
 from segdetect.uncertainty import FeatureVector, feature_vector, read_features
 
@@ -83,7 +83,7 @@ def test_a4_iterative_dominance(full_run, announce):
 
 def test_a5_budget_invariants(full_run, announce):
     cfg, _ = full_run
-    _, val_set, _ = synthdata.load_dataset(os.path.join(cfg.out_dir, "data"))
+    _, val_set = pipeline.stage_gen_data(cfg)
     by_id = {s.id: s for s in val_set}
     ok = True
     for spec in cfg.attack_list:
@@ -161,14 +161,13 @@ def test_a7_detector_sanity(announce):
     adv = [FeatureVector(values=v, image_id=f"a{i}", label="adv")
            for i, v in enumerate(rng.normal(size=(80, d)) + 8.0)]
     lasso = detectors.train_lasso(train, adv, lam=1e-4)
-    train_acc = np.mean(
-        [detectors.score(lasso, f) >= 0.5 for f in train]
-        + [detectors.score(lasso, f) < 0.5 for f in adv])
+    train_acc = np.mean(np.concatenate(
+        [detectors.score_many(lasso, train) >= 0.5, detectors.score_many(lasso, adv) < 0.5]))
     far = FeatureVector(values=np.full(d, 10.0))   # 10 training std per coordinate
     ok = train_acc == 1.0
     for trainer in (detectors.train_ocsvm, detectors.train_ellipse):
         m = trainer(train)
-        if detectors.score(m, far) > 0.05:
+        if detectors.score_many(m, [far])[0] > 0.05:
             ok = False
         if np.median(detectors.score_many(m, held)) < 0.5:
             ok = False
@@ -177,7 +176,7 @@ def test_a7_detector_sanity(announce):
 
 def test_a8_ssmm_efficacy(full_run, announce):
     cfg, _ = full_run
-    train_set, _, _ = synthdata.load_dataset(os.path.join(cfg.out_dir, "data"))
+    train_set, _ = pipeline.stage_gen_data(cfg)
     model = load_model(os.path.join(cfg.out_dir, "model.ten"),
                        os.path.join(cfg.out_dir, "model.json"))
     xi = tensorio.load_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"))

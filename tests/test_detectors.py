@@ -47,17 +47,17 @@ class TestEntropyDetector:
         m = detectors.train_entropy(feats)
         lnc = np.log(4)
         f = FeatureVector(values=np.array([0.5 * lnc, 0, 0, 0.25, 0.25, 0.25, 0.25]))
-        assert detectors.score(m, f) == pytest.approx(0.5, abs=1e-12)
+        assert detectors.score_many(m, [f])[0] == pytest.approx(0.5, abs=1e-12)
         f0 = FeatureVector(values=np.array([0.0, 0, 0, 1, 0, 0, 0]))
-        assert detectors.score(m, f0) == 1.0
+        assert detectors.score_many(m, [f0])[0] == 1.0
         fmax = FeatureVector(values=np.array([lnc, 0, 0, 0.25, 0.25, 0.25, 0.25]))
-        assert detectors.score(m, fmax) == pytest.approx(0.0, abs=1e-12)
+        assert detectors.score_many(m, [fmax])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_entropy(self):
         m = detectors.train_entropy(make_features(np.zeros((2, 7))))
-        scores = [detectors.score(m, FeatureVector(
-            values=np.array([e, 0, 0, 0.25, 0.25, 0.25, 0.25])))
-            for e in np.linspace(0, np.log(4), 10)]
+        scores = detectors.score_many(m, [FeatureVector(
+            values=np.array([e, 0, 0, 0.25, 0.25, 0.25, 0.25]))
+            for e in np.linspace(0, np.log(4), 10)])
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
@@ -73,10 +73,10 @@ class TestLassoDetector:
         clean = gaussian_features(n=40, seed=3)
         adv = gaussian_features(n=40, seed=4, shift=10.0)
         m = detectors.train_lasso(clean, adv, lam=1e-4)
-        for f in clean:
-            assert detectors.classify(detectors.score(m, f), 0.5) == "clean"
-        for f in adv:
-            assert detectors.classify(detectors.score(m, f), 0.5) == "perturbed"
+        for p in detectors.score_many(m, clean):
+            assert detectors.classify(p, 0.5) == "clean"
+        for p in detectors.score_many(m, adv):
+            assert detectors.classify(p, 0.5) == "perturbed"
 
     def test_lambda_zero_stationarity(self):
         # overlapping classes so the unregularized optimum is finite; at
@@ -308,8 +308,8 @@ class TestOcsvmDetector:
         m = detectors.train_ocsvm(feats, nu=0.1)
         center = FeatureVector(values=np.zeros(4))
         far = FeatureVector(values=np.full(4, 10.0))
-        assert detectors.score(m, center) >= 0.5
-        assert detectors.score(m, far) <= 0.05
+        assert detectors.score_many(m, [center])[0] >= 0.5
+        assert detectors.score_many(m, [far])[0] <= 0.05
 
     def test_shuffle_invariance(self):
         feats = gaussian_features(n=50, d=4, seed=13)
@@ -336,12 +336,12 @@ class TestEllipseDetector:
         # the training mean has Mahalanobis distance ~0: every training point
         # is at least as far out, so the survival probability is 1
         mean_vals = np.mean([f.values for f in feats], axis=0)
-        assert detectors.score(m, FeatureVector(values=mean_vals)) == 1.0
+        assert detectors.score_many(m, [FeatureVector(values=mean_vals)])[0] == 1.0
 
     def test_far_point_scores_zero(self):
         feats = gaussian_features(n=60, d=3, seed=17)
         m = detectors.train_ellipse(feats)
-        assert detectors.score(m, FeatureVector(values=np.full(3, 50.0))) == 0.0
+        assert detectors.score_many(m, [FeatureVector(values=np.full(3, 50.0))])[0] == 0.0
 
     def test_mahalanobis_2x2_oracle(self):
         # diagonal covariance: distance reduces to scaled Euclidean; check a
@@ -408,13 +408,6 @@ def test_serialization_roundtrip(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", detectors.DETECTORS)
-def test_score_is_one_row_of_score_many(kind):
-    m, clean = train_kind(kind)
-    for f in clean[:10]:
-        assert detectors.score(m, f) == detectors.score_many(m, [f])[0]
-
-
-@pytest.mark.parametrize("kind", detectors.DETECTORS)
 def test_unknown_hyperparameter_names_kind(kind):
     with pytest.raises(InputError, match=kind):
         detectors.train_detector(kind, gaussian_features(), gaussian_features(), foo=1)
@@ -424,7 +417,8 @@ def test_unknown_kind_raises():
     with pytest.raises(InputError, match="unknown detector kind"):
         detectors.train_detector("knn", gaussian_features())
     with pytest.raises(InputError, match="unknown detector kind"):
-        detectors.score(detectors.DetectorModel(kind="knn", params={}), np.zeros(3))
+        detectors.score_many(detectors.DetectorModel(kind="knn", params={}),
+                             [FeatureVector(values=np.zeros(3))])
 
 
 def test_only_lasso_is_supervised():

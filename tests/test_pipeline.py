@@ -251,6 +251,32 @@ def grad_check_failing_once(monkeypatch):
     monkeypatch.setattr(pipeline, "grad_check", lambda *args, **kw: reports.pop())
 
 
+def test_gen_data_writes_and_reads_back_the_drawn_samples(tmp_path, monkeypatch):
+    """The gen-data unit writes each drawn sample under its own directories and
+    returns what it reads back; a second call draws nothing."""
+    dcfg = synthdata.DatasetConfig(train_size=4, val_size=3, seed=11)
+    cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path / "run"))
+    images, labels = pipeline.unit_outputs(cfg.out_dir, "gen-data")[1:]
+
+    def as_bytes(splits):
+        return [[(s.id, s.image.dtype, s.image.tobytes(), s.labels.dtype, s.labels.tobytes())
+                 for s in split] for split in splits]
+
+    drawn = synthdata.generate_dataset(dcfg)
+    assert as_bytes(pipeline.stage_gen_data(cfg)) == as_bytes(drawn)
+    for s in drawn[0] + drawn[1]:
+        image, lab = (tensorio.load_tensor(os.path.join(d, f"{s.id}.ten")) for d in (images, labels))
+        assert image.dtype == np.uint8 and np.array_equal(image, s.image)
+        assert lab.dtype == np.int32 and np.array_equal(lab, s.labels)
+    assert len(os.listdir(images)) == len(os.listdir(labels)) == 7
+
+    def draw(*args):
+        raise AssertionError("a recorded dataset is drawn again")
+
+    monkeypatch.setattr(synthdata, "generate_dataset", draw)
+    assert as_bytes(pipeline.stage_gen_data(cfg)) == as_bytes(drawn)
+
+
 def test_resumed_failed_gradcheck_raises(small_dataset, tmp_path, monkeypatch):
     _, _, val = small_dataset
     cfg = pipeline.ExperimentConfig(out_dir=str(tmp_path))

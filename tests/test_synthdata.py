@@ -91,14 +91,3 @@ class TestSplits:
                 counts[c] += 1
         assert np.all(counts >= 10), counts
 
-
-def test_dataset_disk_roundtrip(tmp_path):
-    cfg = synthdata.DatasetConfig(train_size=4, val_size=3, seed=11)
-    train, val, manifest = synthdata.generate_dataset(cfg, tmp_path)
-    assert manifest["train_ids"] == [s.id for s in train]
-    t2, v2, cfg2 = synthdata.load_dataset(tmp_path)
-    assert cfg2 == cfg
-    for a, b in zip(train + val, t2 + v2):
-        assert a.id == b.id
-        assert a.image.tobytes() == b.image.tobytes()
-        assert a.labels.tobytes() == b.labels.tobytes()
