@@ -266,14 +266,19 @@ def dnnm_attack(model, sample, cfg):
     return _quantize(x, _sign_descent(grad, x, -cfg.alpha, _eps_box(x, cfg.eps), cfg.n_iter))
 
 
+def check_patch_fits(cfg, h, w):
+    """Raises InputError unless patch config `cfg` fits an h x w image."""
+    if cfg.height > h or cfg.width > w:
+        raise InputError(f"patch {cfg.height}x{cfg.width} larger than image {h}x{w}")
+
+
 def patch_attack(model, train_samples, cfg):
     """Translation-only patch optimization: iterative sign-gradient ascent on
     the untargeted mean cross-entropy, averaged each iteration over random
     placements across the training samples. Returns the patch; use apply_patch
     to paste it."""
     h, w = train_samples[0].image.shape[:2]
-    if cfg.height > h or cfg.width > w:
-        raise InputError(f"patch {cfg.height}x{cfg.width} larger than image {h}x{w}")
+    check_patch_fits(cfg, h, w)
     rng = np.random.default_rng(cfg.seed)
 
     def placed_grad(patch, placement):

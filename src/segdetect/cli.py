@@ -39,13 +39,14 @@ def load_config(args):
             doc = json.load(fh)
     if args.stage_overrides:
         _deep_merge(doc, json.loads(args.stage_overrides))
+    if getattr(args, "seed", None) is not None:   # before from_dict, which checks it
+        doc["seed"] = args.seed
+        for section in ("dataset", "train"):
+            if isinstance(doc.setdefault(section, {}), dict):
+                doc[section]["seed"] = args.seed
     cfg = pipeline.ExperimentConfig.from_dict(doc)
     if args.out:
         cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.dataset.seed = args.seed
-        cfg.train.seed = args.seed
     return cfg
 
 

@@ -30,6 +30,8 @@ class TrainConfig:
             raise InputError("epochs must be >= 1")
         if self.batch_size < 1:
             raise InputError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"train seed must be >= 0, got {self.seed}")
 
 
 @dataclass

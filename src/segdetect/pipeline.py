@@ -4,8 +4,8 @@ Stage order (STAGES, chained once in run_stages): gen-data -> train-model ->
 gradcheck -> attack -> extract-features -> train-detector -> evaluate. Every
 stage is a pure function of its inputs, the config and the seed. Its outputs
 come in units (the stage, or one attack, feature table, heatmap set or
-detector of it) with keys (unit_keys) and files (unit_outputs); stages read
-them back, and recompute only those whose key keys.json lacks (_unit).
+detector of it) with keys (unit_keys) and files (unit_outputs); _unit hands
+a stage each unit's files, recomputed only when keys.json lacks the key.
 """
 
 import hashlib
@@ -84,6 +84,8 @@ class ExperimentConfig:
         cfg = cls(**d)
         if cfg.ssmm_train_size < 1:
             raise InputError("ssmm_train_size must be >= 1")
+        if cfg.seed < 0:
+            raise InputError(f"seed must be >= 0, got {cfg.seed}")
         unit_keys(cfg)
         if cfg.attack_list and cfg.detector_list and (
                 cfg.folds < 2 or cfg.dataset.val_size // cfg.folds < metrics.MIN_CLEAN_SCORES):
@@ -209,56 +211,51 @@ def _drop(cfg, units):
 
 
 def _unit(cfg, name, compute):
-    """Unless keys.json records unit `name`'s key in unit_keys(cfg): drops the
-    unit, makes its directories, runs compute() and records the new key."""
-    key = unit_keys(cfg)[name]
-    if _keys(cfg).get(name) == key:
-        return
-    _drop(cfg, [name])
-    for path in unit_outputs(cfg.out_dir, name):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-    compute()
-    _write_keys(cfg, {**_keys(cfg), name: key})
+    """The paths unit_outputs gives unit `name`. Unless keys.json records its
+    key in unit_keys(cfg), first drops the unit, makes its directories, runs
+    compute(*paths) and records the new key."""
+    key, paths = unit_keys(cfg)[name], unit_outputs(cfg.out_dir, name)
+    if _keys(cfg).get(name) != key:
+        _drop(cfg, [name])
+        for path in paths:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        compute(*paths)
+        _write_keys(cfg, {**_keys(cfg), name: key})
+    return paths
 
 
 def stage_gen_data(cfg):
     """Draws the dataset and writes each sample as uint8 images/<id>.ten and
     int32 labels/<id>.ten, then manifest.json; returns (train, val) as read
     back by the manifest's ids."""
-    data_dir, images, labels = unit_outputs(cfg.out_dir, "gen-data")
-    manifest = os.path.join(data_dir, "manifest.json")
-
-    def gen_data():
+    def gen_data(data_dir, images, labels):
         train_set, val_set = synthdata.generate_dataset(cfg.dataset)
         for s in train_set + val_set:
             tensorio.save_tensor(os.path.join(images, f"{s.id}.ten"), s.image.astype(np.uint8))
             tensorio.save_tensor(os.path.join(labels, f"{s.id}.ten"), s.labels)
-        tensorio.write_json(manifest, {"config": asdict(cfg.dataset),
-                                       "train_ids": [s.id for s in train_set],
-                                       "val_ids": [s.id for s in val_set]})
+        tensorio.write_json(os.path.join(data_dir, "manifest.json"), {
+            "config": asdict(cfg.dataset), "train_ids": [s.id for s in train_set],
+            "val_ids": [s.id for s in val_set]})
 
     def load(sid):
         return synthdata.SegSample(
             tensorio.load_tensor(os.path.join(images, f"{sid}.ten")).astype(np.float32),
             tensorio.load_tensor(os.path.join(labels, f"{sid}.ten")), sid)
 
-    _unit(cfg, "gen-data", gen_data)
-    ids = tensorio.read_json(manifest)
+    data_dir, images, labels = _unit(cfg, "gen-data", gen_data)
+    ids = tensorio.read_json(os.path.join(data_dir, "manifest.json"))
     return [load(sid) for sid in ids["train_ids"]], [load(sid) for sid in ids["val_ids"]]
 
 
 def stage_train_model(cfg, train_set):
-    paths = unit_outputs(cfg.out_dir, "train-model")
-    _unit(cfg, "train-model", lambda: save_model(
-        train([(s.image, s.labels) for s in train_set], cfg.train), *paths))
-    return load_model(*paths)
+    return load_model(*_unit(cfg, "train-model", lambda *paths: save_model(
+        train([(s.image, s.labels) for s in train_set], cfg.train), *paths)))
 
 
 def stage_gradcheck(cfg, model, val_set):
     """Finite-difference gradient check; raises InputError when it failed,
     also when the failure was recorded by an earlier run."""
-    path, = unit_outputs(cfg.out_dir, "gradcheck")
-    _unit(cfg, "gradcheck", lambda: tensorio.write_json(
+    path, = _unit(cfg, "gradcheck", lambda path: tensorio.write_json(
         path, asdict(grad_check(model, val_set[0].image, val_set[0].labels, seed=cfg.seed))))
     doc = tensorio.read_json(path)
     if not doc["passed"]:
@@ -282,6 +279,12 @@ def _dnnm_config(cfg, params):
     return dcfg
 
 
+def _patch_config(cfg, params):
+    pcfg = attacks.PatchConfig(**{"seed": cfg.seed, **params})
+    attacks.check_patch_fits(pcfg, cfg.dataset.height, cfg.dataset.width)
+    return pcfg
+
+
 def sign_tag(kind, spec):
     """`<kind>_e<eps>`, or `<kind>_ll_e<eps>` when the spec targets the least likely class."""
     return f"{kind}{'_ll' if spec.get('targeted') else ''}_e{spec['eps']:g}"
@@ -293,20 +296,20 @@ def _per_image(attack):
         lambda s: getattr(attacks, attack)(model, s, acfg), {})
 
 
-def _run_ssmm(cfg, model, scfg, train_set, val_set):
+def _run_ssmm(cfg, model, scfg, train_set, val_set, target_path, noise_path):
     rng = np.random.default_rng([cfg.seed, 101])
     subset = train_set[:cfg.ssmm_train_size]
     candidates = train_set[cfg.ssmm_train_size:] or train_set
     target = attacks.pick_ssmm_target(candidates, rng)
     noise = attacks.ssmm_train(model, subset, target, scfg)
-    for path, array in zip(unit_outputs(cfg.out_dir, "attack/ssmm")[2:], (target, noise)):
-        tensorio.save_tensor(path, array)
+    tensorio.save_tensor(target_path, target)
+    tensorio.save_tensor(noise_path, noise)
     return lambda s: attacks.apply_universal(s.image, noise), {}
 
 
-def _run_patch(cfg, model, pcfg, train_set, val_set):
+def _run_patch(cfg, model, pcfg, train_set, val_set, patch_path):
     patch = attacks.patch_attack(model, train_set[:cfg.ssmm_train_size], pcfg)
-    tensorio.save_tensor(unit_outputs(cfg.out_dir, "attack/patch")[2], patch)
+    tensorio.save_tensor(patch_path, patch)
     rng = np.random.default_rng([cfg.seed, 202])
     windows = {s.id: [int(rng.integers(0, s.image.shape[0] - pcfg.height + 1)),
                       int(rng.integers(0, s.image.shape[1] - pcfg.width + 1))] for s in val_set}
@@ -316,8 +319,9 @@ def _run_patch(cfg, model, pcfg, train_set, val_set):
 # kind -> (config dataclass, config rule, runner, tag rule, config fields the
 # runner sets itself; the spec keys are the other fields). The config rule
 # maps (cfg, params) to the attack config with the runner's defaults filled
-# in; the runner (cfg, model, attack config, train_set, val_set) to the attack
-# of one validation sample (sample -> float32 image) and its extra attack.json
+# in; the runner (cfg, model, attack config, train_set, val_set, then the
+# paths of the unit's own files in _OUTPUTS, if any) to the attack of one
+# validation sample (sample -> float32 image) and its extra attack.json
 # entries; the tag rule (kind, params) to the output tag (none: the kind).
 ATTACKS = {
     "fgsm": (attacks.AttackConfig, _fgsm_config, _per_image("fgsm"), sign_tag,
@@ -325,8 +329,7 @@ ATTACKS = {
     "ifgsm": (attacks.AttackConfig, _ifgsm_config, _per_image("ifgsm"), sign_tag, ()),
     "ssmm": (attacks.SsmmConfig, lambda cfg, p: attacks.SsmmConfig(**p), _run_ssmm, None, ()),
     "dnnm": (attacks.DnnmConfig, _dnnm_config, _per_image("dnnm_attack"), None, ()),
-    "patch": (attacks.PatchConfig, lambda cfg, p: attacks.PatchConfig(**{"seed": cfg.seed, **p}),
-              _run_patch, None, ()),
+    "patch": (attacks.PatchConfig, _patch_config, _run_patch, None, ()),
 }
 
 
@@ -355,10 +358,9 @@ def stage_attack(cfg, model, train_set, val_set):
     tags = []
     for spec in cfg.attack_list:
         run, acfg, tag = _attack_spec(cfg, spec)
-        adir, idir = unit_outputs(cfg.out_dir, f"attack/{tag}")[:2]
 
-        def attack():
-            attacked, extras = run(cfg, model, acfg, train_set, val_set)
+        def attack(adir, idir, *files):
+            attacked, extras = run(cfg, model, acfg, train_set, val_set, *files)
 
             def write(s):
                 image = attacked(s)
@@ -376,30 +378,29 @@ def stage_attack(cfg, model, train_set, val_set):
 
 def stage_extract_features(cfg, model, val_set, tags):
     """Each table's features, and heatmaps, from its unit's images, one at a time."""
-    def extract(name, label, tag, unit):
-        images = unit_outputs(cfg.out_dir, unit)[1]
+    def extract(name):
+        clean = name == "clean"
+        images = unit_outputs(cfg.out_dir, "gen-data" if clean else f"attack/{name}")[1]
 
         def predicted(s):   # predict casts the uint8 image to float32, exactly
             return predict(model, tensorio.load_tensor(os.path.join(images, f"{s.id}.ten")))
 
         def features(s):
             probs = predicted(s)
-            f = uncertainty.feature_vector(probs, image_id=s.id, label=label, attack=tag)
+            f = uncertainty.feature_vector(probs, image_id=s.id, label="clean" if clean else "adv",
+                                           attack="" if clean else name)
             f.apsr = metrics.apsr(np.argmax(probs, axis=2), s.labels)
             return f
 
         if cfg.export_heatmaps:
-            hdir, = unit_outputs(cfg.out_dir, f"extract-features/heatmaps/{name}")
-            _unit(cfg, f"extract-features/heatmaps/{name}", lambda: map_items(
+            _unit(cfg, f"extract-features/heatmaps/{name}", lambda hdir: map_items(
                 lambda s: export_entropy_heatmap(predicted(s), os.path.join(hdir, f"{s.id}.pgm")),
                 val_set))
-        path, = unit_outputs(cfg.out_dir, f"extract-features/{name}")
-        _unit(cfg, f"extract-features/{name}",
-              lambda: uncertainty.write_features(path, map_items(features, val_set)))
+        path, = _unit(cfg, f"extract-features/{name}", lambda path: uncertainty.write_features(
+            path, map_items(features, val_set)))
         return uncertainty.read_features(path)
 
-    return (extract("clean", "clean", "", "gen-data"),
-            {tag: extract(tag, "adv", tag, f"attack/{tag}") for tag in sorted(tags)})
+    return extract("clean"), {tag: extract(tag) for tag in sorted(tags)}
 
 
 def _detector_specs(cfg):
@@ -422,9 +423,8 @@ def stage_train_detectors(cfg, clean_feats, adv_feats):
     evaluation stage refits per fold; these are the deployable models)."""
     models = {}
     for kind, hyper, adv in _detector_specs(cfg):
-        path, = unit_outputs(cfg.out_dir, f"train-detector/{kind}")
         adv_train = [f for tag in adv for f in adv_feats[tag]]
-        _unit(cfg, f"train-detector/{kind}", lambda: detectors.save_detector(
+        path, = _unit(cfg, f"train-detector/{kind}", lambda path: detectors.save_detector(
             detectors.train_detector(kind, clean_feats, adv_train, **hyper), path))
         models[kind] = detectors.load_detector(path)
     return models
@@ -432,9 +432,7 @@ def stage_train_detectors(cfg, clean_feats, adv_feats):
 
 def stage_evaluate(cfg, clean_feats, adv_feats):
     """The report, built from the feature table alone."""
-    csv_path, json_path = unit_outputs(cfg.out_dir, "evaluate")
-
-    def evaluate():
+    def evaluate(csv_path, json_path):
         apsr = {tag: float(np.mean([f.apsr for f in feats]))
                 for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
         report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean")])
@@ -446,8 +444,7 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
         report.write_csv(csv_path)
         report.write_json(json_path)
 
-    _unit(cfg, "evaluate", evaluate)
-    return csv_path
+    return _unit(cfg, "evaluate", evaluate)[0]
 
 
 def run_stages(cfg, force=None):

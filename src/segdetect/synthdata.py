@@ -6,6 +6,7 @@ can be checked exactly. Scenes are drawn in memory only; the pipeline's
 gen-data unit writes them and reads them back.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,11 @@ class DatasetConfig:
             raise InputError("images must be at least 32x32")
         if len(self.palette) < self.num_classes:
             raise InputError("palette must cover every class")
+        for color in self.palette:
+            if not (isinstance(color, (list, tuple)) and len(color) == 3 and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)
+                    for v in color)):
+                raise InputError(f"palette entries must be three finite numbers, got {color}")
         check_hidden_class(self.hidden_class, self.num_classes)
         if len(self.shapes_per_image) != 2 or not (
                 0 <= self.shapes_per_image[0] <= self.shapes_per_image[1]):
@@ -57,6 +63,8 @@ class DatasetConfig:
             raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.train_size < 1 or self.val_size < 1:
             raise InputError("train_size and val_size must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"dataset seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -415,6 +415,23 @@ class TestMiniPipeline:
                 os.path.join(cfg.out_dir, "features", f"{name}.csv"), "rb").read()), name
         assert (out / "report" / "report.csv").read_bytes() == open(csv_path, "rb").read()
 
+    def test_every_file_belongs_to_one_recorded_unit(self, mini_run):
+        """Each file but config.json and keys.json is one of a recorded unit's
+        unit_outputs paths, or lies under one of its directories, for exactly
+        one unit; and each recorded unit owns a file."""
+        cfg, _ = mini_run
+        units = {unit: pipeline.unit_outputs(cfg.out_dir, unit) for unit in pipeline._keys(cfg)}
+
+        def owners(path):
+            return [unit for unit, paths in units.items()
+                    if any(p == path or p.endswith(os.sep) and path.startswith(p) for p in paths)]
+
+        files = [os.path.join(d, name) for d, _, names in os.walk(cfg.out_dir) for name in names]
+        owned = {path: owners(path) for path in files
+                 if os.path.relpath(path, cfg.out_dir) not in ("config.json", "keys.json")}
+        assert {path: names for path, names in owned.items() if len(names) != 1} == {}
+        assert {names[0] for names in owned.values()} == set(units)
+
     def test_gradcheck_recorded_as_passed(self, mini_run):
         cfg, _ = mini_run
         doc = json.load(open(os.path.join(cfg.out_dir, "gradcheck.json")))
@@ -565,6 +582,15 @@ class TestCli:
         ('{"dataset": {"train_size": 0}}', "train_size and val_size must be >= 1"),
         ('{"attack_list": [], "dataset": {"val_size": -4}}',
          "train_size and val_size must be >= 1"),
+        ('{"seed": -1}', "seed must be >= 0, got -1"),
+        ('{"train": {"seed": -2}}', "train seed must be >= 0, got -2"),
+        ('{"dataset": {"seed": -1}}', "dataset seed must be >= 0, got -1"),
+        ('{"dataset": {"palette": [[120, 120], [160, 110, 110], [110, 160, 110], '
+         '[110, 110, 160]]}}', "palette entries must be three finite numbers, got [120, 120]"),
+        ('{"dataset": {"palette": [[120, 120, 120], [160, NaN, 110], [110, 160, 110], '
+         '[110, 110, 160]]}}', "palette entries must be three finite numbers, got [160, nan, 110]"),
+        ('{"attack_list": [{"kind": "patch", "height": 65}]}',
+         "patch 65x48 larger than image 64x64"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -574,6 +600,12 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("segdetect: gen-data: ") and message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_flag_fails_before_the_run(self, tmp_path, capsys):
+        rc = cli.main(["gen-data", "--seed", "-1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_detect_on_old_feature_csv_errors(self, mini_run, tmp_path, capsys):
