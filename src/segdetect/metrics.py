@@ -5,8 +5,8 @@ ADA*: best averaged detection accuracy over a 40-point kappa grid.
 AUROC: probability a random clean score exceeds a random perturbed one.
 TPR5%: true positive rate at a threshold capping the clean FPR at 5%.
 
-cross_validate trains one detector kind on the attacks its caller names
-(pipeline._detector_specs) and scores it against every attack.
+cross_validate trains one detector kind on the attacks its caller names (its
+training attacks in pipeline._units) and scores it against every attack.
 """
 
 import csv

@@ -4,14 +4,13 @@ Stage order (STAGES, chained once in run_stages): gen-data -> train-model ->
 gradcheck -> attack -> extract-features -> train-detector -> evaluate. Every
 stage is a pure function of its inputs, the config and the seed. Its outputs
 come in units (the stage, or one attack, feature table, heatmap set or
-detector of it) with keys (unit_keys) and files (unit_outputs); _unit hands
-a stage each unit's files, recomputed only when keys.json lacks the key.
+detector of it), declared once with their keys in _units; each stage loops over
+its own, and _unit hands it their files, recomputed unless keys.json has the key.
 """
 
 import hashlib
 import json
 import os
-import re
 import shutil
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
@@ -109,6 +108,8 @@ def _check_keys(known, d, section):
     """Returns `d`; raises InputError unless its keys are keys of `known`
     ({key: default}), valued like their defaults: an int counts as a float,
     an object as a nested config."""
+    if not isinstance(d, dict):
+        raise InputError(f"{section}: expected object, got {type(d).__name__}")
     unknown = set(d) - set(known)
     if unknown:
         raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
@@ -139,44 +140,50 @@ def _write_keys(cfg, keys):
     os.replace(path + ".tmp", path)
 
 
-def unit_keys(cfg):
-    """{unit: key} under `cfg`: a SHA-256 over the config the unit reads and
+def _units(cfg, stage=None):
+    """{unit: (key, what its stage needs)} under `cfg`, in run order, of every
+    stage or of `stage`; a key is a SHA-256 over the config the unit reads and
     the keys of the units it reads from. Raises InputError on a bad spec, or
     when two specs make one unit."""
-    keys = {}
+    units = {}
 
-    def add(name, reads, upstream=()):
-        if name in keys:
+    def add(name, reads, upstream=(), needs=None):
+        if name in units:
             raise InputError(f"two specs make the one unit {name}")
-        blob = json.dumps([reads, [keys[unit] for unit in upstream]], sort_keys=True)
-        keys[name] = hashlib.sha256(blob.encode()).hexdigest()
+        blob = json.dumps([reads, [units[unit][0] for unit in upstream]], sort_keys=True)
+        units[name] = hashlib.sha256(blob.encode()).hexdigest(), needs
 
     model = ("gen-data", "train-model")
     add("gen-data", asdict(cfg.dataset))
     add("train-model", asdict(cfg.train), model[:1])
     add("gradcheck", cfg.seed, model)
-    specs = [_attack_spec(cfg, spec)[1:] for spec in cfg.attack_list]
-    for acfg, tag in specs:
-        add(f"attack/{tag}", [asdict(acfg), cfg.seed, cfg.ssmm_train_size], model)
-    tables = ["clean", *sorted(tag for _, tag in specs)]
-    for name in tables:
-        images = model + ((f"attack/{name}",) if name != "clean" else ())
-        add(f"extract-features/{name}", None, images)
+    specs = [(*_attack_spec(cfg, spec), spec["kind"]) for spec in cfg.attack_list]
+    for run, acfg, tag, kind in specs:
+        add(f"attack/{tag}", [asdict(acfg), cfg.seed, cfg.ssmm_train_size], model, (kind, run, acfg))
+    tags = sorted(tag for _, _, tag, _ in specs)
+    for name in ["clean", *tags]:
+        source = f"attack/{name}" if name != "clean" else "gen-data"
+        images = model + ((source,) if name != "clean" else ())
+        add(f"extract-features/{name}", None, images, source)
         if cfg.export_heatmaps:
-            add(f"extract-features/heatmaps/{name}", None, images)
-    for kind, hyper, adv in _detector_specs(cfg):
+            add(f"extract-features/heatmaps/{name}", None, images, source)
+    detector_specs = _detector_specs(cfg, tags)
+    for kind, hyper, adv in detector_specs:
         add(f"train-detector/{kind}", [hyper, adv],
-            [f"extract-features/{name}" for name in ["clean", *adv]])
+            [f"extract-features/{name}" for name in ["clean", *adv]], (kind, hyper, adv))
     add("evaluate", [cfg.detector_list, cfg.train_attack, cfg.folds, cfg.seed],
-        [f"extract-features/{name}" for name in tables])
-    return keys
+        [f"extract-features/{name}" for name in ["clean", *tags]], detector_specs)
+    return {unit: entry for unit, entry in units.items() if stage in (None, unit.split("/")[0])}
 
 
-# A unit is named by its stage, or its stage and one path component (a tag,
-# table or kind), so its paths stay in the run directory: "{}" stands for it in
-# the paths _OUTPUTS gives its stage, or the unit. A path ending "/" is a directory.
-_UNIT = re.compile(r"(gen-data|train-model|gradcheck|evaluate)"
-                   r"|(attack|extract-features(?:/heatmaps)?|train-detector)/(?!\.\.?$)([^/]+)")
+def unit_keys(cfg):
+    """{unit: key} of the table _units(cfg)."""
+    return {unit: key for unit, (key, _) in _units(cfg).items()}
+
+
+# A unit is its kind, plus one path component (a tag, table or detector) when "{}"
+# stands for it in the kind's paths; a unit's own extra files sit under its name.
+# A path ending "/" is a directory.
 _OUTPUTS = {"gen-data": ["data/", "data/images/", "data/labels/"],
             "train-model": ["model.ten", "model.json"], "gradcheck": ["gradcheck.json"],
             "attack": ["attacks/{}/", "attacks/{}/images/"],
@@ -189,12 +196,13 @@ _OUTPUTS = {"gen-data": ["data/", "data/images/", "data/labels/"],
 def unit_outputs(out_dir, name):
     """The paths unit `name` writes under out_dir, from the name alone: a stale
     unit is not in the config. Raises InputError on a name no stage makes."""
-    match = _UNIT.fullmatch(name)
-    if not match:
-        raise InputError(f"unknown unit {name!r}")
-    stage = match[1] or match[2]
-    return [os.path.join(out_dir, path.format(match[3]))
-            for path in _OUTPUTS[stage] + (_OUTPUTS.get(name, []) if name != stage else [])]
+    kind, _, part = name.rpartition("/")
+    if "{}" not in "".join(_OUTPUTS.get(kind, [])) or part in ("", ".", ".."):
+        kind, part = name, ""   # then the name is a kind that takes no component
+        if "{}" in "".join(_OUTPUTS.get(kind, ["{}"])):
+            raise InputError(f"unknown unit {name!r}")
+    return [os.path.join(out_dir, path.format(part))
+            for path in _OUTPUTS[kind] + (_OUTPUTS.get(name, []) if part else [])]
 
 
 def _drop(cfg, units):
@@ -347,18 +355,11 @@ def _attack_spec(cfg, spec):
         raise InputError(f"attack {kind!r}: missing key {exc}") from None
 
 
-def attack_tag(spec):
-    """Directory and report tag of an attack spec."""
-    return _attack_spec(ExperimentConfig(), spec)[2]
-
-
 def stage_attack(cfg, model, train_set, val_set):
     """Runs each configured attack on the validation split one image at a time:
     writes it as uint8 images/<id>.ten, its l-inf norm to attack.json. Returns the tags."""
-    tags = []
-    for spec in cfg.attack_list:
-        run, acfg, tag = _attack_spec(cfg, spec)
-
+    units = _units(cfg, "attack")
+    for unit, (_, (kind, run, acfg)) in units.items():
         def attack(adir, idir, *files):
             attacked, extras = run(cfg, model, acfg, train_set, val_set, *files)
 
@@ -368,19 +369,19 @@ def stage_attack(cfg, model, train_set, val_set):
                 return s.id, float(np.abs(image - s.image).max())
 
             tensorio.write_json(os.path.join(adir, "attack.json"), dict(
-                config=dict(asdict(acfg), kind=spec["kind"]), ids=[s.id for s in val_set],
+                config=dict(asdict(acfg), kind=kind), ids=[s.id for s in val_set],
                 linf_norms=dict(map_items(write, val_set)), **extras))
 
-        _unit(cfg, f"attack/{tag}", attack)
-        tags.append(tag)
-    return tags
+        _unit(cfg, unit, attack)
+    return [unit.split("/")[1] for unit in units]
 
 
-def stage_extract_features(cfg, model, val_set, tags):
-    """Each table's features, and heatmaps, from its unit's images, one at a time."""
-    def extract(name):
-        clean = name == "clean"
-        images = unit_outputs(cfg.out_dir, "gen-data" if clean else f"attack/{name}")[1]
+def stage_extract_features(cfg, model, val_set):
+    """Each table's features, and heatmaps, from its source unit's images, one at a time."""
+    feats = {}
+    for unit, (_, source) in _units(cfg, "extract-features").items():
+        name, clean = unit.split("/")[-1], source == "gen-data"
+        images = unit_outputs(cfg.out_dir, source)[1]
 
         def predicted(s):   # predict casts the uint8 image to float32, exactly
             return predict(model, tensorio.load_tensor(os.path.join(images, f"{s.id}.ten")))
@@ -392,39 +393,37 @@ def stage_extract_features(cfg, model, val_set, tags):
             f.apsr = metrics.apsr(np.argmax(probs, axis=2), s.labels)
             return f
 
-        if cfg.export_heatmaps:
-            _unit(cfg, f"extract-features/heatmaps/{name}", lambda hdir: map_items(
+        if unit.startswith("extract-features/heatmaps/"):
+            _unit(cfg, unit, lambda hdir: map_items(
                 lambda s: export_entropy_heatmap(predicted(s), os.path.join(hdir, f"{s.id}.pgm")),
                 val_set))
-        path, = _unit(cfg, f"extract-features/{name}", lambda path: uncertainty.write_features(
-            path, map_items(features, val_set)))
-        return uncertainty.read_features(path)
+        else:
+            path, = _unit(cfg, unit, lambda path: uncertainty.write_features(
+                path, map_items(features, val_set)))
+            feats[name] = uncertainty.read_features(path)
+    return feats.pop("clean"), feats
 
-    return extract("clean"), {tag: extract(tag) for tag in sorted(tags)}
 
-
-def _detector_specs(cfg):
+def _detector_specs(cfg, tags):
     """(kind, hyperparameters, training attacks) of each configured detector
-    whose training attacks run; its deployable and per-fold models train on
-    them. Raises InputError on an unknown kind or key, a value unlike its
-    trainer default, or one its trainer would refuse (the rules in
-    detectors.DETECTORS)."""
+    whose training attacks are among `tags`; its deployable and per-fold models
+    train on them. Raises InputError on an unknown kind or key, or a value
+    unlike its trainer default or against its rule in detectors.DETECTORS."""
     specs = [_spec_params(s, "detector_list") for s in cfg.detector_list]
     for kind, hyper in specs:
         _check_keys(detectors.hyperparameters(kind), hyper, f"detector {kind!r}")
-    tags = {_attack_spec(cfg, spec)[2] for spec in cfg.attack_list}
     specs = [(kind, hyper, [cfg.train_attack] if detectors.is_supervised(kind, hyper) else [])
              for kind, hyper in specs]
-    return [spec for spec in specs if set(spec[2]) <= tags]
+    return [spec for spec in specs if set(spec[2]) <= set(tags)]
 
 
 def stage_train_detectors(cfg, clean_feats, adv_feats):
     """Full-data detector models written to detectors/<kind>.json (the
     evaluation stage refits per fold; these are the deployable models)."""
     models = {}
-    for kind, hyper, adv in _detector_specs(cfg):
+    for unit, (_, (kind, hyper, adv)) in _units(cfg, "train-detector").items():
         adv_train = [f for tag in adv for f in adv_feats[tag]]
-        path, = _unit(cfg, f"train-detector/{kind}", lambda path: detectors.save_detector(
+        path, = _unit(cfg, unit, lambda path: detectors.save_detector(
             detectors.train_detector(kind, clean_feats, adv_train, **hyper), path))
         models[kind] = detectors.load_detector(path)
     return models
@@ -436,7 +435,7 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
         apsr = {tag: float(np.mean([f.apsr for f in feats]))
                 for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
         report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean")])
-        for kind, hyper, adv in _detector_specs(cfg) if adv_feats else []:
+        for kind, hyper, adv in _units(cfg)["evaluate"][1] if adv_feats else []:
             report.rows += metrics.cross_validate(clean_feats, adv_feats, kind, hyper, adv,
                                                   cfg.folds, cfg.seed)
         for row in report.rows:
@@ -464,9 +463,8 @@ def run_stages(cfg, force=None):
     model = stage_train_model(cfg, train_set)
     yield "train-model", model
     yield "gradcheck", stage_gradcheck(cfg, model, val_set)
-    tags = stage_attack(cfg, model, train_set, val_set)
-    yield "attack", tags
-    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set, tags)
+    yield "attack", stage_attack(cfg, model, train_set, val_set)
+    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set)
     yield "extract-features", (clean_feats, adv_feats)
     yield "train-detector", stage_train_detectors(cfg, clean_feats, adv_feats)
     yield "evaluate", stage_evaluate(cfg, clean_feats, adv_feats)

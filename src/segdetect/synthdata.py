@@ -55,6 +55,10 @@ class DatasetConfig:
                     for v in color)):
                 raise InputError(f"palette entries must be three finite numbers, got {color}")
         check_hidden_class(self.hidden_class, self.num_classes)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in self.shapes_per_image):
+            raise InputError(f"shapes_per_image entries must be integers, "
+                             f"got {self.shapes_per_image}")
         if len(self.shapes_per_image) != 2 or not (
                 0 <= self.shapes_per_image[0] <= self.shapes_per_image[1]):
             raise InputError(f"shapes_per_image must be [lo, hi] with 0 <= lo <= hi, "

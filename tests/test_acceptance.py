@@ -87,7 +87,7 @@ def test_a5_budget_invariants(full_run, announce):
     by_id = {s.id: s for s in val_set}
     ok = True
     for spec in cfg.attack_list:
-        tag = pipeline.attack_tag(spec)
+        tag = pipeline._attack_spec(cfg, spec)[2]
         adir = os.path.join(cfg.out_dir, "attacks", tag)
         meta = json.load(open(os.path.join(adir, "attack.json")))
         eps = meta["config"].get("eps")

@@ -63,6 +63,19 @@ def test_checked_file_is_a_unit_output(unit, path):
                for p in pipeline.unit_outputs(out, unit))
 
 
+@pytest.mark.parametrize("config", [
+    {"export_heatmaps": True}, *(run.WORKLOADS[name]["config"] for name in sorted(run.WORKLOADS))],
+    ids=["default_heatmaps", *sorted(run.WORKLOADS)])
+def test_no_two_units_share_a_path(config):
+    """Every unit of the config resolves to its paths, and no path of one unit
+    is, or lies under a directory of, another unit's."""
+    cfg = pipeline.ExperimentConfig.from_dict(copy.deepcopy(config))
+    owned = [(unit, path) for unit in pipeline.unit_keys(cfg)
+             for path in pipeline.unit_outputs("run", unit)]
+    assert [(a, p, b, q) for a, p in owned for b, q in owned
+            if a != b and (p == q or q.endswith(os.sep) and p.startswith(q))] == []
+
+
 def test_tracer_names_and_counts_the_conv_layers():
     """The tracer names each conv layer from its kernel and counts its flop
     from the shapes of what the model passes to the conv ops."""
@@ -95,10 +108,12 @@ def test_tracer_names_and_counts_the_conv_layers():
 def test_checked_report_rows_are_the_rows_evaluate_writes(config, tmp_path):
     """`checks.py` writes out its own rule for which detectors report (lasso
     only when its training attack runs): it must name the rows stage_evaluate
-    writes, the clean row and each _detector_specs kind x each attack."""
+    writes, the clean row and each train-detector unit's kind x each attack."""
     cfg = pipeline.ExperimentConfig.from_dict(copy.deepcopy(config))
-    tags = [pipeline.attack_tag(spec) for spec in cfg.attack_list]
-    kinds = [kind for kind, _, _ in pipeline._detector_specs(cfg)] if tags else []
+    keys = pipeline.unit_keys(cfg)
+    tags = [unit[len("attack/"):] for unit in keys if unit.startswith("attack/")]
+    kinds = [unit[len("train-detector/"):] for unit in keys
+             if unit.startswith("train-detector/")] if tags else []
     report = metrics.EvalReport([metrics.EvalRow("-", "clean", 0.0)] + [
         metrics.EvalRow(kind, tag, *[0.5] * 8) for kind in kinds for tag in tags])
     os.makedirs(tmp_path / "report")

@@ -65,6 +65,7 @@ class TestHeatmap:
 
 
 def test_attack_tag():
+    """Each spec's tag, taken under the config it runs in."""
     for spec, tag in [
         ({"kind": "fgsm", "eps": 8}, "fgsm_e8"),
         ({"kind": "fgsm", "eps": 4, "targeted": False}, "fgsm_e4"),
@@ -80,11 +81,19 @@ def test_attack_tag():
         ({"kind": "ssmm", "n_iter": 3}, "ssmm"),
         ({"kind": "dnnm", "n_iter": 5}, "dnnm"),
     ]:
-        assert pipeline.attack_tag(spec) == tag, spec
+        assert pipeline._attack_spec(pipeline.ExperimentConfig(), spec)[2] == tag, spec
+    # a patch larger than the default 64x64 image loads under a 96x96 dataset
+    spec = {"kind": "patch", "height": 80, "width": 48}
+    cfg = pipeline.ExperimentConfig(dataset=synthdata.DatasetConfig(height=96, width=96),
+                                    attack_list=[spec])
+    assert pipeline._attack_spec(cfg, spec)[2] == "patch"
+    assert [unit for unit in pipeline.unit_keys(cfg) if unit.startswith("attack/")] == [
+        "attack/patch"]
 
 
 def test_default_attack_list_covers_families():
-    tags = [pipeline.attack_tag(s) for s in pipeline.default_attack_list()]
+    cfg = pipeline.ExperimentConfig()
+    tags = [pipeline._attack_spec(cfg, s)[2] for s in pipeline.default_attack_list()]
     for expect in ("fgsm_e8", "fgsm_ll_e16", "ifgsm_e4", "ifgsm_ll_e2",
                    "ssmm", "dnnm", "patch"):
         assert expect in tags
@@ -107,7 +116,7 @@ def test_registered_attack_keeps_budget(kind, small_dataset, small_model, tmp_pa
     spec = dict(SMALL_SPECS[kind], kind=kind)
     cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path), ssmm_train_size=3,
                                     attack_list=[spec])
-    tag = pipeline.attack_tag(spec)
+    tag = pipeline._attack_spec(cfg, spec)[2]
     assert pipeline.stage_attack(cfg, small_model, train, val[:3]) == [tag]
     adir, images = pipeline.unit_outputs(cfg.out_dir, f"attack/{tag}")[:2]
 
@@ -149,7 +158,6 @@ def test_attack_writes_each_image_before_the_next(kind, small_dataset, small_mod
     dcfg, train, val = small_dataset
     assert sorted(PER_IMAGE) == sorted(pipeline.ATTACKS)
     spec = dict(SMALL_SPECS[kind], kind=kind)
-    unit = f"attack/{pipeline.attack_tag(spec)}"
     monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     events, fail_on = [], [None]
     real_attack, real_save = getattr(attacks, PER_IMAGE[kind]), tensorio.save_tensor
@@ -168,6 +176,7 @@ def test_attack_writes_each_image_before_the_next(kind, small_dataset, small_mod
     monkeypatch.setattr(tensorio, "save_tensor", save)
     cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path / "run"),
                                     ssmm_train_size=3, attack_list=[spec])
+    unit = f"attack/{pipeline._attack_spec(cfg, spec)[2]}"
     pipeline.stage_attack(cfg, small_model, train, val[:3])
     assert events[events.index("attack"):] == [
         event for s in val[:3] for event in ("attack", f"{s.id}.ten")]
@@ -194,7 +203,7 @@ def test_changed_attack_config_recomputes(spec, change, key, small_dataset, smal
     dcfg, train, val = small_dataset
     cfg = pipeline.ExperimentConfig(dataset=dcfg, out_dir=str(tmp_path), ssmm_train_size=3,
                                     attack_list=[dict(spec)])
-    path = tmp_path / "attacks" / pipeline.attack_tag(spec) / "attack.json"
+    path = tmp_path / "attacks" / pipeline._attack_spec(cfg, spec)[2] / "attack.json"
     pipeline.stage_attack(cfg, small_model, train, val[:2])
     before = json.loads(path.read_text())["config"]
     change(cfg)
@@ -207,17 +216,30 @@ def test_changed_attack_config_recomputes(spec, change, key, small_dataset, smal
 def test_registered_attack_tags_unique():
     specs = [dict(spec, kind=kind) for kind, spec in SMALL_SPECS.items()]
     assert sorted(SMALL_SPECS) == sorted(pipeline.ATTACKS)
-    tags = [pipeline.attack_tag(spec) for spec in specs]
+    cfg = pipeline.ExperimentConfig(attack_list=specs)
+    tags = [pipeline._attack_spec(cfg, spec)[2] for spec in specs]
     assert tags == ["fgsm_e4", "ifgsm_ll_e4", "ssmm", "dnnm", "patch"]
     # each spec makes its own unit, so all of them load side by side
-    keys = pipeline.unit_keys(pipeline.ExperimentConfig(attack_list=specs))
+    keys = pipeline.unit_keys(cfg)
     assert [unit for unit in keys if unit.startswith("attack/")] == [f"attack/{t}" for t in tags]
+
+
+@pytest.mark.parametrize("name", ["attack", "attack/.", "attack/a/b", "attack/ssmm/x",
+                                  "gen-data/x", "train-detector/", "bogus"])
+def test_unit_outputs_refuses_a_name_no_stage_makes(name):
+    with pytest.raises(InputError, match="unknown unit"):
+        pipeline.unit_outputs("run", name)
+
+
+def test_unit_named_for_a_heatmaps_table_is_a_feature_table():
+    assert pipeline.unit_outputs("run", "extract-features/heatmaps")[0] == os.path.join(
+        "run", "features", "heatmaps.csv")
 
 
 def test_fgsm_rejects_iteration_keys():
     for key in ("n_iter", "alpha"):
         with pytest.raises(InputError, match="fgsm"):
-            pipeline.attack_tag({"kind": "fgsm", "eps": 8, key: 5})
+            pipeline._attack_spec(pipeline.ExperimentConfig(), {"kind": "fgsm", "eps": 8, key: 5})
 
 
 @pytest.mark.parametrize("kind", pipeline.ATTACKS)
@@ -230,7 +252,7 @@ def test_unknown_attack_key_names_kind(kind, tmp_path):
 
 def test_unknown_attack_kind_raises():
     with pytest.raises(InputError, match="unknown attack kind"):
-        pipeline.attack_tag({"kind": "deepfool"})
+        pipeline._attack_spec(pipeline.ExperimentConfig(), {"kind": "deepfool"})
 
 
 def test_unknown_detector_key_names_kind(tmp_path):
@@ -379,7 +401,7 @@ class TestMiniPipeline:
         # the heatmaps are units of their own: no feature, detector or report reruns
         assert {name for name, n in calls.items() if n} == {"export_entropy_heatmap"}
         ids = json.load(open(out / "data" / "manifest.json"))["val_ids"]
-        names = ["clean"] + [pipeline.attack_tag(spec) for spec in cfg.attack_list]
+        names = ["clean"] + [pipeline._attack_spec(cfg, spec)[2] for spec in cfg.attack_list]
         assert sorted(p.relative_to(out / "heatmaps").as_posix()
                       for p in (out / "heatmaps").rglob("*") if p.is_file()) == sorted(
             f"{name}/{sid}.pgm" for name in names for sid in ids)
@@ -399,7 +421,7 @@ class TestMiniPipeline:
         for name, result in stages:
             if name == "attack":
                 break
-        tags = [pipeline.attack_tag(spec) for spec in cfg.attack_list]
+        tags = [pipeline._attack_spec(cfg, spec)[2] for spec in cfg.attack_list]
         assert result == tags
         loaded, load = [], tensorio.load_tensor
         monkeypatch.setattr(tensorio, "load_tensor", lambda path: loaded.append(path) or load(path))
@@ -591,6 +613,18 @@ class TestCli:
          '[110, 110, 160]]}}', "palette entries must be three finite numbers, got [160, nan, 110]"),
         ('{"attack_list": [{"kind": "patch", "height": 65}]}',
          "patch 65x48 larger than image 64x64"),
+        ('{"dataset": {"shapes_per_image": [1.5, 3]}}',
+         "shapes_per_image entries must be integers, got [1.5, 3]"),
+        ('{"dataset": {"shapes_per_image": [2, 2.5]}}',
+         "shapes_per_image entries must be integers, got [2, 2.5]"),
+        ('{"dataset": {"shapes_per_image": [true, 3]}}',
+         "shapes_per_image entries must be integers, got [True, 3]"),
+        ('{"dataset": {"shapes_per_image": ["1", "3"]}}',
+         "shapes_per_image entries must be integers, got ['1', '3']"),
+        ('{"dataset": {"shapes_per_image": [2.0, 5]}}',
+         "shapes_per_image entries must be integers, got [2.0, 5]"),
+        ("[]", "config: expected object, got list"),
+        ('"x"', "config: expected object, got str"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -916,6 +950,17 @@ class TestStageCommands:
         assert err.startswith(
             "segdetect: train-detector: lasso key lam: must be finite and >= 0, got -1.0")
         assert not (out / "detectors" / "lasso.json").exists()
+
+    def test_each_unit_is_made_once_in_table_order(self, tiny_model_dir, tmp_path, monkeypatch):
+        """run-all hands _unit every unit of unit_keys once, in the table's order."""
+        out = tmp_path / "run"
+        shutil.copytree(tiny_model_dir, out)
+        config = dict(TINY_ALL, export_heatmaps=True)
+        names, real = [], pipeline._unit
+        monkeypatch.setattr(pipeline, "_unit", lambda cfg, name, compute: (
+            names.append(name) or real(cfg, name, compute)))
+        assert run_cli("run-all", out, config=config) == 0
+        assert names == list(pipeline.unit_keys(pipeline.ExperimentConfig.from_dict(config)))
 
     def test_attack_force_recomputes_only_attacks(self, tiny_model_dir, tmp_path):
         out = tmp_path / "run"
