@@ -12,9 +12,9 @@ def _keep_freed_heap():
     """Keep up to _TOP_PAD_BYTES of freed memory mapped at the top of each
     glibc malloc arena. A model pass frees 2-5 MB of conv, ReLU and softmax
     temporaries; without the pad glibc trims that freed top back to the kernel
-    (systrim, or heap_trim in a worker thread's arena) and the next pass
-    faults it in again: about 500 minor faults per parameter gradient at
-    64 px, 1,380 per input gradient at 96 px, none with the pad. A request
+    (systrim) and the next pass faults it in again: about 500 minor faults per
+    parameter gradient at 64 px, 1,380 per input gradient at 96 px, none with
+    the pad. Forked workers inherit the setting with the heap. A request
     larger than the free top is still mmapped and unmapped on free, so memory
     stays bounded as images grow. Placement only: no output changes.
     Elsewhere than glibc this does nothing."""

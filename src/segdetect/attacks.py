@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .errors import AttackError, InputError
 from .model import loss_input_grad, predict_and_grad
 from .model import predict, predicted_labels  # noqa: F401 - bindings the benchmark's tracer wraps
-from .workers import map_items
 
 
 DNNM_BLOCK = 1024   # hidden pixels per dnnm_target distance block
@@ -180,26 +180,27 @@ def ssmm_train(model, train_samples, target, cfg):
         if s.image.shape != shape:
             raise InputError("all ssmm training samples must share one image shape")
 
-    def masked_grad(xi, sample):
-        """Gradient of the target loss, without the pixels already predicted
-        as their target with confidence above tau."""
+    def masked_grad(xi, i):
+        """Gradient of sample i's target loss, without the pixels already
+        predicted as their target with confidence above tau."""
         def masked(probs):
             pred = np.argmax(probs, axis=2)
             conf = np.take_along_axis(probs, target[:, :, None], axis=2)[:, :, 0]
             done = (pred == target) & (conf > cfg.tau)
             return target, np.where(done, 0.0, 1.0).astype(np.float32)
-        xadv = np.clip(sample.image + xi, 0, 255).astype(np.float32)
+        xadv = np.clip(train_samples[i].image + xi, 0, 255).astype(np.float32)
         return predict_and_grad(model, xadv, masked)[2]
 
-    def mean_grad(xi):
-        gsum = np.zeros(shape, np.float32)
-        for grad in map_items(lambda s: masked_grad(xi, s), train_samples):
-            gsum += grad
-        return gsum / len(train_samples)
+    n, eps = len(train_samples), np.float32(cfg.eps)
+    with workers.forked_map(masked_grad, min(workers.cpu_count(), n) - 1) as run:
+        def mean_grad(xi):
+            gsum = np.zeros(shape, np.float32)
+            for grad in run(xi, range(n)):
+                gsum += grad
+            return gsum / n
 
-    eps = np.float32(cfg.eps)
-    return _sign_descent(mean_grad, np.zeros(shape, np.float32), -cfg.alpha,
-                         lambda xi: np.clip(xi, -eps, eps), cfg.n_iter)
+        return _sign_descent(mean_grad, np.zeros(shape, np.float32), -cfg.alpha,
+                             lambda xi: np.clip(xi, -eps, eps), cfg.n_iter)
 
 
 def pick_ssmm_target(candidates, rng):
@@ -282,24 +283,26 @@ def patch_attack(model, train_samples, cfg):
     rng = np.random.default_rng(cfg.seed)
 
     def placed_grad(patch, placement):
-        s, top, left = placement
+        i, top, left = placement
+        s = train_samples[i]
         patched = s.image.astype(np.float32).copy()
         patched[top:top + cfg.height, left:left + cfg.width] = patch
         ones = np.ones(s.labels.shape, np.float32)
         grad = loss_input_grad(model, patched, s.labels, ones)[1]
         return grad[top:top + cfg.height, left:left + cfg.width]
 
-    def mean_grad(patch):
-        placements = [(train_samples[int(rng.integers(len(train_samples)))],
-                       int(rng.integers(0, h - cfg.height + 1)),
-                       int(rng.integers(0, w - cfg.width + 1))) for _ in range(cfg.placements)]
-        gsum = np.zeros_like(patch)
-        for grad in map_items(lambda pl: placed_grad(patch, pl), placements):
-            gsum += grad
-        return gsum / cfg.placements
-
     gray = np.full((cfg.height, cfg.width, 3), 127.5, np.float32)
-    return _sign_descent(mean_grad, gray, cfg.alpha, lambda p: np.clip(p, 0, 255), cfg.n_iter)
+    with workers.forked_map(placed_grad, min(workers.cpu_count(), cfg.placements) - 1) as run:
+        def mean_grad(patch):
+            placements = [(int(rng.integers(len(train_samples))),
+                           int(rng.integers(0, h - cfg.height + 1)),
+                           int(rng.integers(0, w - cfg.width + 1))) for _ in range(cfg.placements)]
+            gsum = np.zeros_like(patch)
+            for grad in run(patch, placements):
+                gsum += grad
+            return gsum / cfg.placements
+
+        return _sign_descent(mean_grad, gray, cfg.alpha, lambda p: np.clip(p, 0, 255), cfg.n_iter)
 
 
 def apply_patch(image, patch, top, left):

@@ -2,8 +2,8 @@
 
 Each stage subcommand runs the pipeline up to and including its stage;
 `run-all` executes everything. Each command declares only the flags it reads.
-BLAS runs one thread unless a standard BLAS variable says otherwise: the
-attack and feature stages already run one image per CPU.
+BLAS runs one thread unless a standard BLAS variable says otherwise: training,
+the attacks and the features already run one forked process per CPU.
 """
 
 import argparse
@@ -20,7 +20,7 @@ def _apply_thread_override():
 
 _apply_thread_override()
 
-from . import detectors, pipeline, tensorio, uncertainty  # noqa: E402 - after the BLAS variables
+from . import detectors, errors, pipeline, tensorio, uncertainty  # noqa: E402 - after BLAS
 
 
 def _deep_merge(base, override):
@@ -36,9 +36,13 @@ def load_config(args):
     doc = {}
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
+            doc = pipeline.check_object(json.load(fh), "config")
     if args.stage_overrides:
-        _deep_merge(doc, json.loads(args.stage_overrides))
+        try:
+            overrides = json.loads(args.stage_overrides)
+        except json.JSONDecodeError as exc:
+            raise errors.InputError(f"stage-overrides: {exc}") from None
+        _deep_merge(doc, pipeline.check_object(overrides, "stage-overrides"))
     if getattr(args, "seed", None) is not None:   # before from_dict, which checks it
         doc["seed"] = args.seed
         for section in ("dataset", "train"):

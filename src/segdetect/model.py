@@ -154,9 +154,9 @@ def loss_value_f64(model, image, target, pixel_weights):
 
 def train(dataset, cfg):
     """Mini-batch SGD over (image, labels) pairs; deterministic for fixed seed.
-    Each batch is cut into contiguous shares, one per CPU (workers.forked_map),
-    and the per-sample gradients are summed in batch order, so the model does
-    not depend on the CPU count."""
+    Each batch is shared among one process per CPU (workers.forked_map), and
+    the per-sample gradients are summed in batch order, so the model does not
+    depend on the CPU count."""
     if not dataset:
         raise InputError("training dataset is empty")
     num_classes = int(max(lab.max() for _, lab in dataset)) + 1
@@ -166,27 +166,23 @@ def train(dataset, cfg):
     ones = np.ones(dataset[0][1].shape, np.float32)
     procs = min(workers.cpu_count(), cfg.batch_size, n)
 
-    def share_grads(share):
-        kernels, biases, indices = share
-        at = replace(model, kernels=kernels, biases=biases)
-        return [_param_grads(at, *dataset[i], ones) for i in indices]
+    def grads(params, i):
+        return _param_grads(replace(model, kernels=params[0], biases=params[1]), *dataset[i], ones)
 
-    with workers.forked_map(share_grads, procs - 1) as run:
+    with workers.forked_map(grads, procs - 1) as run:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                shares = np.array_split(batch, min(procs, len(batch)))
                 ksum = [np.zeros_like(k) for k in model.kernels]
                 bsum = [np.zeros_like(b) for b in model.biases]
-                for grads in run([(model.kernels, model.biases, s) for s in shares]):
-                    for loss, kgrads, bgrads in grads:
-                        if not np.isfinite(loss):
-                            raise TrainingError(f"training diverged at epoch {epoch}")
-                        for acc, g in zip(ksum, kgrads):
-                            acc += g
-                        for acc, g in zip(bsum, bgrads):
-                            acc += g
+                for loss, kgrads, bgrads in run((model.kernels, model.biases), batch):
+                    if not np.isfinite(loss):
+                        raise TrainingError(f"training diverged at epoch {epoch}")
+                    for acc, g in zip(ksum, kgrads):
+                        acc += g
+                    for acc, g in zip(bsum, bgrads):
+                        acc += g
                 lr = np.float32(cfg.lr / len(batch))
                 for k, g in zip(model.kernels, ksum):
                     k -= lr * g

@@ -104,13 +104,18 @@ _ACCEPTS = {bool: (bool, "bool"), int: (int, "int"), float: ((int, float), "floa
             str: (str, "str"), list: (list, "list"), dict: (dict, "object")}
 
 
-def _check_keys(known, d, section):
-    """Returns `d`; raises InputError unless its keys are keys of `known`
-    ({key: default}), valued like their defaults: an int counts as a float,
-    an object as a nested config."""
+def check_object(d, section):
+    """Returns `d`; raises InputError unless it is a JSON object."""
     if not isinstance(d, dict):
         raise InputError(f"{section}: expected object, got {type(d).__name__}")
-    unknown = set(d) - set(known)
+    return d
+
+
+def _check_keys(known, d, section):
+    """Returns `d`; raises InputError unless it is an object whose keys are
+    keys of `known` ({key: default}), valued like their defaults: an int
+    counts as a float, an object as a nested config."""
+    unknown = set(check_object(d, section)) - set(known)
     if unknown:
         raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
     for key, val in d.items():

@@ -1,18 +1,19 @@
-"""Per-image work on every CPU the process may run on.
+"""Per-item work on every CPU the process may run on.
 
-numpy releases the GIL inside its GEMMs and large ufuncs, where the model's
-time goes, so threads share one model and one address space and still run
-in parallel (map_items). Training's small per-sample passes hand the GIL
-back and forth too often for threads, so it forks worker processes instead
-(forked_map). Restrict the CPUs (and so the worker count) with the
-process's affinity mask, for example `taskset -c 0 segdetect run-all ...`.
+A model pass at the default 64 px spends about half its time outside the
+GEMMs, holding the GIL, so threads gain little; the calling process forks
+worker processes instead (forked_map), which inherit the model, the data and
+the function, and only indices, arguments and results travel. The package
+starts no thread, so a fork never copies a lock that another thread holds.
+Restrict the CPUs (and so the worker count) with the process's affinity
+mask, for example `taskset -c 0 segdetect run-all ...`.
 """
 
 import contextlib
+import mmap
 import os
 import pickle
 import signal
-import threading
 
 
 def cpu_count():
@@ -24,65 +25,38 @@ def cpu_count():
 
 
 def map_items(fn, items):
-    """[fn(item) for item in items], on one thread per CPU (never more threads
-    than items; the calling thread is one of them). Items start in input
-    order and results come back in it. After a call raises, no further item
-    starts; the ones running finish, and the error of the lowest-index failed
-    item is raised. Every item below a failed one has started, so that is the
-    error the serial loop would raise. Ctrl-C waits only for the running items."""
+    """[fn(item) for item in items] on forked_map's processes, one per CPU
+    (never more than items), forked for this call: they inherit the items,
+    and only indices and results travel."""
     items = list(items)
-    results, errors = [None] * len(items), {}
-    lock = threading.Lock()
-    cursor = [0]                  # index of the next item to start
-
-    def work():
-        while True:
-            with lock:
-                i = cursor[0]
-                if errors or i >= len(items):
-                    return
-                cursor[0] = i + 1
-            try:
-                results[i] = fn(items[i])
-            except Exception as exc:  # noqa: BLE001 - raised below, on the calling thread
-                with lock:
-                    errors[i] = exc
-
-    threads = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(cpu_count(), len(items)) - 1)]
-    for t in threads:
-        t.start()
-    try:
-        work()
-    finally:
-        with lock:
-            cursor[0] = len(items)    # on Ctrl-C, start nothing more
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    with forked_map(lambda _, i: fn(items[i]), max(min(cpu_count(), len(items)) - 1, 0)) as run:
+        return run(None, range(len(items)))
 
 
 @contextlib.contextmanager
 def forked_map(fn, count):
     """Forks `count` worker processes, which inherit fn and all it reads, and
-    yields run(items) -> [fn(item) for item in items] for at most count + 1
-    items: the calling process computes items[0] while worker k computes
-    items[k + 1], which travels to it and back pickled through a pipe.
-    Results come back in input order. Every item finishes, then the error of
-    the lowest-index failed item is raised. A worker that dies raises
-    ChildProcessError, after which run is not to be called again. With count
-    0 nothing forks and run computes in the calling process.
+    yields run(arg, items) -> [fn(arg, item) for item in items]. The calling
+    process computes items[0::count + 1] and worker k items[k::count + 1],
+    each in item order; arg and the items travel to the workers pickled
+    through pipes, and the results back, to come out in input order. With
+    count 0 nothing forks.
 
-    On leaving the block, by any path, every pipe is closed and every worker
-    waited for. Workers are forked with SIGINT blocked: Ctrl-C reaches only
-    the calling process, whose exit closes the pipes, and each worker then
-    ends through os._exit, never through the caller's cleanup. Fork only
-    where no other thread holds a lock that fn needs."""
+    A share stops at its first failed item and records its index in its word
+    of a map all processes share; no process starts an item above a recorded
+    one. So every item below the lowest-index failure runs, and its error is
+    raised, as in the serial loop. A worker that dies raises
+    ChildProcessError, after which run is not to be called again.
+
+    On leaving the block, by any path, no process starts another item, every
+    pipe is closed and every worker waited for: Ctrl-C waits only for the
+    running items. Workers are forked with SIGINT blocked and end through
+    os._exit, never through the caller's cleanup. Fork only where no other
+    thread holds a lock that fn needs."""
+    failed = memoryview(mmap.mmap(-1, 8 * (count + 1))).cast("q")   # one word per share
     pipes, pids = [], []      # per worker: (its items, its results), our ends
     try:
-        for _ in range(count):
+        for k in range(1, count + 1):
             (items_r, items_w), (results_r, results_w) = os.pipe(), os.pipe()
             pipes.append((open(items_w, "wb"), open(results_r, "rb")))
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -93,7 +67,7 @@ def forked_map(fn, count):
                         for ours in pipes:
                             for f in ours:
                                 f.close()
-                        _serve(fn, open(items_r, "rb"), open(results_w, "wb"))
+                        _serve(fn, k, failed, open(items_r, "rb"), open(results_w, "wb"))
                     finally:
                         os._exit(0)
                 pids.append(pid)    # before Ctrl-C can arrive, so that it is waited for
@@ -102,20 +76,24 @@ def forked_map(fn, count):
             os.close(items_r)
             os.close(results_w)
 
-        def run(items):
-            if len(items) > count + 1:
-                raise ValueError(f"{len(items)} items for {count} workers and the caller")
-            for (to, _), pid, item in zip(pipes, pids, items[1:]):
-                _talk(pid, _send, to, item)
-            replies = [_call(fn, items[0])] + [
-                _talk(pid, pickle.load, back) for (_, back), pid, _ in zip(pipes, pids, items[1:])]
-            for ok, value in replies:
-                if not ok:
-                    raise value
-            return [value for _, value in replies]
+        def run(arg, items):
+            items = list(items)
+            for k in range(len(failed)):
+                failed[k] = len(items)      # no failure yet
+            busy = [(pipe, pid) for pipe, pid, _ in zip(pipes, pids, items[1:])]
+            for (to, _), pid in busy:
+                _talk(pid, _send, to, (arg, items))
+            shares = [_share(fn, arg, items, 0, failed)] + [
+                _talk(pid, pickle.load, back) for (_, back), pid in busy]
+            errors = [(k + len(done) * len(failed), exc)
+                      for k, (done, exc) in enumerate(shares) if exc is not None]
+            if errors:
+                raise min(errors, key=lambda e: e[0])[1]
+            return [shares[i % len(failed)][0][i // len(failed)] for i in range(len(items))]
 
         yield run
     finally:
+        failed[0] = -1
         for ours in pipes:
             for f in ours:
                 f.close()
@@ -123,12 +101,20 @@ def forked_map(fn, count):
             os.waitpid(pid, 0)
 
 
-def _call(fn, item):
-    """(True, fn(item)), or (False, the exception it raised)."""
-    try:
-        return True, fn(item)
-    except Exception as exc:  # noqa: BLE001 - raised by run, on the calling process
-        return False, exc
+def _share(fn, arg, items, k, failed):
+    """(results of items[k::len(failed)], None) in item order, up to an item
+    above a failure recorded in `failed`; at this share's first failed item,
+    (the results before it, its exception), and its index recorded."""
+    done = []
+    for i in range(k, len(items), len(failed)):
+        if min(failed) < i:
+            break
+        try:
+            done.append(fn(arg, items[i]))
+        except Exception as exc:  # noqa: BLE001 - raised by run, on the calling process
+            failed[k] = i
+            return done, exc
+    return done, None
 
 
 def _send(f, obj):
@@ -136,14 +122,15 @@ def _send(f, obj):
     f.flush()
 
 
-def _serve(fn, items, results):
-    """A worker's loop: answers each item until the calling process closes the pipe."""
+def _serve(fn, k, failed, todo, results):
+    """Worker k's loop: computes its share of each call until the calling
+    process closes the pipe."""
     while True:
         try:
-            item = pickle.load(items)
+            arg, items = pickle.load(todo)
         except EOFError:
             return
-        _send(results, _call(fn, item))
+        _send(results, _share(fn, arg, items, k, failed))
 
 
 def _talk(pid, op, *args):

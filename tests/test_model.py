@@ -463,13 +463,17 @@ class TestSteadyStatePassesTakeNoFaults:
         call = (lambda: fn(m, img)) if name == "predict" else (lambda: fn(m, img, lab, wgt))
         assert steady_faults(call, resource.RUSAGE_SELF) <= 20 * FAULTS_PER_CALL
 
-    def test_worker_threads(self, monkeypatch):
-        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    def test_forked_worker(self, reaped):
         m, img, lab, wgt = pass_inputs(96)
-        faults = workers.map_items(
-            lambda _: steady_faults(lambda: seg_model.loss_input_grad(m, img, lab, wgt),
-                                    resource.RUSAGE_THREAD), range(2))
-        assert sum(faults) <= 2 * 20 * FAULTS_PER_CALL
+
+        def faults(_, i):
+            return os.getpid(), steady_faults(
+                lambda: seg_model.loss_input_grad(m, img, lab, wgt), resource.RUSAGE_SELF)
+
+        with workers.forked_map(faults, 1) as run:
+            (caller, _), (worker, worker_faults) = run(None, range(2))
+        assert caller == os.getpid() != worker
+        assert worker_faults <= 20 * FAULTS_PER_CALL
 
 
 class TestTraining:
@@ -536,26 +540,6 @@ def serial_train(dataset, cfg):
             for p, g in zip(model.kernels + model.biases, ksum + bsum):
                 p -= lr * g
     return model
-
-
-@pytest.fixture()
-def forks(monkeypatch, reaped):
-    """Sets the CPU count train sees; returns the list of pids forked since.
-    No child may be left after the test."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    def set_cpus(n):
-        monkeypatch.setattr(workers, "cpu_count", lambda: n)
-        return pids
-
-    monkeypatch.setattr(os, "fork", fork)
-    return set_cpus
 
 
 class TestForkedTraining:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -408,10 +409,12 @@ class TestMiniPipeline:
         assert (out / "report" / "report.csv").read_bytes() == open(csv_path, "rb").read()
 
     def test_features_load_each_image_once_from_its_unit(self, mini_run, tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, shared_log):
         """The attack stage hands on its tags alone; extract-features loads
-        every (table, id) image once, from the unit that wrote it."""
+        every (table, id) image once, from the unit that wrote it, in
+        whichever process."""
         cfg, csv_path = mini_run
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
         out = tmp_path / "run"
         shutil.copytree(cfg.out_dir, out)
         keys = json.loads((out / "keys.json").read_text())
@@ -423,12 +426,14 @@ class TestMiniPipeline:
                 break
         tags = [pipeline._attack_spec(cfg, spec)[2] for spec in cfg.attack_list]
         assert result == tags
-        loaded, load = [], tensorio.load_tensor
-        monkeypatch.setattr(tensorio, "load_tensor", lambda path: loaded.append(path) or load(path))
+        (append, read), load = shared_log, tensorio.load_tensor
+        monkeypatch.setattr(tensorio, "load_tensor",
+                            lambda path: append(os.getpid(), path) or load(path))
         assert next(stages)[0] == "extract-features"
         units = ["gen-data"] + [f"attack/{tag}" for tag in tags]
         ids = json.load(open(out / "data" / "manifest.json"))["val_ids"]
-        assert sorted(loaded) == sorted(
+        assert {str(os.getpid())} < {pid for pid, _ in read()}     # and the workers
+        assert sorted(path for _, path in read()) == sorted(
             os.path.join(pipeline.unit_outputs(str(out), unit)[1], f"{sid}.ten")
             for unit in units for sid in ids)
         assert [name for name, _ in stages] == ["train-detector", "evaluate"]
@@ -625,12 +630,23 @@ class TestCli:
          "shapes_per_image entries must be integers, got [2.0, 5]"),
         ("[]", "config: expected object, got list"),
         ('"x"', "config: expected object, got str"),
+        # (file content, flags): each is checked before the flags merge into it
+        pytest.param(("[]", "--seed", "3"), "config: expected object, got list", id="list-seed"),
+        pytest.param(("[]", "--stage-overrides", '{"folds": 2}'),
+                     "config: expected object, got list", id="list-overrides"),
+        pytest.param(("{}", "--stage-overrides", "[1]"),
+                     "stage-overrides: expected object, got list", id="overrides-list"),
+        pytest.param(("{}", "--stage-overrides", "3"),
+                     "stage-overrides: expected object, got int", id="overrides-int"),
+        pytest.param(("{}", "--stage-overrides", "{not json"),
+                     "stage-overrides: Expecting property name", id="overrides-not-json"),
     ])
     def test_config_errors_exit_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
+        content, *flags = content if isinstance(content, tuple) else (content,)
         if content is not None:
             path.write_text(content)
-        rc = cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "run")])
+        rc = cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "run"), *flags])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("segdetect: gen-data: ") and message in err
@@ -805,6 +821,10 @@ TINY_ALL = dict(TINY_ALL_ATTACKS, train_attack="fgsm_e8",
                 detector_list=TINY_ALL_DETECTORS["detector_list"])
 
 
+# TINY_ALL with the heatmaps.
+TINY_HEATMAPS_ALL = dict(TINY_ALL, export_heatmaps=True)
+
+
 @pytest.mark.parametrize("config", [TINY_ALL, TINY_HEATMAPS], ids=["all", "heatmaps"])
 def test_fresh_run_records_the_unit_keys(config, tmp_path):
     assert run_cli("run-all", tmp_path / "run", config=config) == 0
@@ -844,6 +864,15 @@ def test_worker_count_keeps_run_bytes(tmp_path, monkeypatch):
     assert sorted(files) == sorted(files2)
     for rel, data in files.items():
         assert data == files2[rel], rel
+
+
+def test_run_forks_from_one_thread_and_reaps_its_workers(tmp_path, monkeypatch, forks):
+    """Forking is safe because the package starts no thread: run-all on two
+    CPUs forks its workers from a one-thread process, and waits for them all."""
+    forked = forks(2)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("started a thread"))
+    assert run_cli("run-all", tmp_path / "run", config=TINY_HEATMAPS_ALL) == 0
+    assert forked and threading.active_count() == 1
 
 
 def test_one_cpu_affinity_keeps_run_bytes(tmp_path):
@@ -919,15 +948,16 @@ class TestStageCommands:
         assert not (out / "attacks").exists()
 
     def test_failing_image_fails_its_stage(self, tiny_model_dir, tmp_path, capsys,
-                                           monkeypatch):
+                                           monkeypatch, shared_log, reaped):
         out = tmp_path / "run"
         shutil.copytree(tiny_model_dir, out)
         monkeypatch.setattr(workers, "cpu_count", lambda: 2)
-        real, ran = attacks.fgsm, []
+        (append, read), real = shared_log, attacks.fgsm
 
         def fgsm(model, sample, cfg):
-            ran.append(sample.id)
+            append(os.getpid(), sample.id)
             if sample.id == "val_0000":
+                append(os.getpid(), "failed")
                 raise AttackError("non-finite loss gradient")
             time.sleep(0.05)
             return real(model, sample, cfg)
@@ -938,8 +968,39 @@ class TestStageCommands:
             "segdetect: attack: non-finite loss gradient")
         keys = json.loads((out / "keys.json").read_text())
         assert "gradcheck" in keys and "attack/fgsm_e8" not in keys
-        # one image per worker started; the other 38 never did
+        # one image per process started; the other 38 never did
+        log = read()
+        ran = [sid for _, sid in log if sid != "failed"]
         assert "val_0000" in ran and set(ran) <= {"val_0000", "val_0001"}
+        after = [pid for pid, sid in log[log.index([str(os.getpid()), "failed"]):]
+                 if sid != "failed"]
+        assert len(after) == len(set(after))    # at most one image per process after the failure
+
+    def test_interrupted_attack_reaps_its_workers(self, tiny_model_dir, tmp_path, monkeypatch,
+                                                  shared_log, reaped):
+        """Ctrl-C in the calling process amid an attack unit: each worker
+        finishes at most the image it is on, and none is left."""
+        out = tmp_path / "run"
+        shutil.copytree(tiny_model_dir, out)
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+        (append, read), real, caller = shared_log, attacks.fgsm, os.getpid()
+
+        def fgsm(model, sample, cfg):
+            append(os.getpid(), sample.id)
+            if os.getpid() == caller and sample.id == "val_0002":   # the caller's second image
+                append(caller, "interrupted")
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            return real(model, sample, cfg)
+
+        monkeypatch.setattr(attacks, "fgsm", fgsm)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("attack", out)
+        assert "attack/fgsm_e8" not in json.loads((out / "keys.json").read_text())
+        log = read()
+        after = [pid for pid, sid in log[log.index([str(caller), "interrupted"]):]
+                 if sid != "interrupted"]
+        assert after == [] or len(after) == 1 and after[0] != str(caller)
 
     def test_bad_lasso_value_fails_its_stage(self, tiny_model_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -955,7 +1016,7 @@ class TestStageCommands:
         """run-all hands _unit every unit of unit_keys once, in the table's order."""
         out = tmp_path / "run"
         shutil.copytree(tiny_model_dir, out)
-        config = dict(TINY_ALL, export_heatmaps=True)
+        config = TINY_HEATMAPS_ALL
         names, real = [], pipeline._unit
         monkeypatch.setattr(pipeline, "_unit", lambda cfg, name, compute: (
             names.append(name) or real(cfg, name, compute)))

@@ -1,7 +1,5 @@
 import os
 import signal
-import sys
-import threading
 import time
 
 import numpy as np
@@ -13,87 +11,88 @@ from segdetect.synthdata import SegSample
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """Sets the CPU count map_items sees."""
+    """Sets the CPU count map_items and the attacks see."""
     return lambda n: monkeypatch.setattr(workers, "cpu_count", lambda: n)
 
 
+def wait_for(read, lines):
+    """Waits up to 10 s until the shared log holds `lines` lines."""
+    deadline = time.monotonic() + 10
+    while len(read()) < lines:
+        assert time.monotonic() < deadline, read()
+        time.sleep(0.01)
+
+
 class TestMapItems:
-    def test_results_in_input_order(self, cpus):
+    def test_results_in_input_order(self, cpus, reaped, shared_log):
         # later items finish first, so completion order is the reverse
         cpus(4)
-        done = []
+        append, read = shared_log
 
         def fn(i):
             time.sleep(0.05 * (3 - i))
-            done.append(i)
+            append(i)
             return i * i
 
         assert workers.map_items(fn, range(4)) == [0, 1, 4, 9]
-        assert done == [3, 2, 1, 0]
+        assert read() == [["3"], ["2"], ["1"], ["0"]]
 
-    def test_one_thread_per_cpu_at_most_one_per_item(self, cpus):
-        cpus(8)
-        barrier = threading.Barrier(3, timeout=10)   # passes only if 3 calls run at once
-        threads = set()
+    def test_one_process_per_cpu_at_most_one_per_item(self, forks, shared_log):
+        forked = forks(8)
+        append, read = shared_log
 
         def fn(i):
-            threads.add(threading.get_ident())
-            barrier.wait()
-            return i
+            append(i)
+            wait_for(read, 3)       # passes only if 3 calls run at once
+            return os.getpid()
 
-        assert workers.map_items(fn, range(3)) == [0, 1, 2]
-        assert threading.get_ident() in threads and len(threads) == 3
+        pids = workers.map_items(fn, range(3))
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        assert sorted(pids[1:]) == sorted(forked)
 
-    def test_stress_each_item_once(self, cpus):
-        # more threads than cores and a short switch interval: a lost update
-        # of the shared cursor would run an item twice or skip one
+    def test_stress_each_item_once(self, cpus, reaped, shared_log):
+        # more processes than cores, each logging every item it starts: an
+        # item run twice or skipped shows in the log
         cpus(16)
-        counts = [0] * 3000
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            def fn(i):
-                counts[i] += 1
-                return -i
-            assert workers.map_items(fn, range(3000)) == [-i for i in range(3000)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts == [1] * 3000
+        append, read = shared_log
+        assert workers.map_items(lambda i: append(i) or -i, range(3000)) == [
+            -i for i in range(3000)]
+        assert sorted(int(i) for i, in read()) == list(range(3000))
 
-    def test_one_cpu_runs_on_calling_thread(self, cpus):
+    def test_one_cpu_runs_in_calling_process(self, cpus, monkeypatch):
         cpus(1)
-        threads = set()
-        assert workers.map_items(lambda i: threads.add(threading.get_ident()) or i,
-                                 range(5)) == list(range(5))
-        assert threads == {threading.get_ident()}
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert workers.map_items(lambda i: (i, os.getpid()), range(5)) == [
+            (i, os.getpid()) for i in range(5)]
 
     def test_cpu_count_is_affinity_mask(self):
         assert workers.cpu_count() == len(os.sched_getaffinity(0))
 
-    def test_lowest_index_error_raised(self, cpus):
-        # item 3 fails first; item 1 was already running and fails later
+    def test_lowest_index_error_raised(self, cpus, reaped, shared_log):
+        # the caller's share is 0, 2, 4, ..., the worker's 1, 3, 5, ...: item 2
+        # fails first; item 1 was already running and fails later
         cpus(2)
-        ran = []
+        append, read = shared_log
 
         def fn(i):
-            ran.append(i)
+            append(i)
             if i == 1:
                 time.sleep(0.3)
                 raise ValueError("item 1")
-            if i == 3:
-                raise ValueError("item 3")
+            if i == 2:
+                raise ValueError("item 2")
             return i
 
         with pytest.raises(ValueError, match="item 1"):
             workers.map_items(fn, range(10))
-        assert sorted(ran) == [0, 1, 2, 3]
+        assert sorted(int(i) for i, in read()) == [0, 1, 2]
 
-    def test_error_cancels_items_not_started(self, cpus):
+    def test_error_cancels_items_not_started(self, cpus, reaped, shared_log):
         cpus(2)
-        ran = []
+        append, read = shared_log
 
         def fn(i):
-            ran.append(i)
+            append(i)
             if i == 0:
                 raise ValueError("item 0")
             time.sleep(0.1)
@@ -101,78 +100,82 @@ class TestMapItems:
 
         with pytest.raises(ValueError, match="item 0"):
             workers.map_items(fn, range(20))
-        assert 0 in ran and set(ran) <= {0, 1}   # item 1 runs if it started first
+        ran = {int(i) for i, in read()}
+        assert 0 in ran and ran <= {0, 1}   # item 1 runs if it started first
 
-    def test_interrupt_waits_only_for_running_items(self, cpus):
+    def test_interrupt_waits_only_for_running_items(self, cpus, reaped, shared_log):
         cpus(2)
-        ran = []
+        append, read = shared_log
+        caller = os.getpid()
 
         def fn(i):
-            ran.append(i)
-            if threading.current_thread() is threading.main_thread():
+            append(i)
+            if os.getpid() == caller:
                 raise KeyboardInterrupt
             time.sleep(0.1)
             return i
 
         with pytest.raises(KeyboardInterrupt):
             workers.map_items(fn, range(20))
-        assert len(ran) <= 2
+        assert len(read()) <= 2
 
 
-def square_and_pid(i):
+def square_and_pid(arg, i):
     if i < 0:
         raise ValueError(f"item {i}")
-    return i * i, os.getpid()
+    return arg + i * i, os.getpid()
 
 
 class TestForkedMap:
     def test_results_in_input_order_one_process_each(self, reaped):
         with workers.forked_map(square_and_pid, 2) as run:
-            out = run([1, 2, 3])
+            out = run(0, [1, 2, 3])
             assert [v for v, _ in out] == [1, 4, 9]
             pids = [p for _, p in out]
             assert pids[0] == os.getpid() and len(set(pids)) == 3
-            assert run([4, 5, 6]) == [(16, pids[0]), (25, pids[1]), (36, pids[2])]
-            assert run([7]) == [(49, pids[0])]     # fewer items than workers
+            assert run(10, [4, 5, 6]) == [(26, pids[0]), (35, pids[1]), (46, pids[2])]
+            assert run(0, [7]) == [(49, pids[0])]     # fewer items than processes
+            # more items than processes: item i is share i % 3's
+            assert run(100, range(7)) == [(100 + i * i, pids[i % 3]) for i in range(7)]
 
     def test_count_zero_forks_nothing(self, reaped, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         with workers.forked_map(square_and_pid, 0) as run:
-            assert run([3]) == [(9, os.getpid())]
-            with pytest.raises(ValueError, match="2 items for 0 workers"):
-                run([1, 2])
+            assert run(0, [3]) == [(9, os.getpid())]
+            assert run(1, [1, 2]) == [(2, os.getpid()), (5, os.getpid())]
+            assert run(0, []) == []
 
     @pytest.mark.parametrize("items,message", [([1, -2, -3], "item -2"), ([-1, -2, 3], "item -1"),
                                                ([1, 2, -3], "item -3")])
     def test_lowest_index_error_raised(self, reaped, items, message):
         with workers.forked_map(square_and_pid, 2) as run:
             with pytest.raises(ValueError, match=message):
-                run(items)
-            assert [v for v, _ in run([1, 2, 3])] == [1, 4, 9]   # no stale reply is left
+                run(0, items)
+            assert [v for v, _ in run(0, [1, 2, 3])] == [1, 4, 9]   # no stale reply is left
 
     def test_killed_worker_raises(self, reaped):
-        def fn(i):
+        def fn(_, i):
             if i == 1:
                 os.kill(os.getpid(), signal.SIGKILL)
             return i
 
         with workers.forked_map(fn, 2) as run:
             with pytest.raises(ChildProcessError, match="ended"):
-                run([0, 1, 2])
+                run(None, [0, 1, 2])
 
     def test_workers_ignore_sigint_and_end_with_the_caller(self, reaped):
-        def fn(i):
+        def fn(_, i):
             if i < 0:
                 raise KeyboardInterrupt
             return os.getpid()
 
         with pytest.raises(KeyboardInterrupt):
             with workers.forked_map(fn, 2) as run:
-                pids = run([0, 1, 2])
+                pids = run(None, [0, 1, 2])
                 for pid in pids[1:]:
                     os.kill(pid, signal.SIGINT)
-                assert run([0, 1, 2]) == pids
-                run([-1, 1, 2])     # Ctrl-C on the calling process
+                assert run(None, [0, 1, 2]) == pids
+                run(None, [-1, 1, 2])     # Ctrl-C on the calling process
 
 
 # Float32 sums whose value depends on their order: ((1 + 1e8) - 1e8) is 0,
