@@ -192,15 +192,9 @@ def ssmm_train(model, train_samples, target, cfg):
         return predict_and_grad(model, xadv, masked)[2]
 
     n, eps = len(train_samples), np.float32(cfg.eps)
-    with workers.forked_map(masked_grad, min(workers.cpu_count(), n) - 1) as run:
-        def mean_grad(xi):
-            gsum = np.zeros(shape, np.float32)
-            for grad in run(xi, range(n)):
-                gsum += grad
-            return gsum / n
-
-        return _sign_descent(mean_grad, np.zeros(shape, np.float32), -cfg.alpha,
-                             lambda xi: np.clip(xi, -eps, eps), cfg.n_iter)
+    with workers.forked_map(masked_grad, n) as run:
+        return _sign_descent(lambda xi: sum(run(xi, range(n))) / n, np.zeros(shape, np.float32),
+                             -cfg.alpha, lambda xi: np.clip(xi, -eps, eps), cfg.n_iter)
 
 
 def pick_ssmm_target(candidates, rng):
@@ -291,18 +285,14 @@ def patch_attack(model, train_samples, cfg):
         grad = loss_input_grad(model, patched, s.labels, ones)[1]
         return grad[top:top + cfg.height, left:left + cfg.width]
 
-    gray = np.full((cfg.height, cfg.width, 3), 127.5, np.float32)
-    with workers.forked_map(placed_grad, min(workers.cpu_count(), cfg.placements) - 1) as run:
-        def mean_grad(patch):
-            placements = [(int(rng.integers(len(train_samples))),
-                           int(rng.integers(0, h - cfg.height + 1)),
-                           int(rng.integers(0, w - cfg.width + 1))) for _ in range(cfg.placements)]
-            gsum = np.zeros_like(patch)
-            for grad in run(patch, placements):
-                gsum += grad
-            return gsum / cfg.placements
+    def placements():
+        return [(int(rng.integers(len(train_samples))), int(rng.integers(0, h - cfg.height + 1)),
+                 int(rng.integers(0, w - cfg.width + 1))) for _ in range(cfg.placements)]
 
-        return _sign_descent(mean_grad, gray, cfg.alpha, lambda p: np.clip(p, 0, 255), cfg.n_iter)
+    gray = np.full((cfg.height, cfg.width, 3), 127.5, np.float32)
+    with workers.forked_map(placed_grad, cfg.placements) as run:
+        return _sign_descent(lambda p: sum(run(p, placements())) / cfg.placements, gray,
+                             cfg.alpha, lambda p: np.clip(p, 0, 255), cfg.n_iter)
 
 
 def apply_patch(image, patch, top, left):

@@ -155,8 +155,10 @@ def loss_value_f64(model, image, target, pixel_weights):
 def train(dataset, cfg):
     """Mini-batch SGD over (image, labels) pairs; deterministic for fixed seed.
     Each batch is shared among one process per CPU (workers.forked_map), and
-    the per-sample gradients are summed in batch order, so the model does not
-    depend on the CPU count."""
+    the per-sample losses and gradients are each `sum`med over its results in
+    batch order, so the model does not depend on the CPU count. A loss lies in
+    [0, -log(float32 tiny)], so a batch's summed loss is finite exactly when
+    every sample's is."""
     if not dataset:
         raise InputError("training dataset is empty")
     num_classes = int(max(lab.max() for _, lab in dataset)) + 1
@@ -164,30 +166,23 @@ def train(dataset, cfg):
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
     ones = np.ones(dataset[0][1].shape, np.float32)
-    procs = min(workers.cpu_count(), cfg.batch_size, n)
 
     def grads(params, i):
-        return _param_grads(replace(model, kernels=params[0], biases=params[1]), *dataset[i], ones)
+        loss, kgrads, bgrads = _param_grads(
+            replace(model, kernels=params[0], biases=params[1]), *dataset[i], ones)
+        return loss, *kgrads, *bgrads
 
-    with workers.forked_map(grads, procs - 1) as run:
+    with workers.forked_map(grads, min(cfg.batch_size, n)) as run:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                ksum = [np.zeros_like(k) for k in model.kernels]
-                bsum = [np.zeros_like(b) for b in model.biases]
-                for loss, kgrads, bgrads in run((model.kernels, model.biases), batch):
-                    if not np.isfinite(loss):
-                        raise TrainingError(f"training diverged at epoch {epoch}")
-                    for acc, g in zip(ksum, kgrads):
-                        acc += g
-                    for acc, g in zip(bsum, bgrads):
-                        acc += g
+                loss, *gsum = map(sum, zip(*run((model.kernels, model.biases), batch)))
+                if not np.isfinite(loss):
+                    raise TrainingError(f"training diverged at epoch {epoch}")
                 lr = np.float32(cfg.lr / len(batch))
-                for k, g in zip(model.kernels, ksum):
-                    k -= lr * g
-                for b, g in zip(model.biases, bsum):
-                    b -= lr * g
+                for p, g in zip(model.kernels + model.biases, gsum):
+                    p -= lr * g
     return model
 
 

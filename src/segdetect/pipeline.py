@@ -261,8 +261,14 @@ def stage_gen_data(cfg):
 
 
 def stage_train_model(cfg, train_set):
-    return load_model(*_unit(cfg, "train-model", lambda *paths: save_model(
+    """The trained model; raises InputError, also on a resumed run, unless it
+    has the dataset's classes (train sizes its head by the training labels)."""
+    model = load_model(*_unit(cfg, "train-model", lambda *paths: save_model(
         train([(s.image, s.labels) for s in train_set], cfg.train), *paths)))
+    if model.num_classes != cfg.dataset.num_classes:
+        raise InputError(f"model class count {model.num_classes} (its largest training label "
+                         f"+ 1) differs from the dataset's {cfg.dataset.num_classes}")
+    return model
 
 
 def stage_gradcheck(cfg, model, val_set):

@@ -79,7 +79,7 @@ class SegSample:
 
 
 def _paint_circle(rng, img, lab, cls, color, h, w):
-    r = int(rng.integers(max(4, h // 12), h // 4))
+    r = int(rng.integers(max(4, min(h, w) // 12), min(h, w) // 4))
     cy = int(rng.integers(r, h - r))
     cx = int(rng.integers(r, w - r))
     yy, xx = np.ogrid[:h, :w]
@@ -98,7 +98,7 @@ def _paint_rectangle(rng, img, lab, cls, color, h, w):
 
 
 def _paint_triangle(rng, img, lab, cls, color, h, w):
-    size = int(rng.integers(h // 6, h // 3))
+    size = int(rng.integers(min(h, w) // 6, min(h, w) // 3))
     cy = int(rng.integers(size, h - size))
     cx = int(rng.integers(size, w - size))
     pts = np.array([

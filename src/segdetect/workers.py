@@ -3,10 +3,11 @@
 A model pass at the default 64 px spends about half its time outside the
 GEMMs, holding the GIL, so threads gain little; the calling process forks
 worker processes instead (forked_map), which inherit the model, the data and
-the function, and only indices, arguments and results travel. The package
-starts no thread, so a fork never copies a lock that another thread holds.
-Restrict the CPUs (and so the worker count) with the process's affinity
-mask, for example `taskset -c 0 segdetect run-all ...`.
+the function, and only indices, arguments and results travel; forked_map
+alone reads the CPU count. The package starts no thread, so a fork never
+copies a lock that another thread holds. Restrict the CPUs (and so the worker
+count) with the process's affinity mask, for example
+`taskset -c 0 segdetect run-all ...`.
 """
 
 import contextlib
@@ -25,22 +26,23 @@ def cpu_count():
 
 
 def map_items(fn, items):
-    """[fn(item) for item in items] on forked_map's processes, one per CPU
-    (never more than items), forked for this call: they inherit the items,
-    and only indices and results travel."""
+    """[fn(item) for item in items] on forked_map's processes, forked for this
+    call: they inherit the items, and only indices and results travel."""
     items = list(items)
-    with forked_map(lambda _, i: fn(items[i]), max(min(cpu_count(), len(items)) - 1, 0)) as run:
+    with forked_map(lambda _, i: fn(items[i]), len(items)) as run:
         return run(None, range(len(items)))
 
 
 @contextlib.contextmanager
-def forked_map(fn, count):
-    """Forks `count` worker processes, which inherit fn and all it reads, and
-    yields run(arg, items) -> [fn(arg, item) for item in items]. The calling
-    process computes items[0::count + 1] and worker k items[k::count + 1],
-    each in item order; arg and the items travel to the workers pickled
-    through pipes, and the results back, to come out in input order. With
-    count 0 nothing forks.
+def forked_map(fn, most):
+    """Forks count = max(min(cpu_count(), most) - 1, 0) worker processes,
+    where `most` is the most items any call in the block carries; they inherit
+    fn and all it reads. Yields run(arg, items) -> [fn(arg, item) for item in
+    items]. The calling process computes items[0::count + 1] and worker k
+    items[k::count + 1], each in item order; arg and the items travel to
+    the workers pickled through pipes, and the results back, to come out in
+    input order: a sum over them (Python's `sum`, from 0 left to right) does
+    not depend on the CPU count.
 
     A share stops at its first failed item and records its index in its word
     of a map all processes share; no process starts an item above a recorded
@@ -53,6 +55,7 @@ def forked_map(fn, count):
     running items. Workers are forked with SIGINT blocked and end through
     os._exit, never through the caller's cleanup. Fork only where no other
     thread holds a lock that fn needs."""
+    count = max(min(cpu_count(), most) - 1, 0)
     failed = memoryview(mmap.mmap(-1, 8 * (count + 1))).cast("q")   # one word per share
     pipes, pids = [], []      # per worker: (its items, its results), our ends
     try:

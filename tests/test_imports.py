@@ -97,3 +97,34 @@ def test_the_scan_finds_a_dead_definition():
 
 def test_no_package_definition_goes_unused():
     assert dead_definitions(python_sources()) == []
+
+
+CPU_NAMES = {"cpu_count", "fork", "sched_getaffinity"}
+
+
+def cpu_names(source):
+    """(line, name) of each use in `source` of a name in CPU_NAMES: read,
+    imported or taken as an attribute (`os.fork`, `workers.cpu_count`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found += [(node.lineno, name) for name in names if name in CPU_NAMES]
+    return sorted(found)
+
+
+def test_the_scan_finds_a_cpu_name():
+    source = ("import os\nfrom os import fork\nn = workers.cpu_count()\n"
+              "# cpu_count in a comment\nos.sched_getaffinity(0)\nforked = 1\n")
+    assert cpu_names(source) == [(2, "fork"), (3, "cpu_count"), (5, "sched_getaffinity")]
+
+
+def test_only_workers_reads_the_cpu_count_or_forks():
+    """workers.forked_map alone decides how many processes a map gets."""
+    found = [f"{path}:{line}: {name}" for path, text in python_sources().items()
+             if path.startswith(os.path.join("src", "segdetect", ""))
+             and path != os.path.join("src", "segdetect", "workers.py")
+             for line, name in cpu_names(text)]
+    assert found == []

@@ -463,16 +463,17 @@ class TestSteadyStatePassesTakeNoFaults:
         call = (lambda: fn(m, img)) if name == "predict" else (lambda: fn(m, img, lab, wgt))
         assert steady_faults(call, resource.RUSAGE_SELF) <= 20 * FAULTS_PER_CALL
 
-    def test_forked_worker(self, reaped):
+    def test_forked_worker(self, forks):
         m, img, lab, wgt = pass_inputs(96)
 
         def faults(_, i):
             return os.getpid(), steady_faults(
                 lambda: seg_model.loss_input_grad(m, img, lab, wgt), resource.RUSAGE_SELF)
 
-        with workers.forked_map(faults, 1) as run:
+        forked = forks(2)
+        with workers.forked_map(faults, 2) as run:
             (caller, _), (worker, worker_faults) = run(None, range(2))
-        assert caller == os.getpid() != worker
+        assert caller == os.getpid() != worker and forked == [worker]
         assert worker_faults <= 20 * FAULTS_PER_CALL
 
 

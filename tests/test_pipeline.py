@@ -742,6 +742,22 @@ def run_cli(command, out, *extra, config=TINY):
     return cli.main([command, "--out", str(out), "--stage-overrides", json.dumps(config), *extra])
 
 
+@pytest.mark.parametrize("dataset,classes", [
+    ({"train_size": 1, "shapes_per_image": [1, 1], "seed": 1}, 3),
+    ({"train_size": 10, "shapes_per_image": [0, 0]}, 1)], ids=["one-image", "no-shapes"])
+def test_model_short_of_dataset_classes_fails_train_model(dataset, classes, tmp_path, capsys,
+                                                         monkeypatch):
+    config = dict(TINY, dataset=dict(TINY["dataset"], **dataset), train={"epochs": 1, "seed": 5})
+    out = tmp_path / "run"
+    for resumed in (False, True):
+        assert run_cli("run-all", out, config=config) == 1
+        assert capsys.readouterr().err == (
+            f"segdetect: run-all: model class count {classes} (its largest training label + 1) "
+            "differs from the dataset's 4\n")
+        assert not (out / "gradcheck.json").exists()
+        monkeypatch.setattr(pipeline, "train", lambda *a: pytest.fail("trained again"))
+
+
 def test_report_refuses_a_stale_report(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("run-all", out) == 0

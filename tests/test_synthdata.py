@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -63,6 +64,37 @@ class TestScene:
         b = synthdata.generate_scene(np.random.default_rng(4), cfg)
         assert a.image.tobytes() == b.image.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
+
+
+def split_digest(samples):
+    d = hashlib.sha256()
+    for s in samples:
+        d.update(s.image.tobytes())
+        d.update(s.labels.tobytes())
+    return d.hexdigest()
+
+
+class TestSceneSizes:
+    @pytest.mark.parametrize("height,width,digest", [
+        (64, 64, "174bfaaaf92a8094f00b07c8a2f734ab90d4c0c2cc43a2bdf3244b2a15676f50"),
+        (48, 96, "66461518aacb54d0a4e33c9204d3030a47fc179d99df4d76a2a5590181d0e6da"),
+        (32, 40, "6e1ec5a2094fa28fef6e697d7ab010d8d3c7ff61c92af670a0e8a8a6f9822223")],
+        ids=["64x64", "48x96", "32x40"])
+    def test_square_and_wide_scene_bytes_are_pinned(self, height, width, digest):
+        cfg = synthdata.DatasetConfig(height=height, width=width, train_size=30, val_size=1,
+                                      seed=3)
+        assert split_digest(synthdata.generate_samples(cfg, "train")) == digest
+
+    @pytest.mark.parametrize("height,width", [(64, 40), (96, 60), (128, 32)])
+    def test_tall_scenes_draw_every_shape(self, height, width):
+        # circles and triangles are sized by the shorter side, so they fit across
+        cfg = synthdata.DatasetConfig(height=height, width=width)
+        train, val = synthdata.generate_dataset(cfg)
+        counts = np.zeros(cfg.num_classes, int)
+        for s in train + val:
+            assert s.image.shape == (height, width, 3) and s.labels.shape == (height, width)
+            counts[np.unique(s.labels)] += 1
+        assert np.all(counts >= 10), counts
 
 
 class TestSplits:

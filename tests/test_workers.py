@@ -1,3 +1,4 @@
+import collections
 import os
 import signal
 import time
@@ -11,7 +12,7 @@ from segdetect.synthdata import SegSample
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """Sets the CPU count map_items and the attacks see."""
+    """Sets the CPU count forked_map sees."""
     return lambda n: monkeypatch.setattr(workers, "cpu_count", lambda: n)
 
 
@@ -127,12 +128,14 @@ def square_and_pid(arg, i):
 
 
 class TestForkedMap:
-    def test_results_in_input_order_one_process_each(self, reaped):
-        with workers.forked_map(square_and_pid, 2) as run:
+    def test_results_in_input_order_one_process_each(self, forks):
+        forked = forks(3)
+        with workers.forked_map(square_and_pid, 7) as run:
             out = run(0, [1, 2, 3])
             assert [v for v, _ in out] == [1, 4, 9]
             pids = [p for _, p in out]
-            assert pids[0] == os.getpid() and len(set(pids)) == 3
+            assert pids[0] == os.getpid() and sorted(pids[1:]) == sorted(forked)
+            assert len(set(pids)) == 3
             assert run(10, [4, 5, 6]) == [(26, pids[0]), (35, pids[1]), (46, pids[2])]
             assert run(0, [7]) == [(49, pids[0])]     # fewer items than processes
             # more items than processes: item i is share i % 3's
@@ -145,33 +148,49 @@ class TestForkedMap:
             assert run(1, [1, 2]) == [(2, os.getpid()), (5, os.getpid())]
             assert run(0, []) == []
 
+    @pytest.mark.parametrize("cpus,most,count", [(4, 0, 0), (4, 1, 0), (4, 2, 1), (1, 5, 0),
+                                                 (2, 5, 1), (3, 9, 2), (3, 3, 2)])
+    def test_forks_one_worker_per_cpu_short_of_most(self, forks, cpus, most, count):
+        forked = forks(cpus)
+        with workers.forked_map(square_and_pid, most) as run:
+            assert len(forked) == count
+            out = run(0, range(5))
+        assert [v for v, _ in out] == [i * i for i in range(5)]
+        assert {p for _, p in out} == {os.getpid(), *forked}
+
     @pytest.mark.parametrize("items,message", [([1, -2, -3], "item -2"), ([-1, -2, 3], "item -1"),
                                                ([1, 2, -3], "item -3")])
-    def test_lowest_index_error_raised(self, reaped, items, message):
-        with workers.forked_map(square_and_pid, 2) as run:
+    def test_lowest_index_error_raised(self, forks, items, message):
+        forked = forks(3)
+        with workers.forked_map(square_and_pid, 3) as run:
+            assert len(forked) == 2
             with pytest.raises(ValueError, match=message):
                 run(0, items)
             assert [v for v, _ in run(0, [1, 2, 3])] == [1, 4, 9]   # no stale reply is left
 
-    def test_killed_worker_raises(self, reaped):
+    def test_killed_worker_raises(self, forks):
         def fn(_, i):
             if i == 1:
                 os.kill(os.getpid(), signal.SIGKILL)
             return i
 
-        with workers.forked_map(fn, 2) as run:
+        forked = forks(3)
+        with workers.forked_map(fn, 3) as run:
+            assert len(forked) == 2
             with pytest.raises(ChildProcessError, match="ended"):
                 run(None, [0, 1, 2])
 
-    def test_workers_ignore_sigint_and_end_with_the_caller(self, reaped):
+    def test_workers_ignore_sigint_and_end_with_the_caller(self, forks):
         def fn(_, i):
             if i < 0:
                 raise KeyboardInterrupt
             return os.getpid()
 
+        forked = forks(3)
         with pytest.raises(KeyboardInterrupt):
-            with workers.forked_map(fn, 2) as run:
+            with workers.forked_map(fn, 3) as run:
                 pids = run(None, [0, 1, 2])
+                assert sorted(pids[1:]) == sorted(forked)
                 for pid in pids[1:]:
                     os.kill(pid, signal.SIGINT)
                 assert run(None, [0, 1, 2]) == pids
@@ -241,3 +260,53 @@ class TestMeanGradientOrder:
         for v in ORDERED:
             expect += np.float32(v)
         assert np.all(grads[0] == expect / 3) and expect == 0
+
+
+def logged_fake_grads(monkeypatch, append):
+    """Replaces the attacks' model passes by zero gradients, each call logged
+    with the pid of the process that ran it."""
+    def predict_and_grad(model, x, objective):
+        append(os.getpid())
+        return None, 0.0, np.zeros(x.shape, np.float32)
+
+    def loss_input_grad(model, x, target, weights):
+        append(os.getpid())
+        return 0.0, np.zeros(x.shape, np.float32)
+
+    monkeypatch.setattr(attacks, "predict_and_grad", predict_and_grad)
+    monkeypatch.setattr(attacks, "loss_input_grad", loss_input_grad)
+
+
+def universal(kind, items):
+    """Runs a 3-iteration ssmm or patch descent over `items` samples or placements."""
+    samples = [SegSample(image=np.zeros((8, 8, 3), np.float32),
+                         labels=np.zeros((8, 8), np.int32), id=str(k)) for k in range(items)]
+    if kind == "ssmm":
+        attacks.ssmm_train(None, samples, np.zeros((8, 8), np.int32), attacks.SsmmConfig(n_iter=3))
+    else:
+        attacks.patch_attack(None, samples[:1], attacks.PatchConfig(
+            height=2, width=2, n_iter=3, placements=items))
+
+
+class TestUniversalAttackWorkers:
+    """ssmm and patch fork once per descent, one worker per CPU short of the
+    samples or placements."""
+
+    @pytest.mark.parametrize("kind", ["ssmm", "patch"])
+    def test_one_item_forks_nothing(self, forks, monkeypatch, shared_log, kind):
+        forked = forks(4)
+        append, read = shared_log
+        logged_fake_grads(monkeypatch, append)
+        universal(kind, 1)
+        assert forked == [] and read() == [[str(os.getpid())]] * 3
+
+    @pytest.mark.parametrize("kind", ["ssmm", "patch"])
+    def test_three_items_on_two_cpus_fork_one_worker_per_descent(self, forks, monkeypatch,
+                                                                 shared_log, kind):
+        forked = forks(2)
+        append, read = shared_log
+        logged_fake_grads(monkeypatch, append)
+        universal(kind, 3)
+        assert len(forked) == 1
+        calls = collections.Counter(pid for pid, in read())
+        assert calls == {str(os.getpid()): 6, str(forked[0]): 3}   # items 0, 2 and 1, 3 times
