@@ -75,9 +75,9 @@ class PatchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (min(self.height, self.width, self.placements) < 1 or self.n_iter < 0
+        if (min(self.height, self.width, self.placements) < 1 or min(self.n_iter, self.seed) < 0
                 or not _finite_positive(self.alpha)):
-            raise InputError("height, width and placements must be >= 1, n_iter >= 0, "
+            raise InputError("height, width and placements must be >= 1, n_iter and seed >= 0, "
                              "alpha finite and > 0")
 
 

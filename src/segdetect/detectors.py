@@ -116,10 +116,11 @@ def _newton_step(g, h, theta, lam, tol):
 
 
 def _check(kind, **values):
-    """Raises InputError for the first value that breaks its rule in DETECTORS[kind]."""
+    """Raises InputError for the first value that breaks its rule in
+    DETECTORS[kind]; every hyperparameter is a number, so a bool breaks any."""
     for key, val in values.items():
         test, rule = DETECTORS[kind][2][key]
-        if not test(val):
+        if isinstance(val, bool) or not test(val):
             raise InputError(f"{kind} key {key}: must be {rule}, got {val!r}")
 
 
@@ -296,13 +297,13 @@ DETECTORS = {
     "entropy": ("train_entropy", _score_entropy, {}),
     "lasso": ("train_lasso", _score_lasso, {
         "lam": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
-        "tol": (lambda v: v > 0, "> 0"),
+        "tol": (lambda v: 0 < v < math.inf, "finite and > 0"),
         "max_iter": (lambda v: v >= 1, ">= 1")}),
     "ocsvm": ("train_ocsvm", _score_ocsvm, {
         "nu": (lambda v: 0 < v < 1, "in (0, 1)"),
         "gamma": (lambda v: v is None or (isinstance(v, (int, float)) and 0 < v < math.inf),
                   "None or finite and > 0"),
-        "tol": (lambda v: v > 0, "> 0"),
+        "tol": (lambda v: 0 < v < math.inf, "finite and > 0"),
         "max_updates": (lambda v: v >= 1, ">= 1")}),
     "ellipse": ("train_ellipse", _score_ellipse, {
         "shrinkage": (lambda v: 0 <= v < math.inf, "finite and >= 0")}),

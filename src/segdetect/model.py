@@ -1,10 +1,10 @@
 """Toy segmentation network: conv3x3(3->16) - ReLU - conv3x3(16->16) - ReLU - conv1x1(16->C).
 
-Inputs are raw 0-255 images; normalization to (x - mean) / scale happens inside
+Inputs are raw 0-255 images; normalization to (x - MEAN) / SCALE happens inside
 the model so attacks can work on the raw pixel scale.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from .autodiff import (conv2d_bwd, conv2d_fwd, conv2d_input_grad, relu_bwd, relu
 from .errors import InputError, TrainingError
 
 HIDDEN = 16
+MEAN = SCALE = 127.5    # every model's input normalization
 
 
 @dataclass
@@ -38,13 +39,14 @@ class TrainConfig:
 class ModelParams:
     kernels: list          # [(3,3,3,16), (3,3,16,16), (1,1,16,C)]
     biases: list
-    num_classes: int
-    seed: int
-    mean: float = 127.5
-    scale: float = 127.5
+
+    @property
+    def num_classes(self):
+        """C, the head's output channels."""
+        return self.kernels[-1].shape[3]
 
 
-def init_model(num_classes, seed=0, mean=127.5, scale=127.5):
+def init_model(num_classes, seed=0):
     """He-initialized hidden layers; zero-initialized classification head."""
     rng = np.random.default_rng(seed)
     shapes = [(3, 3, 3, HIDDEN), (3, 3, HIDDEN, HIDDEN), (1, 1, HIDDEN, num_classes)]
@@ -57,8 +59,7 @@ def init_model(num_classes, seed=0, mean=127.5, scale=127.5):
             k = np.zeros(shp)
         kernels.append(k.astype(np.float32))
         biases.append(np.zeros(shp[3], np.float32))
-    return ModelParams(kernels=kernels, biases=biases, num_classes=num_classes,
-                       seed=seed, mean=mean, scale=scale)
+    return ModelParams(kernels, biases)
 
 
 def _check_image(image):
@@ -71,7 +72,7 @@ def _check_image(image):
 def _forward(model, image, dtype=np.float32):
     """Returns (logits, nodes): H x W x C logits and the per-layer backward
     contexts. The pass runs in `dtype`, on channels-first planes."""
-    z = ((image.astype(dtype) - model.mean) / model.scale).astype(dtype)
+    z = ((image.astype(dtype) - MEAN) / SCALE).astype(dtype)
     nodes = []
     a = z.transpose(2, 0, 1)
     for i, (k, b) in enumerate(zip(model.kernels, model.biases)):
@@ -101,8 +102,8 @@ def _backward(model, nodes, grad_logits, want_params=False):
             g = conv2d_input_grad(node, g)
     if want_params:
         return kgrads[::-1], bgrads[::-1]
-    # chain rule through (x - mean) / scale, back to H x W x C
-    return np.ascontiguousarray((g / np.float32(model.scale)).transpose(1, 2, 0), np.float32)
+    # chain rule through (x - MEAN) / SCALE, back to H x W x C
+    return np.ascontiguousarray((g / np.float32(SCALE)).transpose(1, 2, 0), np.float32)
 
 
 def predict(model, image):
@@ -168,8 +169,7 @@ def train(dataset, cfg):
     ones = np.ones(dataset[0][1].shape, np.float32)
 
     def grads(params, i):
-        loss, kgrads, bgrads = _param_grads(
-            replace(model, kernels=params[0], biases=params[1]), *dataset[i], ones)
+        loss, kgrads, bgrads = _param_grads(ModelParams(*params), *dataset[i], ones)
         return loss, *kgrads, *bgrads
 
     with workers.forked_map(grads, min(cfg.batch_size, n)) as run:
@@ -273,29 +273,11 @@ def grad_check(model, image, target, pixel_weights=None, n_samples=200, h=0.1,
                        n_samples=len(flat), radius=r, quantiles=quantiles)
 
 
-def save_model(model, tensor_path, sidecar_path):
-    """Checkpoint: tensor container with kernels and biases interleaved, plus
-    a JSON sidecar describing architecture and normalization."""
-    arrays = []
-    for k, b in zip(model.kernels, model.biases):
-        arrays.append(k)
-        arrays.append(b)
-    tensorio.save_tensors(tensor_path, arrays)
-    meta = {
-        "architecture": [list(k.shape) for k in model.kernels],
-        "num_classes": model.num_classes,
-        "seed": model.seed,
-        "mean": model.mean,
-        "scale": model.scale,
-    }
-    tensorio.write_json(sidecar_path, meta)
+def save_model(model, path):
+    """Checkpoint: one tensor file, the kernels and biases interleaved."""
+    tensorio.save_tensors(path, [a for kb in zip(model.kernels, model.biases) for a in kb])
 
 
-def load_model(tensor_path, sidecar_path):
-    meta = tensorio.read_json(sidecar_path)
-    arrays = tensorio.load_tensors(tensor_path)
-    kernels = arrays[0::2]
-    biases = arrays[1::2]
-    return ModelParams(kernels=kernels, biases=biases,
-                       num_classes=meta["num_classes"], seed=meta["seed"],
-                       mean=meta["mean"], scale=meta["scale"])
+def load_model(path):
+    arrays = tensorio.load_tensors(path)
+    return ModelParams(arrays[0::2], arrays[1::2])

@@ -190,7 +190,7 @@ def unit_keys(cfg):
 # stands for it in the kind's paths; a unit's own extra files sit under its name.
 # A path ending "/" is a directory.
 _OUTPUTS = {"gen-data": ["data/", "data/images/", "data/labels/"],
-            "train-model": ["model.ten", "model.json"], "gradcheck": ["gradcheck.json"],
+            "train-model": ["model.ten"], "gradcheck": ["gradcheck.json"],
             "attack": ["attacks/{}/", "attacks/{}/images/"],
             "attack/ssmm": ["ssmm_target.ten", "ssmm_noise.ten"], "attack/patch": ["patch.ten"],
             "extract-features": ["features/{}.csv"], "extract-features/heatmaps": ["heatmaps/{}/"],
@@ -263,8 +263,8 @@ def stage_gen_data(cfg):
 def stage_train_model(cfg, train_set):
     """The trained model; raises InputError, also on a resumed run, unless it
     has the dataset's classes (train sizes its head by the training labels)."""
-    model = load_model(*_unit(cfg, "train-model", lambda *paths: save_model(
-        train([(s.image, s.labels) for s in train_set], cfg.train), *paths)))
+    model = load_model(*_unit(cfg, "train-model", lambda path: save_model(
+        train([(s.image, s.labels) for s in train_set], cfg.train), path)))
     if model.num_classes != cfg.dataset.num_classes:
         raise InputError(f"model class count {model.num_classes} (its largest training label "
                          f"+ 1) differs from the dataset's {cfg.dataset.num_classes}")

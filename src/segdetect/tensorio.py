@@ -21,64 +21,41 @@ _DTYPE_BY_CODE = {0: np.dtype("<f4"), 1: np.dtype("u1"), 2: np.dtype("<i4")}
 _CODE_BY_KIND = {("f", 4): 0, ("u", 1): 1, ("i", 4): 2}
 
 
-def _dtype_code(arr):
-    key = (arr.dtype.kind, arr.dtype.itemsize)
-    if key not in _CODE_BY_KIND:
-        raise InputError(f"unsupported dtype {arr.dtype}")
-    return _CODE_BY_KIND[key]
-
-
 def write_record(fh, arr):
     """Append one tensor record to an open binary file object."""
-    arr = np.ascontiguousarray(arr)
-    code = _dtype_code(arr)
-    fh.write(MAGIC)
-    fh.write(struct.pack("<BBBB", VERSION, code, arr.ndim, 0))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+    arr = np.asarray(arr)   # tobytes writes row-major whatever the layout
+    code = _CODE_BY_KIND.get((arr.dtype.kind, arr.dtype.itemsize))
+    if code is None:
+        raise InputError(f"unsupported dtype {arr.dtype}")
+    fh.write(MAGIC + struct.pack(f"<4B{arr.ndim}I", VERSION, code, arr.ndim, 0, *arr.shape))
     fh.write(arr.astype(_DTYPE_BY_CODE[code], copy=False).tobytes())
 
 
-def _read_header(fh, n):
+def _read(fh, n, what):
+    """The next n bytes of fh; raises InputError naming `what` on fewer."""
     data = fh.read(n)
     if len(data) != n:
-        raise InputError("truncated tensor header")
+        raise InputError(f"truncated tensor {what}")
     return data
 
 
 def read_record(fh):
     """Read one tensor record; returns None at end of file."""
-    magic = fh.read(4)
-    if magic == b"":
+    head = fh.read(8)   # magic, version, dtype, ndim, pad
+    if not head:
         return None
-    if len(magic) != 4:
-        raise InputError("truncated tensor header")
+    head += _read(fh, 8 - len(head), "header")     # a short head is a truncated one
+    magic, version, code, ndim = struct.unpack("<4s3Bx", head)
     if magic != MAGIC:
         raise InputError(f"bad magic {magic!r}")
-    version, code, ndim, _pad = struct.unpack("<BBBB", _read_header(fh, 4))
     if version != VERSION:
         raise InputError(f"unsupported container version {version}")
     if code not in _DTYPE_BY_CODE:
         raise InputError(f"unknown dtype code {code}")
-    shape = struct.unpack(f"<{ndim}I", _read_header(fh, 4 * ndim))
+    shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, "header"))
     dtype = _DTYPE_BY_CODE[code]
-    n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    payload = fh.read(n * dtype.itemsize)
-    if len(payload) != n * dtype.itemsize:
-        raise InputError("truncated tensor payload")
+    payload = _read(fh, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize, "payload")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-
-
-def save_tensor(path, arr):
-    with open(path, "wb") as fh:
-        write_record(fh, arr)
-
-
-def load_tensor(path):
-    with open(path, "rb") as fh:
-        arr = read_record(fh)
-    if arr is None:
-        raise InputError(f"empty tensor file {path}")
-    return arr
 
 
 def save_tensors(path, arrays):
@@ -89,13 +66,24 @@ def save_tensors(path, arrays):
 
 
 def load_tensors(path):
+    """Every tensor of the file, in order."""
     arrays = []
     with open(path, "rb") as fh:
-        while True:
-            arr = read_record(fh)
-            if arr is None:
-                return arrays
+        while (arr := read_record(fh)) is not None:
             arrays.append(arr)
+    return arrays
+
+
+def save_tensor(path, arr):
+    save_tensors(path, [arr])
+
+
+def load_tensor(path):
+    """The tensor of a one-record file; raises InputError on any other file."""
+    arrays = load_tensors(path)
+    if len(arrays) != 1:
+        raise InputError(f"{path}: expected one tensor record, found {len(arrays)}")
+    return arrays[0]
 
 
 def read_json(path):

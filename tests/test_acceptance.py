@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from segdetect import attacks, detectors, metrics, pipeline, tensorio
-from segdetect.model import load_model, predicted_labels
+from segdetect.model import load_model, predict, predicted_labels
 from segdetect.uncertainty import FeatureVector, feature_vector, read_features
 
 
@@ -177,8 +177,7 @@ def test_a7_detector_sanity(announce):
 def test_a8_ssmm_efficacy(full_run, announce):
     cfg, _ = full_run
     train_set, _ = pipeline.stage_gen_data(cfg)
-    model = load_model(os.path.join(cfg.out_dir, "model.ten"),
-                       os.path.join(cfg.out_dir, "model.json"))
+    model = load_model(os.path.join(cfg.out_dir, "model.ten"))
     xi = tensorio.load_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"))
     target = tensorio.load_tensor(os.path.join(cfg.out_dir, "ssmm_target.ten"))
     subset = train_set[:cfg.ssmm_train_size]
@@ -213,6 +212,27 @@ def test_certainty_raising_attacks_evade_one_sided_detectors(full_run):
             assert auroc[detector, attack] < 0.5, (detector, attack)
         for detector in ("ocsvm", "ellipse"):
             assert auroc[detector, attack] > 0.9, (detector, attack)
+
+
+def test_blind_noise_of_an_attack_budget_barely_moves_the_entropy_detector(full_run):
+    """The control for the paper's claim that uncertainty behaves differently
+    on attacked images: seeded uniform random +-4 sign noise, fgsm_e4's budget
+    quantized like the attacks, is ranked near chance by the entropy detector,
+    far below fgsm_e4 itself, so that row reads the attack's direction, not
+    only its size. A check of the default run's behaviour, not an acceptance
+    criterion."""
+    cfg, csv_path = full_run
+    _, val_set = pipeline.stage_gen_data(cfg)
+    model = load_model(os.path.join(cfg.out_dir, "model.ten"))
+    rng = np.random.default_rng(0)
+    clean = [feature_vector(predict(model, s.image)) for s in val_set]
+    noise = [feature_vector(predict(model, attacks._quantize(
+        s.image, s.image + rng.choice([-4.0, 4.0], s.image.shape)))) for s in val_set]
+    entropy = detectors.train_entropy(clean)
+    noise_auroc = metrics.auroc(metrics.ScoreSet(clean=detectors.score_many(entropy, clean),
+                                                 adv=detectors.score_many(entropy, noise)))
+    auroc = {(r["detector"], r["attack"]): float(r["auroc_mean"]) for r in read_report(csv_path)}
+    assert noise_auroc < 0.75 and noise_auroc <= auroc["entropy", "fgsm_e4"] - 0.25, noise_auroc
 
 
 def test_report_apsr_is_each_feature_table_mean(full_run):

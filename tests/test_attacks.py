@@ -41,6 +41,7 @@ class TestIterationCount:
                           (attacks.SsmmConfig, "eps"), (attacks.SsmmConfig, "alpha"),
                           (attacks.DnnmConfig, "eps"), (attacks.DnnmConfig, "alpha"),
                           (attacks.PatchConfig, "alpha")]],
+    (attacks.PatchConfig, {"seed": -1}),
 ])
 def test_bad_config_raises(config, change):
     with pytest.raises(InputError):

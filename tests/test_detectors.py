@@ -129,7 +129,8 @@ class TestLassoDetector:
 
     @pytest.mark.parametrize("key,value", [
         ("lam", -1.0), ("lam", float("nan")), ("lam", float("inf")),
-        ("tol", 0.0), ("tol", -1e-9), ("max_iter", 0)])
+        ("tol", 0.0), ("tol", -1e-9), ("tol", float("inf")), ("tol", True), ("max_iter", 0),
+        ("max_iter", True)])
     def test_bad_hyperparameter_raises(self, key, value):
         with pytest.raises(InputError, match=f"lasso key {key}"):
             detectors.train_lasso(gaussian_features(), gaussian_features(shift=3.0),
@@ -148,9 +149,13 @@ class TestLassoDetector:
     ("ocsvm", "gamma", 0.0, "None or finite and > 0"),
     ("ocsvm", "gamma", float("nan"), "None or finite and > 0"),
     ("ocsvm", "gamma", "x", "None or finite and > 0"),
-    ("ocsvm", "tol", 0.0, "> 0"),
-    ("ocsvm", "tol", -1e-6, "> 0"),
+    ("ocsvm", "gamma", True, "None or finite and > 0"),
+    ("ocsvm", "tol", 0.0, "finite and > 0"),
+    ("ocsvm", "tol", -1e-6, "finite and > 0"),
+    ("ocsvm", "tol", float("inf"), "finite and > 0"),
     ("ocsvm", "max_updates", 0, ">= 1"),
+    ("ocsvm", "max_updates", True, ">= 1"),
+    ("ellipse", "shrinkage", True, "finite and >= 0"),
 ])
 def test_bad_novelty_hyperparameter_raises(kind, key, value, rule):
     """A value that would train a detector of meaningless scores fails, naming the key."""

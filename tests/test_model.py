@@ -120,8 +120,7 @@ def wide_middle_model(num_classes=3, seed=0):
     kernels = [rng.normal(0.0, np.sqrt(2.0 / (s[0] * s[1] * s[2])), s).astype(np.float32)
                for s in shapes]
     biases = [rng.normal(0.0, 0.1, s[3]).astype(np.float32) for s in shapes]
-    return seg_model.ModelParams(kernels=kernels, biases=biases,
-                                 num_classes=num_classes, seed=seed)
+    return seg_model.ModelParams(kernels, biases)
 
 
 def full_image_fd(m, image, target, weights, i, j, c, h):
@@ -244,7 +243,7 @@ class TestInputOnlyBackward:
         g = g.transpose(2, 0, 1)
         for kind, node in reversed(nodes):
             g = seg_model.relu_bwd(node, g) if kind == "relu" else seg_model.conv2d_bwd(node, g)[0]
-        ref = (g.transpose(1, 2, 0) / np.float32(m.scale)).astype(np.float32)
+        ref = (g.transpose(1, 2, 0) / np.float32(seg_model.SCALE)).astype(np.float32)
         loss, grad = seg_model.loss_input_grad(m, img, lab, weights)
         assert loss == ref_loss
         assert grad.dtype == np.float32 and grad.tobytes() == ref.tobytes()
@@ -322,7 +321,7 @@ def cl_conv_bwd(node, grad_out, want_input, want_params):
 
 def cl_forward(m, image, dtype=np.float32):
     """(logits, [conv node, relu mask, conv node, relu mask, conv node])."""
-    a = ((image.astype(dtype) - m.mean) / m.scale).astype(dtype)
+    a = ((image.astype(dtype) - seg_model.MEAN) / seg_model.SCALE).astype(dtype)
     nodes = []
     for i, (k, b) in enumerate(zip(m.kernels, m.biases)):
         a, node = cl_conv_fwd(a, k, b)
@@ -345,7 +344,7 @@ def cl_backward(m, nodes, g, want_params=False):
             bgrads.insert(0, gb)
     if want_params:
         return kgrads, bgrads
-    return (g / np.float32(m.scale)).astype(np.float32)
+    return (g / np.float32(seg_model.SCALE)).astype(np.float32)
 
 
 def cl_predict_and_grad(m, image, objective):
@@ -597,12 +596,11 @@ class TestForkedTraining:
 
 
 def test_save_load_roundtrip(tmp_path, small_model):
-    tpath = tmp_path / "m.ten"
-    spath = tmp_path / "m.json"
-    seg_model.save_model(small_model, tpath, spath)
-    back = seg_model.load_model(tpath, spath)
+    path = tmp_path / "m.ten"
+    seg_model.save_model(small_model, path)
+    back = seg_model.load_model(path)
+    assert os.listdir(tmp_path) == ["m.ten"]
     assert back.num_classes == small_model.num_classes
-    assert back.mean == small_model.mean and back.scale == small_model.scale
     assert params_equal(back, small_model)
     img = np.random.default_rng(0).integers(0, 256, (16, 16, 3)).astype(np.float32)
     np.testing.assert_array_equal(seg_model.predict(back, img),

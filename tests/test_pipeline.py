@@ -316,6 +316,56 @@ def test_config_dict_roundtrip():
     assert back.to_dict() == cfg.to_dict()
 
 
+def numeric_config_keys():
+    """(name, default, fragment) of every number a config file sets: fragment(v)
+    is the config of that key set to v. Covers the top-level numbers, DatasetConfig's
+    and TrainConfig's, every spec key of each pipeline.ATTACKS config, and each
+    detector hyperparameter (ocsvm's gamma defaults to None)."""
+    def numeric(value):
+        return value is None or isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    top = pipeline._defaults(pipeline.ExperimentConfig)
+    keys = [(key, top[key], lambda v, key=key: {key: v})
+            for key in ("folds", "seed", "ssmm_train_size")]
+    for section, config in (("dataset", synthdata.DatasetConfig), ("train", TrainConfig)):
+        keys += [(f"{section}.{key}", value, lambda v, section=section, key=key: {section: {key: v}})
+                 for key, value in pipeline._defaults(config).items() if numeric(value)]
+    for kind, (config, _, _, _, fixed) in pipeline.ATTACKS.items():
+        spec = {"kind": kind, "eps": 4} if config is attacks.AttackConfig else {"kind": kind}
+        keys += [(f"{kind}.{key}", value,
+                  lambda v, spec=spec, key=key: {"attack_list": [{**spec, key: v}]})
+                 for key, value in pipeline._defaults(config, fixed).items() if numeric(value)]
+    for kind in detectors.DETECTORS:
+        keys += [(f"{kind}.{key}", value, lambda v, kind=kind, key=key: {
+            "detector_list": [{"kind": kind, key: v}]})
+            for key, value in detectors.hyperparameters(kind).items() if numeric(value)]
+    return keys
+
+
+@pytest.mark.parametrize("name,default,fragment", [pytest.param(*key, id=key[0])
+                                                   for key in numeric_config_keys()])
+def test_numeric_key_rejects_bool_nan_infinities_and_minus_one(name, default, fragment):
+    """No number a config sets takes any of these values, so each must fail when
+    the config loads, not in a stage. A value some key should accept would go on
+    a commented allow-list here; none does. The key's default loads."""
+    pipeline.ExperimentConfig.from_dict(fragment(default))
+    loaded = []
+    for value in (True, float("nan"), float("inf"), float("-inf"), -1):
+        try:
+            pipeline.ExperimentConfig.from_dict(fragment(value))
+            loaded.append(value)
+        except InputError:
+            pass
+    assert loaded == [], name
+
+
+def test_numeric_key_sweep_covers_every_config():
+    names = {name for name, _, _ in numeric_config_keys()}
+    assert {"folds", "dataset.noise_std", "train.lr", "ifgsm.n_iter", "patch.seed",
+            "dnnm.omega", "ssmm.tau", "lasso.tol", "ocsvm.gamma", "ellipse.shrinkage"} <= names
+    assert not {"fgsm.alpha", "fgsm.targeted", "dataset.palette"} & names
+
+
 def mini_config(out_dir):
     cfg = pipeline.ExperimentConfig(
         dataset=synthdata.DatasetConfig(height=32, width=32, train_size=30,
@@ -347,7 +397,7 @@ class TestMiniPipeline:
     def test_artifacts_exist(self, mini_run):
         cfg, csv_path = mini_run
         out = cfg.out_dir
-        for rel in ("config.json", "data/manifest.json", "model.ten", "model.json",
+        for rel in ("config.json", "data/manifest.json", "model.ten",
                     "gradcheck.json", "attacks/fgsm_e8/attack.json",
                     "attacks/patch/attack.json", "features/clean.csv",
                     "features/ifgsm_ll_e2.csv", "detectors/entropy.json",
@@ -618,6 +668,13 @@ class TestCli:
          '[110, 110, 160]]}}', "palette entries must be three finite numbers, got [160, nan, 110]"),
         ('{"attack_list": [{"kind": "patch", "height": 65}]}',
          "patch 65x48 larger than image 64x64"),
+        ('{"attack_list": [{"kind": "patch", "seed": -1}]}', "n_iter and seed >= 0"),
+        ('{"detector_list": [{"kind": "ocsvm", "gamma": true}]}',
+         "ocsvm key gamma: must be None or finite and > 0, got True"),
+        ('{"detector_list": [{"kind": "ocsvm", "tol": Infinity}]}',
+         "ocsvm key tol: must be finite and > 0, got inf"),
+        ('{"detector_list": [{"kind": "lasso", "tol": Infinity}]}',
+         "lasso key tol: must be finite and > 0, got inf"),
         ('{"dataset": {"shapes_per_image": [1.5, 3]}}',
          "shapes_per_image entries must be integers, got [1.5, 3]"),
         ('{"dataset": {"shapes_per_image": [2, 2.5]}}',

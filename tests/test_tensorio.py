@@ -70,3 +70,30 @@ def test_truncated_header_raises():
             tensorio.read_record(io.BytesIO(buf.getvalue()[:cut]))
     with pytest.raises(InputError, match="truncated tensor payload"):
         tensorio.read_record(io.BytesIO(buf.getvalue()[:header]))
+
+
+def test_record_layout_is_pinned(tmp_path):
+    path = tmp_path / "t.ten"
+    tensorio.save_tensor(path, np.arange(6, dtype=np.int32).reshape(2, 3))
+    assert path.read_bytes() == (b"SEGT\x01\x02\x02\x00" + (2).to_bytes(4, "little")
+                                 + (3).to_bytes(4, "little")
+                                 + b"".join(i.to_bytes(4, "little") for i in range(6)))
+
+
+def test_load_tensor_takes_exactly_one_record(tmp_path):
+    """A file with no record, or with more than one, is not one tensor."""
+    path = tmp_path / "t.ten"
+    for arrays in ([], [np.zeros(2, np.float32), np.ones(3, np.uint8)]):
+        tensorio.save_tensors(path, arrays)
+        with pytest.raises(InputError, match=f"expected one tensor record, found {len(arrays)}"):
+            tensorio.load_tensor(path)
+
+
+
+@pytest.mark.parametrize("arr", [np.float32(2.5), np.arange(12, dtype=np.int32).reshape(3, 4).T],
+                         ids=["zero-dim", "transposed"])
+def test_roundtrip_keeps_shape_and_values(tmp_path, arr):
+    path = tmp_path / "t.ten"
+    tensorio.save_tensor(path, arr)
+    back = tensorio.load_tensor(path)
+    assert back.shape == np.shape(arr) and np.array_equal(back, arr)
