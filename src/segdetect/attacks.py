@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .errors import AttackError, InputError
+from .errors import (FINITE_POSITIVE, IN_OPEN_UNIT, IN_UNIT, AttackError, InputError, at_least,
+                     check, check_fields, ruled)
 from .model import loss_input_grad, predict_and_grad
 from .model import predict, predicted_labels  # noqa: F401 - bindings the benchmark's tracer wraps
 
@@ -22,63 +23,51 @@ from .model import predict, predicted_labels  # noqa: F401 - bindings the benchm
 DNNM_BLOCK = 1024   # hidden pixels per dnnm_target distance block
 
 
-def _finite_positive(*values):
-    """True when every value is finite and > 0 (NaN is not)."""
-    return all(0 < v < np.inf for v in values)
-
-
 @dataclass
 class AttackConfig:
-    eps: float = 8.0
-    alpha: float = 1.0
-    n_iter: int = 1
+    eps: float = ruled(8.0, FINITE_POSITIVE)
+    alpha: float = ruled(1.0, FINITE_POSITIVE)
+    n_iter: int = ruled(1, at_least(1))
     targeted: bool = False
 
     def __post_init__(self):
-        if not _finite_positive(self.eps, self.alpha) or self.n_iter < 1:
-            raise InputError("eps and alpha must be finite and > 0, n_iter >= 1")
+        check_fields(self, "fgsm/ifgsm")
 
 
 @dataclass
 class SsmmConfig:
-    eps: float = 0.1 * 255
-    alpha: float = 0.01 * 255
-    n_iter: int = 60
-    tau: float = 0.75
+    eps: float = ruled(0.1 * 255, FINITE_POSITIVE)
+    alpha: float = ruled(0.01 * 255, FINITE_POSITIVE)
+    n_iter: int = ruled(60, at_least(0))
+    tau: float = ruled(0.75, IN_OPEN_UNIT)
 
     def __post_init__(self):
-        if not (_finite_positive(self.eps, self.alpha) and self.n_iter >= 0 and 0 < self.tau < 1):
-            raise InputError("eps and alpha must be finite and > 0, n_iter >= 0, tau in (0, 1)")
+        check_fields(self, "ssmm")
 
 
 @dataclass
 class DnnmConfig:
-    hidden_class: int = 1
-    omega: float = 0.9
-    eps: float = 0.1 * 255
-    alpha: float = 0.01 * 255
-    n_iter: int = 60
+    hidden_class: int = ruled(1, at_least(1))
+    omega: float = ruled(0.9, IN_UNIT)
+    eps: float = ruled(0.1 * 255, FINITE_POSITIVE)
+    alpha: float = ruled(0.01 * 255, FINITE_POSITIVE)
+    n_iter: int = ruled(60, at_least(0))
 
     def __post_init__(self):
-        if (not _finite_positive(self.eps, self.alpha) or self.n_iter < 0
-                or not 0 <= self.omega <= 1):
-            raise InputError("eps and alpha must be finite and > 0, n_iter >= 0, omega in [0, 1]")
+        check_fields(self, "dnnm")
 
 
 @dataclass
 class PatchConfig:
-    height: int = 48
-    width: int = 48
-    n_iter: int = 100
-    placements: int = 8
-    alpha: float = 2.0
-    seed: int = 0
+    height: int = ruled(48, at_least(1))
+    width: int = ruled(48, at_least(1))
+    n_iter: int = ruled(100, at_least(0))
+    placements: int = ruled(8, at_least(1))
+    alpha: float = ruled(2.0, FINITE_POSITIVE)
+    seed: int = ruled(0, at_least(0))
 
     def __post_init__(self):
-        if (min(self.height, self.width, self.placements) < 1 or min(self.n_iter, self.seed) < 0
-                or not _finite_positive(self.alpha)):
-            raise InputError("height, width and placements must be >= 1, n_iter and seed >= 0, "
-                             "alpha finite and > 0")
+        check_fields(self, "patch")
 
 
 def iteration_count(eps):
@@ -263,8 +252,8 @@ def dnnm_attack(model, sample, cfg):
 
 def check_patch_fits(cfg, h, w):
     """Raises InputError unless patch config `cfg` fits an h x w image."""
-    if cfg.height > h or cfg.width > w:
-        raise InputError(f"patch {cfg.height}x{cfg.width} larger than image {h}x{w}")
+    check("patch", [("height", cfg.height, (lambda v: v <= h, f"<= the image height {h}")),
+                    ("width", cfg.width, (lambda v: v <= w, f"<= the image width {w}"))])
 
 
 def patch_attack(model, train_samples, cfg):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
-from .errors import InputError, TrainingError
+from .errors import (FINITE_NON_NEGATIVE, FINITE_POSITIVE, IN_OPEN_UNIT, InputError, TrainingError,
+                     at_least, check)
 from .uncertainty import feature_matrix
 
 def _hex_encode(arr):
@@ -116,12 +117,8 @@ def _newton_step(g, h, theta, lam, tol):
 
 
 def _check(kind, **values):
-    """Raises InputError for the first value that breaks its rule in
-    DETECTORS[kind]; every hyperparameter is a number, so a bool breaks any."""
-    for key, val in values.items():
-        test, rule = DETECTORS[kind][2][key]
-        if isinstance(val, bool) or not test(val):
-            raise InputError(f"{kind} key {key}: must be {rule}, got {val!r}")
+    """check() on each value against its rule in DETECTORS[kind]."""
+    check(kind, [(key, val, DETECTORS[kind][2][key]) for key, val in values.items()])
 
 
 def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-9, max_iter=100):
@@ -285,8 +282,8 @@ def _score_ellipse(model, z):
     return (len(tm) - np.searchsorted(tm, mahalanobis(model, z), side="left")) / len(tm)
 
 
-# kind -> (trainer, scorer, {key: (test, rule)}). Trainers are named, and
-# looked up here when called, so a wrapper set on the module attribute
+# kind -> (trainer, scorer, {key: rule}), a rule as in errors. Trainers are
+# named, and looked up here when called, so a wrapper set on the module attribute
 # (perfbench/tracing.py) runs. A trainer taking `adv_features` is supervised;
 # its parameters after the features are the detector spec's keys, and the
 # rules say which values it accepts: a config's specs are checked against them
@@ -296,17 +293,13 @@ def _score_ellipse(model, z):
 DETECTORS = {
     "entropy": ("train_entropy", _score_entropy, {}),
     "lasso": ("train_lasso", _score_lasso, {
-        "lam": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
-        "tol": (lambda v: 0 < v < math.inf, "finite and > 0"),
-        "max_iter": (lambda v: v >= 1, ">= 1")}),
+        "lam": FINITE_NON_NEGATIVE, "tol": FINITE_POSITIVE, "max_iter": at_least(1)}),
     "ocsvm": ("train_ocsvm", _score_ocsvm, {
-        "nu": (lambda v: 0 < v < 1, "in (0, 1)"),
+        "nu": IN_OPEN_UNIT,
         "gamma": (lambda v: v is None or (isinstance(v, (int, float)) and 0 < v < math.inf),
                   "None or finite and > 0"),
-        "tol": (lambda v: 0 < v < math.inf, "finite and > 0"),
-        "max_updates": (lambda v: v >= 1, ">= 1")}),
-    "ellipse": ("train_ellipse", _score_ellipse, {
-        "shrinkage": (lambda v: 0 <= v < math.inf, "finite and >= 0")}),
+        "tol": FINITE_POSITIVE, "max_updates": at_least(1)}),
+    "ellipse": ("train_ellipse", _score_ellipse, {"shrinkage": FINITE_NON_NEGATIVE}),
 }
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import tensorio, workers
 from .autodiff import (conv2d_bwd, conv2d_fwd, conv2d_input_grad, relu_bwd, relu_fwd, softmax,
                        softmax_ce)
-from .errors import InputError, TrainingError
+from .errors import FINITE_NON_NEGATIVE, InputError, TrainingError, at_least, check_fields, ruled
 
 HIDDEN = 16
 MEAN = SCALE = 127.5    # every model's input normalization
@@ -19,20 +19,13 @@ MEAN = SCALE = 127.5    # every model's input normalization
 
 @dataclass
 class TrainConfig:
-    epochs: int = 30
-    lr: float = 0.05
-    batch_size: int = 8
-    seed: int = 0
+    epochs: int = ruled(30, at_least(1))
+    lr: float = ruled(0.05, FINITE_NON_NEGATIVE)
+    batch_size: int = ruled(8, at_least(1))
+    seed: int = ruled(0, at_least(0))
 
     def __post_init__(self):
-        if not 0 <= self.lr < np.inf:       # NaN fails too
-            raise InputError(f"learning rate must be finite and >= 0, got {self.lr}")
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise InputError(f"train seed must be >= 0, got {self.seed}")
+        check_fields(self, "train")
 
 
 @dataclass

@@ -8,6 +8,7 @@ detector of it), declared once with their keys in _units; each stage loops over
 its own, and _unit hands it their files, recomputed unless keys.json has the key.
 """
 
+import fcntl
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import attacks, detectors, metrics, synthdata, tensorio, uncertainty
-from .errors import InputError
+from .errors import InputError, at_least, check, check_fields, ruled
 from .model import TrainConfig, grad_check, load_model, predict, save_model, train
 from .model import predicted_labels  # noqa: F401 - a binding the benchmark's tracer wraps
 from .synthdata import DatasetConfig
@@ -62,10 +63,13 @@ class ExperimentConfig:
     ])
     train_attack: str = "ifgsm_ll_e2"
     folds: int = 5
-    seed: int = 0
+    seed: int = ruled(0, at_least(0))
     out_dir: str = "runs/default"
     export_heatmaps: bool = False
-    ssmm_train_size: int = 20
+    ssmm_train_size: int = ruled(20, at_least(1))
+
+    def __post_init__(self):
+        check_fields(self, "config")
 
     def to_dict(self):
         return asdict(self)
@@ -75,21 +79,15 @@ class ExperimentConfig:
         """Builds a config and validates its attack and detector specs and
         its fold size, so that bad config fails before any stage runs."""
         d = dict(_check_keys(_defaults(cls), d, "config"))
-        if "dataset" in d:
-            d["dataset"] = DatasetConfig(
-                **_check_keys(_defaults(DatasetConfig), d["dataset"], "dataset"))
-        if "train" in d:
-            d["train"] = TrainConfig(**_check_keys(_defaults(TrainConfig), d["train"], "train"))
+        for section, config in (("dataset", DatasetConfig), ("train", TrainConfig)):
+            if section in d:
+                d[section] = config(**_check_keys(_defaults(config), d[section], section))
         cfg = cls(**d)
-        if cfg.ssmm_train_size < 1:
-            raise InputError("ssmm_train_size must be >= 1")
-        if cfg.seed < 0:
-            raise InputError(f"seed must be >= 0, got {cfg.seed}")
         unit_keys(cfg)
-        if cfg.attack_list and cfg.detector_list and (
-                cfg.folds < 2 or cfg.dataset.val_size // cfg.folds < metrics.MIN_CLEAN_SCORES):
-            raise InputError(f"{cfg.folds} folds of {cfg.dataset.val_size} validation images: "
-                             f"need at least 2 folds of {metrics.MIN_CLEAN_SCORES} clean scores")
+        if cfg.attack_list and cfg.detector_list:
+            val, least = cfg.dataset.val_size, metrics.MIN_CLEAN_SCORES
+            check("config", [("folds", cfg.folds, (lambda v: 2 <= v <= val // least,
+                f">= 2, with {least} of the {val} validation images per fold"))])
         return cfg
 
 
@@ -128,8 +126,7 @@ def _check_keys(known, d, section):
 
 def _spec_params(spec, section):
     """(kind, the other keys) of an attack or detector spec."""
-    if not isinstance(spec, dict):
-        raise InputError(f"{section} item {spec!r}: expected object, got {type(spec).__name__}")
+    check_object(spec, f"{section} item {spec!r}")
     return spec.get("kind"), {k: v for k, v in spec.items() if k != "kind"}
 
 
@@ -294,7 +291,7 @@ def _ifgsm_config(cfg, params):
 
 def _dnnm_config(cfg, params):
     dcfg = attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **params})
-    synthdata.check_hidden_class(dcfg.hidden_class, cfg.dataset.num_classes)
+    synthdata.check_hidden_class("dnnm", dcfg.hidden_class, cfg.dataset.num_classes)
     return dcfg
 
 
@@ -457,28 +454,43 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
     return _unit(cfg, "evaluate", evaluate)[0]
 
 
+def lock_run(out_dir, shared=False):
+    """The open lock file of run directory out_dir, flock-ed exclusively, or
+    shared for a reader. Raises InputError at once, having written nothing,
+    when another run holds a conflicting lock."""
+    fh = open(os.path.join(out_dir, "run.lock"), "a")
+    try:
+        fcntl.flock(fh, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
+    except BlockingIOError:
+        fh.close()
+        raise InputError(f"{out_dir} is in use by another run") from None
+    return fh
+
+
 def run_stages(cfg, force=None):
     """Runs the stages in STAGES order, yielding (stage name, result) after
     each; the recorded units unit_keys(cfg) lacks are dropped, and the stage
     `force` names and every later one lose their keys. Stop iterating to stop
-    the chain. The stage functions are resolved at call time, so wrappers set
-    on this module's attributes see every call."""
+    the chain. The run directory stays locked (lock_run) until the chain ends
+    or is closed. The stage functions are resolved at call time, so wrappers
+    set on this module's attributes see every call."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    tensorio.write_json(os.path.join(cfg.out_dir, "config.json"), cfg.to_dict())
-    _drop(cfg, sorted(_keys(cfg).keys() - unit_keys(cfg).keys()))
-    if force:
-        _write_keys(cfg, {unit: key for unit, key in _keys(cfg).items()
-                          if STAGES.index(unit.split("/")[0]) < STAGES.index(force)})
-    train_set, val_set = stage_gen_data(cfg)
-    yield "gen-data", (train_set, val_set)
-    model = stage_train_model(cfg, train_set)
-    yield "train-model", model
-    yield "gradcheck", stage_gradcheck(cfg, model, val_set)
-    yield "attack", stage_attack(cfg, model, train_set, val_set)
-    clean_feats, adv_feats = stage_extract_features(cfg, model, val_set)
-    yield "extract-features", (clean_feats, adv_feats)
-    yield "train-detector", stage_train_detectors(cfg, clean_feats, adv_feats)
-    yield "evaluate", stage_evaluate(cfg, clean_feats, adv_feats)
+    with lock_run(cfg.out_dir):
+        tensorio.write_json(os.path.join(cfg.out_dir, "config.json"), cfg.to_dict())
+        _drop(cfg, sorted(_keys(cfg).keys() - unit_keys(cfg).keys()))
+        if force:
+            _write_keys(cfg, {unit: key for unit, key in _keys(cfg).items()
+                              if STAGES.index(unit.split("/")[0]) < STAGES.index(force)})
+        train_set, val_set = stage_gen_data(cfg)
+        yield "gen-data", (train_set, val_set)
+        model = stage_train_model(cfg, train_set)
+        yield "train-model", model
+        yield "gradcheck", stage_gradcheck(cfg, model, val_set)
+        yield "attack", stage_attack(cfg, model, train_set, val_set)
+        clean_feats, adv_feats = stage_extract_features(cfg, model, val_set)
+        yield "extract-features", (clean_feats, adv_feats)
+        yield "train-detector", stage_train_detectors(cfg, clean_feats, adv_feats)
+        yield "evaluate", stage_evaluate(cfg, clean_feats, adv_feats)
 
 
 def run_pipeline(cfg):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import FINITE_NON_NEGATIVE, at_least, check, check_fields, ruled
 
 # Muted palette on purpose: class colors close enough that the trained model
 # keeps small margins, so sign-gradient attacks have measurable effect.
@@ -23,52 +23,44 @@ DEFAULT_PALETTE = [
 ]
 
 
-def check_hidden_class(hidden_class, num_classes):
-    """Raises InputError unless hidden_class names a shape class (not the background)."""
-    if not 1 <= hidden_class < num_classes:
-        raise InputError(f"hidden_class must be in [1, {num_classes - 1}], got {hidden_class}")
+def check_hidden_class(section, hidden_class, num_classes):
+    """Raises InputError unless hidden_class is below num_classes."""
+    check(section, [("hidden_class", hidden_class,
+                     (lambda v: v < num_classes, f"< num_classes = {num_classes}"))])
+
+
+def _numbers(values, kind=numbers.Real):
+    """Whether every value is a finite number of `kind`, and not a bool."""
+    return all(isinstance(v, kind) and not isinstance(v, bool) and np.isfinite(v) for v in values)
 
 
 @dataclass
 class DatasetConfig:
-    height: int = 64
-    width: int = 64
-    num_classes: int = 4
+    height: int = ruled(64, at_least(32))
+    width: int = ruled(64, at_least(32))
+    num_classes: int = ruled(4, at_least(3))   # background, a hideable class, its complement
     shapes_per_image: list = field(default_factory=lambda: [3, 5])
     palette: list = field(default_factory=lambda: [list(c) for c in DEFAULT_PALETTE])
-    noise_std: float = 25.0
-    seed: int = 0
-    train_size: int = 200
-    val_size: int = 100
-    hidden_class: int = 1   # the class the deletion attack targets
+    noise_std: float = ruled(25.0, FINITE_NON_NEGATIVE)
+    seed: int = ruled(0, at_least(0))
+    train_size: int = ruled(200, at_least(1))
+    val_size: int = ruled(100, at_least(1))
+    hidden_class: int = ruled(1, at_least(1))   # the class the deletion attack targets
 
     def __post_init__(self):
-        if self.num_classes < 3:
-            raise InputError("need at least 3 classes (background + a hideable class + complement)")
-        if self.height < 32 or self.width < 32:
-            raise InputError("images must be at least 32x32")
-        if len(self.palette) < self.num_classes:
-            raise InputError("palette must cover every class")
-        for color in self.palette:
-            if not (isinstance(color, (list, tuple)) and len(color) == 3 and all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)
-                    for v in color)):
-                raise InputError(f"palette entries must be three finite numbers, got {color}")
-        check_hidden_class(self.hidden_class, self.num_classes)
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                   for n in self.shapes_per_image):
-            raise InputError(f"shapes_per_image entries must be integers, "
-                             f"got {self.shapes_per_image}")
-        if len(self.shapes_per_image) != 2 or not (
-                0 <= self.shapes_per_image[0] <= self.shapes_per_image[1]):
-            raise InputError(f"shapes_per_image must be [lo, hi] with 0 <= lo <= hi, "
-                             f"got {self.shapes_per_image}")
-        if not 0 <= self.noise_std < np.inf:     # NaN fails too
-            raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.train_size < 1 or self.val_size < 1:
-            raise InputError("train_size and val_size must be >= 1")
-        if self.seed < 0:
-            raise InputError(f"dataset seed must be >= 0, got {self.seed}")
+        check_fields(self, "dataset")
+        self._check_across()
+
+    def _check_across(self):
+        """The rules that span fields or look inside a list."""
+        n = self.num_classes
+        check("dataset", [
+            ("palette", self.palette, (lambda p: len(p) >= n and all(
+                isinstance(c, (list, tuple)) and len(c) == 3 and _numbers(c) for c in p),
+                f"{n} or more colors, each three finite numbers")),
+            ("shapes_per_image", self.shapes_per_image, (lambda s: len(s) == 2 and _numbers(
+                s, numbers.Integral) and 0 <= s[0] <= s[1], "[lo, hi] integers, 0 <= lo <= hi"))])
+        check_hidden_class("dataset", self.hidden_class, n)
 
 
 @dataclass

@@ -29,23 +29,51 @@ class TestIterationCount:
                 attacks.iteration_count(eps)
 
 
-@pytest.mark.parametrize("config,change", [
-    (attacks.SsmmConfig, {"eps": 0}), (attacks.SsmmConfig, {"alpha": -1}),
-    (attacks.SsmmConfig, {"n_iter": -1}), (attacks.DnnmConfig, {"eps": -2}),
-    (attacks.DnnmConfig, {"alpha": 0}), (attacks.DnnmConfig, {"n_iter": -1}),
-    (attacks.PatchConfig, {"height": 0}), (attacks.PatchConfig, {"width": -1}),
-    (attacks.PatchConfig, {"placements": 0}), (attacks.PatchConfig, {"n_iter": -1}),
-    (attacks.PatchConfig, {"alpha": 0}),
-    *[(config, {key: value}) for value in (float("nan"), float("inf"))
-      for config, key in [(attacks.AttackConfig, "eps"), (attacks.AttackConfig, "alpha"),
-                          (attacks.SsmmConfig, "eps"), (attacks.SsmmConfig, "alpha"),
-                          (attacks.DnnmConfig, "eps"), (attacks.DnnmConfig, "alpha"),
-                          (attacks.PatchConfig, "alpha")]],
-    (attacks.PatchConfig, {"seed": -1}),
+# The ids ending in "change<n>" are the names pytest gave these cases by list
+# position before they had ids; every later case takes a descriptive id.
+@pytest.mark.parametrize("config,key,value,rule", [
+    pytest.param(attacks.SsmmConfig, "eps", 0, "finite and > 0", id="SsmmConfig-change0"),
+    pytest.param(attacks.SsmmConfig, "alpha", -1, "finite and > 0", id="SsmmConfig-change1"),
+    pytest.param(attacks.SsmmConfig, "n_iter", -1, ">= 0", id="SsmmConfig-change2"),
+    pytest.param(attacks.DnnmConfig, "eps", -2, "finite and > 0", id="DnnmConfig-change3"),
+    pytest.param(attacks.DnnmConfig, "alpha", 0, "finite and > 0", id="DnnmConfig-change4"),
+    pytest.param(attacks.DnnmConfig, "n_iter", -1, ">= 0", id="DnnmConfig-change5"),
+    pytest.param(attacks.PatchConfig, "height", 0, ">= 1", id="PatchConfig-change6"),
+    pytest.param(attacks.PatchConfig, "width", -1, ">= 1", id="PatchConfig-change7"),
+    pytest.param(attacks.PatchConfig, "placements", 0, ">= 1", id="PatchConfig-change8"),
+    pytest.param(attacks.PatchConfig, "n_iter", -1, ">= 0", id="PatchConfig-change9"),
+    pytest.param(attacks.PatchConfig, "alpha", 0, "finite and > 0", id="PatchConfig-change10"),
+    pytest.param(attacks.AttackConfig, "eps", np.nan, "finite and > 0", id="AttackConfig-change11"),
+    pytest.param(attacks.AttackConfig, "alpha", np.nan, "finite and > 0",
+                 id="AttackConfig-change12"),
+    pytest.param(attacks.SsmmConfig, "eps", np.nan, "finite and > 0", id="SsmmConfig-change13"),
+    pytest.param(attacks.SsmmConfig, "alpha", np.nan, "finite and > 0", id="SsmmConfig-change14"),
+    pytest.param(attacks.DnnmConfig, "eps", np.nan, "finite and > 0", id="DnnmConfig-change15"),
+    pytest.param(attacks.DnnmConfig, "alpha", np.nan, "finite and > 0", id="DnnmConfig-change16"),
+    pytest.param(attacks.PatchConfig, "alpha", np.nan, "finite and > 0", id="PatchConfig-change17"),
+    pytest.param(attacks.AttackConfig, "eps", np.inf, "finite and > 0", id="AttackConfig-change18"),
+    pytest.param(attacks.AttackConfig, "alpha", np.inf, "finite and > 0",
+                 id="AttackConfig-change19"),
+    pytest.param(attacks.SsmmConfig, "eps", np.inf, "finite and > 0", id="SsmmConfig-change20"),
+    pytest.param(attacks.SsmmConfig, "alpha", np.inf, "finite and > 0", id="SsmmConfig-change21"),
+    pytest.param(attacks.DnnmConfig, "eps", np.inf, "finite and > 0", id="DnnmConfig-change22"),
+    pytest.param(attacks.DnnmConfig, "alpha", np.inf, "finite and > 0", id="DnnmConfig-change23"),
+    pytest.param(attacks.PatchConfig, "alpha", np.inf, "finite and > 0", id="PatchConfig-change24"),
+    pytest.param(attacks.PatchConfig, "seed", -1, ">= 0", id="PatchConfig-change25"),
+    pytest.param(attacks.AttackConfig, "n_iter", 0, ">= 1", id="ifgsm-n_iter-0"),
+    pytest.param(attacks.AttackConfig, "eps", True, "finite and > 0", id="ifgsm-eps-true"),
+    pytest.param(attacks.SsmmConfig, "tau", 1, "in (0, 1)", id="ssmm-tau-1"),
+    pytest.param(attacks.DnnmConfig, "omega", 1.5, "in [0, 1]", id="dnnm-omega-1.5"),
+    pytest.param(attacks.DnnmConfig, "hidden_class", 0, ">= 1", id="dnnm-hidden_class-0"),
+    pytest.param(attacks.PatchConfig, "seed", False, ">= 0", id="patch-seed-false"),
 ])
-def test_bad_config_raises(config, change):
-    with pytest.raises(InputError):
-        config(**change)
+def test_bad_config_raises(config, key, value, rule):
+    """A value against its field's rule fails, naming the kind, the key and the value."""
+    section = {attacks.AttackConfig: "fgsm/ifgsm", attacks.SsmmConfig: "ssmm",
+               attacks.DnnmConfig: "dnnm", attacks.PatchConfig: "patch"}[config]
+    with pytest.raises(InputError) as exc:
+        config(**{key: value})
+    assert str(exc.value) == f"{section} key {key}: must be {rule}, got {value!r}"
 
 
 class TestLeastLikelyTarget:

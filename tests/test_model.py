@@ -508,13 +508,12 @@ class TestTraining:
             seg_model.train([], seg_model.TrainConfig())
 
     def test_invalid_config_raises(self):
-        with pytest.raises(InputError):
-            seg_model.TrainConfig(lr=-0.1)
-        with pytest.raises(InputError):
-            seg_model.TrainConfig(epochs=0)
-        for batch_size in (0, -1):
-            with pytest.raises(InputError, match="batch_size must be >= 1"):
-                seg_model.TrainConfig(batch_size=batch_size)
+        for key, value, rule in [("lr", -0.1, "finite and >= 0"), ("epochs", 0, ">= 1"),
+                                 ("batch_size", 0, ">= 1"), ("batch_size", -1, ">= 1"),
+                                 ("seed", -1, ">= 0")]:
+            with pytest.raises(InputError) as exc:
+                seg_model.TrainConfig(**{key: value})
+            assert str(exc.value) == f"train key {key}: must be {rule}, got {value!r}"
 
 
 def serial_train(dataset, cfg):

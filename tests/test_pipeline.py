@@ -316,30 +316,60 @@ def test_config_dict_roundtrip():
     assert back.to_dict() == cfg.to_dict()
 
 
-def numeric_config_keys():
-    """(name, default, fragment) of every number a config file sets: fragment(v)
-    is the config of that key set to v. Covers the top-level numbers, DatasetConfig's
-    and TrainConfig's, every spec key of each pipeline.ATTACKS config, and each
-    detector hyperparameter (ocsvm's gamma defaults to None)."""
-    def numeric(value):
-        return value is None or isinstance(value, (int, float)) and not isinstance(value, bool)
+# The numeric config fields that declare no rule of their own: the one rule of
+# each spans fields. folds must leave MIN_CLEAN_SCORES of the validation images
+# to each fold (ExperimentConfig.from_dict).
+CROSS_FIELD_ONLY = {(pipeline.ExperimentConfig, "folds")}
 
-    top = pipeline._defaults(pipeline.ExperimentConfig)
-    keys = [(key, top[key], lambda v, key=key: {key: v})
-            for key in ("folds", "seed", "ssmm_train_size")]
-    for section, config in (("dataset", synthdata.DatasetConfig), ("train", TrainConfig)):
-        keys += [(f"{section}.{key}", value, lambda v, section=section, key=key: {section: {key: v}})
-                 for key, value in pipeline._defaults(config).items() if numeric(value)]
+
+def config_sections():
+    """(dataclass config, its spec or file section, its fields the kind fixes, a
+    fragment that holds the section) of each config that declares field rules."""
+    sections = [(pipeline.ExperimentConfig, None, (), lambda part: part),
+                (synthdata.DatasetConfig, "dataset", (), lambda part: {"dataset": part}),
+                (TrainConfig, "train", (), lambda part: {"train": part})]
     for kind, (config, _, _, _, fixed) in pipeline.ATTACKS.items():
         spec = {"kind": kind, "eps": 4} if config is attacks.AttackConfig else {"kind": kind}
-        keys += [(f"{kind}.{key}", value,
-                  lambda v, spec=spec, key=key: {"attack_list": [{**spec, key: v}]})
-                 for key, value in pipeline._defaults(config, fixed).items() if numeric(value)]
-    for kind in detectors.DETECTORS:
-        keys += [(f"{kind}.{key}", value, lambda v, kind=kind, key=key: {
-            "detector_list": [{"kind": kind, key: v}]})
-            for key, value in detectors.hyperparameters(kind).items() if numeric(value)]
+        sections.append((config, kind, fixed,
+                         lambda part, spec=spec: {"attack_list": [{**spec, **part}]}))
+    return sections
+
+
+def numeric_config_keys():
+    """(name, default, fragment) of every number a config file sets, read from
+    the rule declarations: fragment(v) is the config of that key set to v.
+    Covers each field that declares a rule or is in CROSS_FIELD_ONLY, of
+    ExperimentConfig, DatasetConfig, TrainConfig and every pipeline.ATTACKS
+    config less the fields its kind fixes, and each key with a rule in
+    detectors.DETECTORS (ocsvm's gamma defaults to None)."""
+    keys = []
+    for config, section, fixed, fragment in config_sections():
+        defaults = pipeline._defaults(config)
+        keys += [(".".join(filter(None, [section, f.name])), defaults[f.name],
+                  lambda v, key=f.name, fragment=fragment: fragment({key: v}))
+                 for f in dataclasses.fields(config) if f.name not in fixed and (
+                     "rule" in f.metadata or (config, f.name) in CROSS_FIELD_ONLY)]
+    for kind, (_, _, rules) in detectors.DETECTORS.items():
+        defaults = detectors.hyperparameters(kind)
+        keys += [(f"{kind}.{key}", defaults[key], lambda v, kind=kind, key=key: {
+            "detector_list": [{"kind": kind, key: v}]}) for key in rules]
     return keys
+
+
+def test_every_numeric_config_field_declares_a_rule():
+    """A number a config sets has its own rule, or its one rule spans fields
+    and it is listed in CROSS_FIELD_ONLY; every detector hyperparameter has a
+    rule in DETECTORS."""
+    def numeric(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    fields = [(config, f) for config, *_ in config_sections() for f in dataclasses.fields(config)]
+    defaults = {config: pipeline._defaults(config) for config, _ in fields}
+    unruled = {(config, f.name) for config, f in fields
+               if numeric(defaults[config][f.name]) and "rule" not in f.metadata}
+    assert unruled == CROSS_FIELD_ONLY
+    for kind, (_, _, rules) in detectors.DETECTORS.items():
+        assert set(rules) == set(detectors.hyperparameters(kind)), kind
 
 
 @pytest.mark.parametrize("name,default,fragment", [pytest.param(*key, id=key[0])
@@ -493,9 +523,9 @@ class TestMiniPipeline:
         assert (out / "report" / "report.csv").read_bytes() == open(csv_path, "rb").read()
 
     def test_every_file_belongs_to_one_recorded_unit(self, mini_run):
-        """Each file but config.json and keys.json is one of a recorded unit's
-        unit_outputs paths, or lies under one of its directories, for exactly
-        one unit; and each recorded unit owns a file."""
+        """Each file but config.json, keys.json and run.lock is one of a
+        recorded unit's unit_outputs paths, or lies under one of its
+        directories, for exactly one unit; and each recorded unit owns a file."""
         cfg, _ = mini_run
         units = {unit: pipeline.unit_outputs(cfg.out_dir, unit) for unit in pipeline._keys(cfg)}
 
@@ -505,7 +535,8 @@ class TestMiniPipeline:
 
         files = [os.path.join(d, name) for d, _, names in os.walk(cfg.out_dir) for name in names]
         owned = {path: owners(path) for path in files
-                 if os.path.relpath(path, cfg.out_dir) not in ("config.json", "keys.json")}
+                 if os.path.relpath(path, cfg.out_dir) not in ("config.json", "keys.json",
+                                                               "run.lock")}
         assert {path: names for path, names in owned.items() if len(names) != 1} == {}
         assert {names[0] for names in owned.values()} == set(units)
 
@@ -594,19 +625,28 @@ class TestCli:
         assert calls == [cfg.dataset.val_size]
         assert len(capsys.readouterr().out.splitlines()) == cfg.dataset.val_size
 
+    # A case with an explicit id that quotes an older message keeps the name it
+    # had before every value error took the one form "<section> key <key>: ...".
     @pytest.mark.parametrize("content,message", [
         (None, "No such file"),
         ("{not json", "Expecting property name"),
-        ('{"train": {"lr": -1}}', "learning rate"),
+        pytest.param('{"train": {"lr": -1}}', "train key lr: must be finite and >= 0, got -1",
+                     id='{"train": {"lr": -1}}-learning rate'),
         ('{"folz": 2}', "unknown config key(s) folz"),
         ('{"attack_list": [{"kind": "fgsm"}]}', "attack 'fgsm': missing key 'eps'"),
-        ('{"attack_list": [{"kind": "ifgsm", "eps": -2}]}', "eps"),
-        ('{"attack_list": [{"kind": "ifgsm", "eps": 8, "n_iter": 0}]}', "n_iter >= 1"),
+        ('{"attack_list": [{"kind": "ifgsm", "eps": -2}]}',
+         "eps must be a positive integer for the iteration rule"),
+        ('{"attack_list": [{"kind": "ifgsm", "eps": 8, "n_iter": 0}]}',
+         "fgsm/ifgsm key n_iter: must be >= 1, got 0"),
         ('{"detector_list": [{"kind": "svm"}]}', "unknown detector kind 'svm'"),
         ('{"dataset": {"foo": 1}}', "unknown dataset key(s) foo"),
         ('{"train": {"epochs": 2, "bar": 1}}', "unknown train key(s) bar"),
-        ('{"folds": 3, "dataset": {"val_size": 40}}', "need at least 2 folds of 20 clean scores"),
-        ('{"folds": 0}', "need at least 2 folds"),
+        ('{"folds": 3, "dataset": {"val_size": 40}}',
+         "config key folds: must be >= 2, with 20 of the 40 validation images per fold, got 3"),
+        pytest.param('{"folds": 0}',
+                     "config key folds: must be >= 2, with 20 of the 100 validation images "
+                     "per fold, got 0",
+                     id='{"folds": 0}-need at least 2 folds'),
         ('{"train": {"epochs": "x"}}', "train key epochs: expected int, got str"),
         ('{"dataset": {"height": "64"}}', "dataset key height: expected int, got str"),
         ('{"folds": "2"}', "config key folds: expected int, got str"),
@@ -624,12 +664,16 @@ class TestCli:
         ('{"train": null}', "config key train: expected object, got NoneType"),
         ('{"dataset": {"shapes_per_image": 3}}',
          "dataset key shapes_per_image: expected list, got int"),
-        ('{"ssmm_train_size": -3}', "ssmm_train_size must be >= 1"),
+        pytest.param('{"ssmm_train_size": -3}', "config key ssmm_train_size: must be >= 1, got -3",
+                     id='{"ssmm_train_size": -3}-ssmm_train_size must be >= 1'),
         ('{"ssmm_train_size": 0, "attack_list": [{"kind": "patch"}]}',
-         "ssmm_train_size must be >= 1"),
-        ('{"attack_list": [{"kind": "patch", "placements": 0}]}', "placements must be >= 1"),
-        ('{"train": {"batch_size": 0}}', "batch_size must be >= 1"),
-        ('{"train": {"batch_size": -1}}', "batch_size must be >= 1"),
+         "config key ssmm_train_size: must be >= 1, got 0"),
+        ('{"attack_list": [{"kind": "patch", "placements": 0}]}',
+         "patch key placements: must be >= 1, got 0"),
+        pytest.param('{"train": {"batch_size": 0}}', "train key batch_size: must be >= 1, got 0",
+                     id='{"train": {"batch_size": 0}}-batch_size must be >= 1'),
+        pytest.param('{"train": {"batch_size": -1}}', "train key batch_size: must be >= 1, got -1",
+                     id='{"train": {"batch_size": -1}}-batch_size must be >= 1'),
         ('{"detector_list": [{"kind": "lasso", "lam": -1}]}',
          "lasso key lam: must be finite and >= 0, got -1"),
         ('{"detector_list": [{"kind": "lasso", "max_iter": 0}]}',
@@ -638,37 +682,56 @@ class TestCli:
          "ocsvm key nu: must be in (0, 1), got 2.0"),
         ('{"detector_list": [{"kind": "ellipse", "shrinkage": -0.5}]}',
          "ellipse key shrinkage: must be finite and >= 0, got -0.5"),
-        ('{"dataset": {"noise_std": -1}}', "noise_std must be finite and >= 0, got -1"),
-        ('{"dataset": {"noise_std": NaN}}', "noise_std must be finite and >= 0, got nan"),
+        pytest.param('{"dataset": {"noise_std": -1}}',
+                     "dataset key noise_std: must be finite and >= 0, got -1",
+                     id='{"dataset": {"noise_std": -1}}-noise_std must be finite and >= 0, got -1'),
+        pytest.param('{"dataset": {"noise_std": NaN}}',
+                     "dataset key noise_std: must be finite and >= 0, got nan",
+                     id='{"dataset": {"noise_std": NaN}}-noise_std must be finite and >= 0, '
+                        'got nan'),
         ('{"attack_list": [{"kind": "fgsm", "eps": NaN}]}',
-         "eps and alpha must be finite and > 0"),
+         "fgsm/ifgsm key eps: must be finite and > 0, got nan"),
         ('{"attack_list": [{"kind": "ifgsm", "eps": 8, "alpha": Infinity}]}',
-         "eps and alpha must be finite and > 0"),
+         "fgsm/ifgsm key alpha: must be finite and > 0, got inf"),
         ('{"attack_list": [{"kind": "ifgsm", "eps": NaN}]}',
          "eps must be a positive integer for the iteration rule"),
-        ('{"attack_list": [{"kind": "patch", "alpha": NaN}]}', "alpha finite and > 0"),
-        ('{"train": {"lr": NaN}}', "learning rate must be finite and >= 0, got nan"),
+        ('{"attack_list": [{"kind": "patch", "alpha": NaN}]}',
+         "patch key alpha: must be finite and > 0, got nan"),
+        pytest.param('{"train": {"lr": NaN}}', "train key lr: must be finite and >= 0, got nan",
+                     id='{"train": {"lr": NaN}}-learning rate must be finite and >= 0, got nan'),
         ('{"dataset": {"shapes_per_image": [-1, -1]}}',
-         "shapes_per_image must be [lo, hi] with 0 <= lo <= hi, got [-1, -1]"),
+         "dataset key shapes_per_image: must be [lo, hi] integers, 0 <= lo <= hi, got [-1, -1]"),
         ('{"dataset": {"shapes_per_image": [5, 2]}}',
-         "shapes_per_image must be [lo, hi] with 0 <= lo <= hi, got [5, 2]"),
-        ('{"dataset": {"hidden_class": 7}}', "hidden_class must be in [1, 3], got 7"),
-        ('{"dataset": {"hidden_class": 0}}', "hidden_class must be in [1, 3], got 0"),
+         "dataset key shapes_per_image: must be [lo, hi] integers, 0 <= lo <= hi, got [5, 2]"),
+        pytest.param('{"dataset": {"hidden_class": 7}}',
+                     "dataset key hidden_class: must be < num_classes = 4, got 7",
+                     id='{"dataset": {"hidden_class": 7}}-hidden_class must be in [1, 3], got 7'),
+        pytest.param('{"dataset": {"hidden_class": 0}}',
+                     "dataset key hidden_class: must be >= 1, got 0",
+                     id='{"dataset": {"hidden_class": 0}}-hidden_class must be in [1, 3], got 0'),
         ('{"attack_list": [{"kind": "dnnm", "hidden_class": 4}]}',
-         "hidden_class must be in [1, 3], got 4"),
-        ('{"dataset": {"train_size": 0}}', "train_size and val_size must be >= 1"),
+         "dnnm key hidden_class: must be < num_classes = 4, got 4"),
+        pytest.param('{"dataset": {"train_size": 0}}',
+                     "dataset key train_size: must be >= 1, got 0",
+                     id='{"dataset": {"train_size": 0}}-train_size and val_size must be >= 1'),
         ('{"attack_list": [], "dataset": {"val_size": -4}}',
-         "train_size and val_size must be >= 1"),
-        ('{"seed": -1}', "seed must be >= 0, got -1"),
-        ('{"train": {"seed": -2}}', "train seed must be >= 0, got -2"),
-        ('{"dataset": {"seed": -1}}', "dataset seed must be >= 0, got -1"),
+         "dataset key val_size: must be >= 1, got -4"),
+        pytest.param('{"seed": -1}', "config key seed: must be >= 0, got -1",
+                     id='{"seed": -1}-seed must be >= 0, got -1'),
+        pytest.param('{"train": {"seed": -2}}', "train key seed: must be >= 0, got -2",
+                     id='{"train": {"seed": -2}}-train seed must be >= 0, got -2'),
+        pytest.param('{"dataset": {"seed": -1}}', "dataset key seed: must be >= 0, got -1",
+                     id='{"dataset": {"seed": -1}}-dataset seed must be >= 0, got -1'),
         ('{"dataset": {"palette": [[120, 120], [160, 110, 110], [110, 160, 110], '
-         '[110, 110, 160]]}}', "palette entries must be three finite numbers, got [120, 120]"),
+         '[110, 110, 160]]}}', "dataset key palette: must be 4 or more colors, each three finite "
+         "numbers, got [[120, 120], [160, 110, 110], [110, 160, 110], [110, 110, 160]]"),
         ('{"dataset": {"palette": [[120, 120, 120], [160, NaN, 110], [110, 160, 110], '
-         '[110, 110, 160]]}}', "palette entries must be three finite numbers, got [160, nan, 110]"),
+         '[110, 110, 160]]}}', "dataset key palette: must be 4 or more colors, each three finite "
+         "numbers, got [[120, 120, 120], [160, nan, 110], [110, 160, 110], [110, 110, 160]]"),
         ('{"attack_list": [{"kind": "patch", "height": 65}]}',
-         "patch 65x48 larger than image 64x64"),
-        ('{"attack_list": [{"kind": "patch", "seed": -1}]}', "n_iter and seed >= 0"),
+         "patch key height: must be <= the image height 64, got 65"),
+        ('{"attack_list": [{"kind": "patch", "seed": -1}]}',
+         "patch key seed: must be >= 0, got -1"),
         ('{"detector_list": [{"kind": "ocsvm", "gamma": true}]}',
          "ocsvm key gamma: must be None or finite and > 0, got True"),
         ('{"detector_list": [{"kind": "ocsvm", "tol": Infinity}]}',
@@ -676,15 +739,15 @@ class TestCli:
         ('{"detector_list": [{"kind": "lasso", "tol": Infinity}]}',
          "lasso key tol: must be finite and > 0, got inf"),
         ('{"dataset": {"shapes_per_image": [1.5, 3]}}',
-         "shapes_per_image entries must be integers, got [1.5, 3]"),
+         "dataset key shapes_per_image: must be [lo, hi] integers, 0 <= lo <= hi, got [1.5, 3]"),
         ('{"dataset": {"shapes_per_image": [2, 2.5]}}',
-         "shapes_per_image entries must be integers, got [2, 2.5]"),
+         "dataset key shapes_per_image: must be [lo, hi] integers, 0 <= lo <= hi, got [2, 2.5]"),
         ('{"dataset": {"shapes_per_image": [true, 3]}}',
-         "shapes_per_image entries must be integers, got [True, 3]"),
+         "dataset key shapes_per_image: must be [lo, hi] integers, 0 <= lo <= hi, got [True, 3]"),
         ('{"dataset": {"shapes_per_image": ["1", "3"]}}',
-         "shapes_per_image entries must be integers, got ['1', '3']"),
+         "dataset key shapes_per_image: must be [lo, hi] integers, 0 <= lo <= hi, got ['1', '3']"),
         ('{"dataset": {"shapes_per_image": [2.0, 5]}}',
-         "shapes_per_image entries must be integers, got [2.0, 5]"),
+         "dataset key shapes_per_image: must be [lo, hi] integers, 0 <= lo <= hi, got [2.0, 5]"),
         ("[]", "config: expected object, got list"),
         ('"x"', "config: expected object, got str"),
         # (file content, flags): each is checked before the flags merge into it
@@ -712,7 +775,8 @@ class TestCli:
     def test_negative_seed_flag_fails_before_the_run(self, tmp_path, capsys):
         rc = cli.main(["gen-data", "--seed", "-1", "--out", str(tmp_path / "run")])
         assert rc == 1
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "segdetect: gen-data: dataset key seed: must be >= 0, got -1\n")
         assert not (tmp_path / "run").exists()
 
     def test_detect_on_old_feature_csv_errors(self, mini_run, tmp_path, capsys):
@@ -1232,3 +1296,72 @@ def test_unknown_recorded_unit_fails_and_deletes_nothing(unit, tiny_model_dir, t
     assert capsys.readouterr().err == f"segdetect: run-all: unknown unit {unit!r}\n"
     assert (run_files(out), (out / "keys.json").read_bytes()) == before
     assert (outside / "keep").read_text() == "keep"
+
+
+def tiny_config(out, **change):
+    return dataclasses.replace(pipeline.ExperimentConfig.from_dict(dict(TINY, **change)),
+                               out_dir=str(out))
+
+
+def test_second_run_on_a_running_directory_fails_and_the_first_finishes_unmixed(
+        tiny_model_dir, tmp_path, capsys):
+    """Run B on run A's directory, between A's gradient check and its attacks,
+    fails at once and touches nothing; A then finishes as a fresh run of A."""
+    out, fresh = tmp_path / "run", tmp_path / "fresh"
+    shutil.copytree(tiny_model_dir, out)
+    stages = pipeline.run_stages(tiny_config(out))
+    assert [next(stages)[0] for _ in range(3)] == ["gen-data", "train-model", "gradcheck"]
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    run_b = tiny_config(out, dataset=dict(TINY["dataset"], seed=7))
+    with pytest.raises(InputError, match=f"^{out} is in use by another run$"):
+        pipeline.run_pipeline(run_b)
+    assert run_cli("run-all", out, config=dict(TINY, seed=7)) == 1
+    assert capsys.readouterr().err == f"segdetect: run-all: {out} is in use by another run\n"
+    assert run_cli("report", out) == 1
+    assert capsys.readouterr().err == f"segdetect: report: {out} is in use by another run\n"
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert [name for name, _ in stages] == ["attack", "extract-features", "train-detector",
+                                            "evaluate"]
+    assert run_cli("run-all", fresh) == 0
+    assert run_files(out) == run_files(fresh)
+    assert (out / "keys.json").read_bytes() == (fresh / "keys.json").read_bytes()
+    assert run_cli("report", out) == 0    # a shared lock, once no run holds the directory
+
+
+def test_a_forked_workers_exit_leaves_the_lock_held(tmp_path, monkeypatch):
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    holder = pipeline.lock_run(str(tmp_path))
+    with workers.forked_map(lambda arg, item: os.getpid(), 2) as run:
+        assert len(set(run(None, range(2)))) == 2    # a worker ran, and has ended
+    with pytest.raises(InputError, match="in use by another run"):
+        pipeline.lock_run(str(tmp_path), shared=True)
+    holder.close()
+    pipeline.lock_run(str(tmp_path)).close()
+
+
+def test_a_closed_or_killed_holder_releases_the_lock(tmp_path):
+    out = tmp_path / "run"
+    stages = pipeline.run_stages(dataclasses.replace(
+        pipeline.ExperimentConfig(dataset=synthdata.DatasetConfig(
+            height=32, width=32, train_size=2, val_size=2), attack_list=[]), out_dir=str(out)))
+    assert next(stages)[0] == "gen-data"
+    with pytest.raises(InputError, match="in use by another run"):
+        pipeline.lock_run(str(out))
+    stages.close()
+    pipeline.lock_run(str(out)).close()
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from segdetect import pipeline; lock = pipeline.lock_run(sys.argv[1]); "
+            "print('locked', flush=True); sys.stdin.read()")
+    holder = subprocess.Popen([sys.executable, "-c", code, str(out)], env=env, text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        with pytest.raises(InputError, match="in use by another run"):
+            pipeline.lock_run(str(out))
+    finally:
+        holder.kill()
+        holder.wait()
+    pipeline.lock_run(str(out)).close()
