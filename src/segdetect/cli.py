@@ -20,7 +20,7 @@ def _apply_thread_override():
 
 _apply_thread_override()
 
-from . import detectors, errors, pipeline, tensorio, uncertainty  # noqa: E402 - after BLAS
+from . import detectors, errors, pipeline, uncertainty  # noqa: E402 - after BLAS
 
 
 def _deep_merge(base, override):
@@ -91,18 +91,7 @@ def cmd_detect(args):
 
 
 def cmd_report(args):
-    """Prints report.csv under a shared lock; fails, naming the stale units,
-    if it is stale under config.json."""
-    out_dir = load_config(args).out_dir
-    with pipeline.lock_run(out_dir, shared=True):
-        recorded, run = (tensorio.read_json(os.path.join(out_dir, n))
-                         for n in ("keys.json", "config.json"))
-        keys = pipeline.unit_keys(pipeline.ExperimentConfig.from_dict(run))
-        if recorded.get("evaluate") != keys["evaluate"]:
-            stale = ", ".join(unit for unit, key in keys.items() if recorded.get(unit) != key)
-            raise ValueError(f"stale report: keys.json differs from config.json for {stale}")
-        with open(pipeline.unit_outputs(out_dir, "evaluate")[0]) as fh:
-            sys.stdout.write(fh.read())
+    sys.stdout.write(pipeline.read_report(load_config(args).out_dir))
 
 
 COMMANDS = {**dict.fromkeys(STAGE_LINES, cmd_stage), "detect": cmd_detect, "report": cmd_report,

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one checker of config values."""
 
 import math
+import numbers
 from dataclasses import field, fields
 
 
@@ -55,6 +56,13 @@ def check(section, values):
 
 
 def check_fields(config, section):
-    """check() on each field of dataclass `config` that declares a rule, in field order."""
-    check(section, [(f.name, getattr(config, f.name), f.metadata["rule"])
-                    for f in fields(config) if "rule" in f.metadata])
+    """check() on each field of dataclass `config` that declares a rule, in field
+    order, once each such field holds a number of its annotation, an integer for
+    int and a real for float (or a bool, which check() rejects)."""
+    ruled_fields = [f for f in fields(config) if "rule" in f.metadata]
+    for f in ruled_fields:
+        value = getattr(config, f.name)
+        if not isinstance(value, (bool, numbers.Integral if f.type is int else numbers.Real)):
+            raise InputError(f"{section} key {f.name}: expected {f.type.__name__}, "
+                             f"got {type(value).__name__}")
+    check(section, [(f.name, getattr(config, f.name), f.metadata["rule"]) for f in ruled_fields])

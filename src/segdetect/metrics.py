@@ -30,7 +30,7 @@ class ScoreSet:
         self.clean = np.asarray(self.clean, dtype=np.float64)
         self.adv = np.asarray(self.adv, dtype=np.float64)
         for arr in (self.clean, self.adv):
-            if arr.size and (arr.min() < 0 or arr.max() > 1):
+            if arr.size and not (arr.min() >= 0 and arr.max() <= 1):   # NaN fails both
                 raise InputError("scores must lie in [0, 1]")
 
 

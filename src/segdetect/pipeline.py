@@ -26,6 +26,7 @@ from .workers import map_items
 
 STAGES = ("gen-data", "train-model", "gradcheck", "attack", "extract-features",
           "train-detector", "evaluate")
+CONFIG_FILE, KEYS_FILE, LOCK_FILE = "config.json", "keys.json", "run.lock"   # in no unit
 
 
 def export_entropy_heatmap(probs, path):
@@ -130,14 +131,12 @@ def _spec_params(spec, section):
     return spec.get("kind"), {k: v for k, v in spec.items() if k != "kind"}
 
 
-def _keys(cfg):
-    path = os.path.join(cfg.out_dir, "keys.json")
-    return tensorio.read_json(path) if os.path.exists(path) else {}
-
-
-def _write_keys(cfg, keys):
-    """Replaces keys.json whole, so a crash leaves either record, never a mix."""
-    path = os.path.join(cfg.out_dir, "keys.json")
+def _keys(out_dir, keys=None):
+    """{unit: key} that out_dir's keys.json records ({} without one); given `keys`,
+    replaces the file whole with them instead, so a crash leaves either record."""
+    path = os.path.join(out_dir, KEYS_FILE)
+    if keys is None:
+        return tensorio.read_json(path) if os.path.exists(path) else {}
     tensorio.write_json(path + ".tmp", keys)
     os.replace(path + ".tmp", path)
 
@@ -183,6 +182,20 @@ def unit_keys(cfg):
     return {unit: key for unit, (key, _) in _units(cfg).items()}
 
 
+def read_report(out_dir):
+    """out_dir's report.csv, read under a shared lock; raises if stale under config.json."""
+    if not os.path.exists(os.path.join(out_dir, KEYS_FILE)):
+        raise InputError(f"{out_dir} holds no run")
+    with lock_run(out_dir, shared=True):
+        run = ExperimentConfig.from_dict(tensorio.read_json(os.path.join(out_dir, CONFIG_FILE)))
+        recorded, keys = _keys(out_dir), unit_keys(run)
+        if recorded.get("evaluate") != keys["evaluate"]:
+            stale = ", ".join(unit for unit, key in keys.items() if recorded.get(unit) != key)
+            raise ValueError(f"stale report: keys.json differs from config.json for {stale}")
+        with open(unit_outputs(out_dir, "evaluate")[0]) as fh:
+            return fh.read()
+
+
 # A unit is its kind, plus one path component (a tag, table or detector) when "{}"
 # stands for it in the kind's paths; a unit's own extra files sit under its name.
 # A path ending "/" is a directory.
@@ -210,9 +223,9 @@ def unit_outputs(out_dir, name):
 def _drop(cfg, units):
     """Drops the keys of `units`, then their files; an unknown name raises first."""
     paths = [path for unit in units for path in unit_outputs(cfg.out_dir, unit)]
-    keys = _keys(cfg)
+    keys = _keys(cfg.out_dir)
     if set(units) & set(keys):
-        _write_keys(cfg, {unit: key for unit, key in keys.items() if unit not in units})
+        _keys(cfg.out_dir, {unit: key for unit, key in keys.items() if unit not in units})
     for path in paths:
         if os.path.isdir(path):
             shutil.rmtree(path)
@@ -225,12 +238,12 @@ def _unit(cfg, name, compute):
     key in unit_keys(cfg), first drops the unit, makes its directories, runs
     compute(*paths) and records the new key."""
     key, paths = unit_keys(cfg)[name], unit_outputs(cfg.out_dir, name)
-    if _keys(cfg).get(name) != key:
+    if _keys(cfg.out_dir).get(name) != key:
         _drop(cfg, [name])
         for path in paths:
             os.makedirs(os.path.dirname(path), exist_ok=True)
         compute(*paths)
-        _write_keys(cfg, {**_keys(cfg), name: key})
+        _keys(cfg.out_dir, {**_keys(cfg.out_dir), name: key})
     return paths
 
 
@@ -458,7 +471,7 @@ def lock_run(out_dir, shared=False):
     """The open lock file of run directory out_dir, flock-ed exclusively, or
     shared for a reader. Raises InputError at once, having written nothing,
     when another run holds a conflicting lock."""
-    fh = open(os.path.join(out_dir, "run.lock"), "a")
+    fh = open(os.path.join(out_dir, LOCK_FILE), "a")
     try:
         fcntl.flock(fh, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
     except BlockingIOError:
@@ -474,13 +487,14 @@ def run_stages(cfg, force=None):
     the chain. The run directory stays locked (lock_run) until the chain ends
     or is closed. The stage functions are resolved at call time, so wrappers
     set on this module's attributes see every call."""
+    keys = unit_keys(cfg)     # raises on a bad spec before the directory is touched
     os.makedirs(cfg.out_dir, exist_ok=True)
     with lock_run(cfg.out_dir):
-        tensorio.write_json(os.path.join(cfg.out_dir, "config.json"), cfg.to_dict())
-        _drop(cfg, sorted(_keys(cfg).keys() - unit_keys(cfg).keys()))
+        tensorio.write_json(os.path.join(cfg.out_dir, CONFIG_FILE), cfg.to_dict())
+        _drop(cfg, sorted(_keys(cfg.out_dir).keys() - keys.keys()))
         if force:
-            _write_keys(cfg, {unit: key for unit, key in _keys(cfg).items()
-                              if STAGES.index(unit.split("/")[0]) < STAGES.index(force)})
+            _keys(cfg.out_dir, {unit: key for unit, key in _keys(cfg.out_dir).items()
+                                if STAGES.index(unit.split("/")[0]) < STAGES.index(force)})
         train_set, val_set = stage_gen_data(cfg)
         yield "gen-data", (train_set, val_set)
         model = stage_train_model(cfg, train_set)

@@ -41,6 +41,8 @@ def _classes(p):
 def _check_probs(probs):
     if probs.ndim != 3:
         raise InputError(f"probability map must be HxWxC, got shape {probs.shape}")
+    if not (np.min(probs) >= 0 and np.max(probs) <= 1):    # NaN fails both
+        raise InputError("probabilities must lie in [0, 1]")
     # the classes summed in order, as probs.sum(axis=2) sums below 8 classes,
     # without its slow reduction over the short class axis
     sums = np.add.reduce(_classes(probs))

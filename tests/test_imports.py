@@ -4,6 +4,7 @@ from leaving its imports or its helpers behind."""
 
 import ast
 import collections
+import importlib.util
 import os
 import re
 
@@ -24,22 +25,22 @@ def python_sources():
     return sources
 
 
+def imported(source, kept):
+    """(line, name) of each name `source` binds by an import that is marked
+    `noqa: F401` (a binding kept for another module) if `kept`, or unmarked if not."""
+    lines = source.splitlines()
+    nodes = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return [(node.lineno, alias.asname or alias.name.split(".")[0]) for node in nodes
+            if kept == any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names]
+
+
 def unused_imports(source):
     """(line, name) of each name `source` imports and never reads. Imports on a
-    line marked `noqa: F401` (bindings kept for another module) are exempt."""
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)) or any(
-                "noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
-        for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
-            if name not in read:
-                unused.append((node.lineno, name))
-    return unused
+    line marked `noqa: F401` are exempt."""
+    read = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported(source, kept=False) if name not in read]
 
 
 def top_level_names(source):
@@ -127,4 +128,53 @@ def test_only_workers_reads_the_cpu_count_or_forks():
              if path.startswith(os.path.join("src", "segdetect", ""))
              and path != os.path.join("src", "segdetect", "workers.py")
              for line, name in cpu_names(text)]
+    assert found == []
+
+
+def test_the_scan_finds_a_kept_import():
+    source = ("import os\nfrom .model import (predict,  # noqa: F401 - kept\n"
+              "                     train)\nimport sys  # noqa: F401\n")
+    assert imported(source, kept=True) == [(2, "predict"), (2, "train"), (4, "sys")]
+
+
+def test_every_kept_import_is_a_binding_the_tracer_wraps():
+    """An import under src/segdetect kept only for another module is a (module,
+    name) binding of perfbench's tracing.BINDINGS. When the tracer stops
+    wrapping a binding, this names the import to delete."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)    # defines the tables, runs nothing
+    bindings = {(module, attr) for module, attr, _ in tracing.BINDINGS}
+    kept = [(os.path.basename(path)[:-3], name) for path, text in python_sources().items()
+            if path.startswith(os.path.join("src", "segdetect", ""))
+            for _, name in imported(text, kept=True)]
+    assert [binding for binding in kept if binding not in bindings] == []
+
+
+RUN_RECORDS = ("config.json", "keys.json", "run.lock")
+
+
+def record_names(source):
+    """(line, text) of each string literal in `source`, docstrings and f-string
+    parts included, that names a file of RUN_RECORDS."""
+    return [(node.lineno, node.value) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and any(name in node.value for name in RUN_RECORDS)]
+
+
+def test_the_scan_finds_a_record_name():
+    source = ('"""Reads config.json."""\npath = os.path.join(out, "keys.json")\n'
+              '# run.lock in a comment\nlock = f"{out}/run.lock"\nname = "keys"\n')
+    assert record_names(source) == [(1, "Reads config.json."), (2, "keys.json"),
+                                    (4, "/run.lock")]
+
+
+def test_only_pipeline_names_a_run_record():
+    """pipeline alone reads or writes a run directory's config.json, keys.json
+    and run.lock."""
+    found = [f"{path}:{line}: {literal!r}" for path, text in python_sources().items()
+             if path.startswith(os.path.join("src", "segdetect", ""))
+             and path != os.path.join("src", "segdetect", "pipeline.py")
+             for line, literal in record_names(text)]
     assert found == []

@@ -115,6 +115,14 @@ class TestAuroc:
             metrics.auroc(scoreset([0.5], []))
 
 
+@pytest.mark.parametrize("clean,adv", [([0.2, np.nan, 0.9], [0.1, 0.5]), ([0.2], [np.nan]),
+                                       ([1.5], [0.5]), ([0.5], [-0.1])],
+                         ids=["nan-clean", "nan-adv", "above-1", "below-0"])
+def test_score_set_rejects_a_score_outside_the_unit_interval(clean, adv):
+    with pytest.raises(InputError, match=r"^scores must lie in \[0, 1\]$"):
+        scoreset(clean, adv)
+
+
 class TestTprAtFpr:
     def test_perfect_separation(self):
         clean = np.linspace(0.5, 1.0, 40)

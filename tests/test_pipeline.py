@@ -181,7 +181,7 @@ def test_attack_writes_each_image_before_the_next(kind, small_dataset, small_mod
     pipeline.stage_attack(cfg, small_model, train, val[:3])
     assert events[events.index("attack"):] == [
         event for s in val[:3] for event in ("attack", f"{s.id}.ten")]
-    assert unit in pipeline._keys(cfg)
+    assert unit in pipeline._keys(cfg.out_dir)
 
     events.clear()
     fail_on[0] = 2
@@ -189,7 +189,7 @@ def test_attack_writes_each_image_before_the_next(kind, small_dataset, small_mod
     with pytest.raises(AttackError, match="the second image"):
         pipeline.stage_attack(cfg, small_model, train, val[:3])
     assert events[events.index("attack"):] == ["attack", f"{val[0].id}.ten", "attack"]
-    assert unit not in pipeline._keys(cfg)
+    assert unit not in pipeline._keys(cfg.out_dir)
 
 
 @pytest.mark.parametrize("spec,change,key", [
@@ -396,6 +396,37 @@ def test_numeric_key_sweep_covers_every_config():
     assert not {"fgsm.alpha", "fgsm.targeted", "dataset.palette"} & names
 
 
+def ruled_fields():
+    """(config, field) of each field that declares a rule, of each config_sections() config."""
+    configs = dict.fromkeys(config for config, *_ in config_sections())
+    return [(config, f) for config in configs for f in dataclasses.fields(config)
+            if "rule" in f.metadata]
+
+
+@pytest.mark.parametrize("config,field", [pytest.param(config, f, id=f"{config.__name__}.{f.name}")
+                                          for config, f in ruled_fields()])
+def test_config_built_in_code_rejects_a_value_not_of_its_field_type(config, field):
+    """A constructor checks the type from_dict's key check does: an int field
+    takes an integer, a float field a real number, in the same message form;
+    a bool keeps its rule's message. A numpy scalar of the default builds."""
+    default = pipeline._defaults(config)[field.name]
+    config(**{field.name: default})
+    config(**{field.name: np.asarray(default)[()]})
+    for value in ([2.5] if field.type is int else []) + ["x", None, [1]]:
+        message = f"key {field.name}: expected {field.type.__name__}, got {type(value).__name__}"
+        with pytest.raises(InputError, match=rf"^\S+ {message}$"):
+            config(**{field.name: value})
+    with pytest.raises(InputError, match=rf"^\S+ key {field.name}: must be .+, got True$"):
+        config(**{field.name: True})
+
+
+def test_ruled_fields_cover_every_section():
+    assert {(config.__name__, f.name) for config, f in ruled_fields()} >= {
+        ("ExperimentConfig", "seed"), ("DatasetConfig", "height"), ("TrainConfig", "epochs"),
+        ("AttackConfig", "n_iter"), ("SsmmConfig", "tau"), ("DnnmConfig", "omega"),
+        ("PatchConfig", "height")}
+
+
 def mini_config(out_dir):
     cfg = pipeline.ExperimentConfig(
         dataset=synthdata.DatasetConfig(height=32, width=32, train_size=30,
@@ -527,7 +558,8 @@ class TestMiniPipeline:
         recorded unit's unit_outputs paths, or lies under one of its
         directories, for exactly one unit; and each recorded unit owns a file."""
         cfg, _ = mini_run
-        units = {unit: pipeline.unit_outputs(cfg.out_dir, unit) for unit in pipeline._keys(cfg)}
+        units = {unit: pipeline.unit_outputs(cfg.out_dir, unit)
+                 for unit in pipeline._keys(cfg.out_dir)}
 
         def owners(path):
             return [unit for unit, paths in units.items()
@@ -891,6 +923,16 @@ def test_report_refuses_a_stale_report(tmp_path, capsys):
     assert captured.err == (
         "segdetect: report: stale report: keys.json differs from config.json for attack/fgsm_e8, "
         "extract-features/clean, extract-features/fgsm_e8, train-detector/entropy, evaluate\n")
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["empty", "missing"])
+def test_report_on_a_directory_without_a_run_fails_and_writes_nothing(exists, tmp_path, capsys):
+    out = tmp_path / "run"
+    if exists:
+        out.mkdir()
+    assert cli.main(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"segdetect: report: {out} holds no run\n"
+    assert list(tmp_path.rglob("*")) == ([out] if exists else [])
 
 
 @pytest.mark.parametrize("change,unit", [
@@ -1365,3 +1407,24 @@ def test_a_closed_or_killed_holder_releases_the_lock(tmp_path):
         holder.kill()
         holder.wait()
     pipeline.lock_run(str(out)).close()
+
+
+def test_a_config_failing_a_spec_check_leaves_a_finished_run_as_it_was(tiny_model_dir, tmp_path,
+                                                                        capsys):
+    """A config built in code (no from_dict) whose patch spec does not fit its
+    images raises before it writes config.json, locks or makes anything."""
+    out = tmp_path / "run"
+    shutil.copytree(tiny_model_dir, out)
+    assert run_cli("run-all", out) == 0
+    capsys.readouterr()
+    assert run_cli("report", out) == 0
+    report = capsys.readouterr().out
+    before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+    bad = pipeline.ExperimentConfig(dataset=synthdata.DatasetConfig(height=40, width=40),
+                                    attack_list=[{"kind": "patch"}], out_dir=str(out))
+    with pytest.raises(InputError, match="^patch key height: must be <= the image height 40, "
+                                         "got 48$"):
+        pipeline.run_pipeline(bad)
+    assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+    assert run_cli("report", out) == 0
+    assert capsys.readouterr().out == report

@@ -43,6 +43,14 @@ class TestDispersionMaps:
         with pytest.raises(InputError):
             uncertainty.dispersion_maps(np.ones((4, 4)))
 
+    @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [1.5, -0.5, 0.0]],
+                             ids=["nan", "summing-to-1"])
+    def test_entry_outside_the_unit_interval_raises(self, row):
+        """NaN compares false, and [1.5, -0.5, 0] sums to 1: each fails the range check."""
+        for compute in (uncertainty.dispersion_maps, uncertainty.feature_vector):
+            with pytest.raises(InputError, match=r"^probabilities must lie in \[0, 1\]$"):
+                compute(probs_image([[0.2, 0.3, 0.5], row]))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), c=st.integers(2, 6))
     def test_bounds(self, seed, c):
