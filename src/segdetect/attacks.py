@@ -72,8 +72,8 @@ class PatchConfig:
 
 def iteration_count(eps):
     """Iteration rule for the iterative sign attacks: min(eps + 4, floor(1.25 eps))."""
-    if not 1 <= eps < np.inf or int(eps) != eps:
-        raise InputError("eps must be a positive integer for the iteration rule")
+    check("fgsm/ifgsm", [("eps", eps, (lambda v: 1 <= v < np.inf and int(v) == v,
+                                       "a whole number >= 1 for the iteration rule"))])
     eps = int(eps)
     return min(eps + 4, (5 * eps) // 4)
 

@@ -36,13 +36,13 @@ def load_config(args):
     doc = {}
     if args.config:
         with open(args.config) as fh:
-            doc = pipeline.check_object(json.load(fh), "config")
+            doc = errors.check_object(json.load(fh), "config")
     if args.stage_overrides:
         try:
             overrides = json.loads(args.stage_overrides)
         except json.JSONDecodeError as exc:
             raise errors.InputError(f"stage-overrides: {exc}") from None
-        _deep_merge(doc, pipeline.check_object(overrides, "stage-overrides"))
+        _deep_merge(doc, errors.check_object(overrides, "stage-overrides"))
     if getattr(args, "seed", None) is not None:   # before from_dict, which checks it
         doc["seed"] = args.seed
         for section in ("dataset", "train"):

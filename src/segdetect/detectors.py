@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import (FINITE_NON_NEGATIVE, FINITE_POSITIVE, IN_OPEN_UNIT, InputError, TrainingError,
-                     at_least, check)
+                     at_least, check, check_keys, check_type)
 from .uncertainty import feature_matrix
 
 def _hex_encode(arr):
@@ -117,7 +117,12 @@ def _newton_step(g, h, theta, lam, tol):
 
 
 def _check(kind, **values):
-    """check() on each value against its rule in DETECTORS[kind]."""
+    """check_type() on each value against the type of its trainer default, if
+    not None, then check() against its rule in DETECTORS[kind]."""
+    defaults = hyperparameters(kind)
+    for key, val in values.items():
+        if defaults[key] is not None:
+            check_type(kind, key, val, type(defaults[key]))
     check(kind, [(key, val, DETECTORS[kind][2][key]) for key, val in values.items()])
 
 
@@ -316,9 +321,7 @@ def hyperparameters(kind):
 def _trainer(kind, hyperparams):
     """(trainer, supervised) of `kind`; raises InputError on an unknown kind or
     hyperparameter, or a value its trainer would refuse."""
-    unknown = set(hyperparams) - set(hyperparameters(kind))
-    if unknown:
-        raise InputError(f"detector {kind!r}: unknown key(s) {', '.join(sorted(unknown))}")
+    check_keys(f"detector {kind!r}", hyperparams, hyperparameters(kind))
     _check(kind, **dict(hyperparams))
     fn = globals()[DETECTORS[kind][0]]
     return fn, "adv_features" in inspect.signature(fn).parameters

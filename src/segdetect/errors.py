@@ -2,7 +2,7 @@
 
 import math
 import numbers
-from dataclasses import field, fields
+from dataclasses import field, fields, is_dataclass
 
 
 class SegdetectError(Exception):
@@ -55,14 +55,47 @@ def check(section, values):
             raise InputError(f"{section} key {key}: must be {text}, got {value!r}")
 
 
+# annotation -> (the types its values may have, the name a message gives it).
+# A bool is a value of bool alone; a nested config, of its own dataclass.
+TYPES = {bool: (bool, "bool"), int: (numbers.Integral, "int"), float: (numbers.Real, "float"),
+         str: (str, "str"), list: ((list, tuple), "list")}
+
+
+def check_type(section, key, value, annotation):
+    """Raises InputError unless `value` is of the annotation's TYPES entry."""
+    accepts, name = TYPES.get(annotation, (annotation, "object"))
+    if not isinstance(value, accepts) or isinstance(value, bool) != (annotation is bool):
+        raise InputError(f"{section} key {key}: expected {name}, got {type(value).__name__}")
+
+
 def check_fields(config, section):
-    """check() on each field of dataclass `config` that declares a rule, in field
-    order, once each such field holds a number of its annotation, an integer for
-    int and a real for float (or a bool, which check() rejects)."""
-    ruled_fields = [f for f in fields(config) if "rule" in f.metadata]
-    for f in ruled_fields:
-        value = getattr(config, f.name)
-        if not isinstance(value, (bool, numbers.Integral if f.type is int else numbers.Real)):
-            raise InputError(f"{section} key {f.name}: expected {f.type.__name__}, "
-                             f"got {type(value).__name__}")
-    check(section, [(f.name, getattr(config, f.name), f.metadata["rule"]) for f in ruled_fields])
+    """check_type() on each field of dataclass `config` against its annotation,
+    then check() on each field that declares a rule, in field order."""
+    for f in fields(config):
+        check_type(section, f.name, getattr(config, f.name), f.type)
+    check(section, [(f.name, getattr(config, f.name), f.metadata["rule"])
+                    for f in fields(config) if "rule" in f.metadata])
+
+
+def check_object(doc, section):
+    """Returns `doc`; raises InputError unless it is a JSON object."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{section}: expected object, got {type(doc).__name__}")
+    return doc
+
+
+def check_keys(section, keys, known):
+    """Raises InputError naming each of `keys` not in `known`."""
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
+
+
+def build(cls, doc, section, fixed=()):
+    """Dataclass `cls` from JSON object `doc`, whose keys are its fields less
+    `fixed`; a field that is a dataclass is built from an object value the same
+    way, as section <field>. The constructor checks every value."""
+    check_keys(section, check_object(doc, section), {f.name for f in fields(cls)} - set(fixed))
+    nested = {f.name: build(f.type, doc[f.name], f.name) for f in fields(cls)
+              if is_dataclass(f.type) and isinstance(doc.get(f.name), dict)}
+    return cls(**{**doc, **nested})

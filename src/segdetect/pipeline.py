@@ -13,12 +13,12 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import attacks, detectors, metrics, synthdata, tensorio, uncertainty
-from .errors import InputError, at_least, check, check_fields, ruled
+from .errors import InputError, at_least, build, check, check_fields, check_object, ruled
 from .model import TrainConfig, grad_check, load_model, predict, save_model, train
 from .model import predicted_labels  # noqa: F401 - a binding the benchmark's tracer wraps
 from .synthdata import DatasetConfig
@@ -77,52 +77,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """Builds a config and validates its attack and detector specs and
-        its fold size, so that bad config fails before any stage runs."""
-        d = dict(_check_keys(_defaults(cls), d, "config"))
-        for section, config in (("dataset", DatasetConfig), ("train", TrainConfig)):
-            if section in d:
-                d[section] = config(**_check_keys(_defaults(config), d[section], section))
-        cfg = cls(**d)
-        unit_keys(cfg)
-        if cfg.attack_list and cfg.detector_list:
-            val, least = cfg.dataset.val_size, metrics.MIN_CLEAN_SCORES
-            check("config", [("folds", cfg.folds, (lambda v: 2 <= v <= val // least,
-                f">= 2, with {least} of the {val} validation images per fold"))])
+        """The config of JSON object d (errors.build), checked whole (check_run),
+        so that bad config fails before any stage runs."""
+        cfg = build(cls, d, "config")
+        check_run(cfg)
         return cfg
-
-
-def _defaults(cls, fixed=()):
-    """{field: default} of dataclass `cls`, less the fields in `fixed`."""
-    return {f.name: f.default if f.default_factory is MISSING else f.default_factory()
-            for f in fields(cls) if f.name not in fixed}
-
-
-# type of a default -> (the JSON types that may replace it, their name)
-_ACCEPTS = {bool: (bool, "bool"), int: (int, "int"), float: ((int, float), "float"),
-            str: (str, "str"), list: (list, "list"), dict: (dict, "object")}
-
-
-def check_object(d, section):
-    """Returns `d`; raises InputError unless it is a JSON object."""
-    if not isinstance(d, dict):
-        raise InputError(f"{section}: expected object, got {type(d).__name__}")
-    return d
-
-
-def _check_keys(known, d, section):
-    """Returns `d`; raises InputError unless it is an object whose keys are
-    keys of `known` ({key: default}), valued like their defaults: an int
-    counts as a float, an object as a nested config."""
-    unknown = set(check_object(d, section)) - set(known)
-    if unknown:
-        raise InputError(f"unknown {section} key(s) {', '.join(sorted(unknown))}")
-    for key, val in d.items():
-        want = dict if is_dataclass(known[key]) else type(known[key])
-        accepts, name = _ACCEPTS.get(want, (None, None))
-        if accepts and not (isinstance(val, accepts) and (want is bool) == isinstance(val, bool)):
-            raise InputError(f"{section} key {key}: expected {name}, got {type(val).__name__}")
-    return d
 
 
 def _spec_params(spec, section):
@@ -180,6 +139,17 @@ def _units(cfg, stage=None):
 def unit_keys(cfg):
     """{unit: key} of the table _units(cfg)."""
     return {unit: key for unit, (key, _) in _units(cfg).items()}
+
+
+def check_run(cfg):
+    """unit_keys(cfg), which checks every spec, once the fold rule holds as
+    well; raises InputError on what no single field shows."""
+    keys = unit_keys(cfg)
+    if cfg.attack_list and cfg.detector_list:
+        val, least = cfg.dataset.val_size, metrics.MIN_CLEAN_SCORES
+        check("config", [("folds", cfg.folds, (lambda v: 2 <= v <= val // least,
+            f">= 2, with {least} of the {val} validation images per fold"))])
+    return keys
 
 
 def read_report(out_dir):
@@ -292,24 +262,20 @@ def stage_gradcheck(cfg, model, val_set):
     return doc
 
 
-def _fgsm_config(cfg, params):
-    return attacks.AttackConfig(eps=params["eps"], targeted=bool(params.get("targeted")))
+def _ifgsm_config(cfg, acfg, params):
+    return acfg if "n_iter" in params else replace(acfg, n_iter=attacks.iteration_count(acfg.eps))
 
 
-def _ifgsm_config(cfg, params):
-    n = params["n_iter"] if "n_iter" in params else attacks.iteration_count(params["eps"])
-    return attacks.AttackConfig(eps=params["eps"], alpha=params.get("alpha", 1.0), n_iter=n,
-                                targeted=bool(params.get("targeted")))
-
-
-def _dnnm_config(cfg, params):
-    dcfg = attacks.DnnmConfig(**{"hidden_class": cfg.dataset.hidden_class, **params})
+def _dnnm_config(cfg, dcfg, params):
+    if "hidden_class" not in params:
+        dcfg = replace(dcfg, hidden_class=cfg.dataset.hidden_class)
     synthdata.check_hidden_class("dnnm", dcfg.hidden_class, cfg.dataset.num_classes)
     return dcfg
 
 
-def _patch_config(cfg, params):
-    pcfg = attacks.PatchConfig(**{"seed": cfg.seed, **params})
+def _patch_config(cfg, pcfg, params):
+    if "seed" not in params:
+        pcfg = replace(pcfg, seed=cfg.seed)
     attacks.check_patch_fits(pcfg, cfg.dataset.height, cfg.dataset.width)
     return pcfg
 
@@ -347,16 +313,17 @@ def _run_patch(cfg, model, pcfg, train_set, val_set, patch_path):
 
 # kind -> (config dataclass, config rule, runner, tag rule, config fields the
 # runner sets itself; the spec keys are the other fields). The config rule
-# maps (cfg, params) to the attack config with the runner's defaults filled
-# in; the runner (cfg, model, attack config, train_set, val_set, then the
+# maps (cfg, the config errors.build made of the spec, the spec's keys) to
+# the attack config, the run's defaults set for the keys the spec leaves out;
+# the runner (cfg, model, attack config, train_set, val_set, then the
 # paths of the unit's own files in _OUTPUTS, if any) to the attack of one
 # validation sample (sample -> float32 image) and its extra attack.json
 # entries; the tag rule (kind, params) to the output tag (none: the kind).
 ATTACKS = {
-    "fgsm": (attacks.AttackConfig, _fgsm_config, _per_image("fgsm"), sign_tag,
+    "fgsm": (attacks.AttackConfig, lambda cfg, acfg, p: acfg, _per_image("fgsm"), sign_tag,
              ("alpha", "n_iter")),
     "ifgsm": (attacks.AttackConfig, _ifgsm_config, _per_image("ifgsm"), sign_tag, ()),
-    "ssmm": (attacks.SsmmConfig, lambda cfg, p: attacks.SsmmConfig(**p), _run_ssmm, None, ()),
+    "ssmm": (attacks.SsmmConfig, lambda cfg, scfg, p: scfg, _run_ssmm, None, ()),
     "dnnm": (attacks.DnnmConfig, _dnnm_config, _per_image("dnnm_attack"), None, ()),
     "patch": (attacks.PatchConfig, _patch_config, _run_patch, None, ()),
 }
@@ -369,9 +336,9 @@ def _attack_spec(cfg, spec):
     if kind not in ATTACKS:
         raise InputError(f"unknown attack kind {kind!r}")
     config, make, run, tag, fixed = ATTACKS[kind]
-    params = _check_keys(_defaults(config, fixed), params, f"attack {kind!r}")
+    acfg = make(cfg, build(config, params, f"attack {kind!r}", fixed), params)
     try:
-        return run, make(cfg, params), tag(kind, params) if tag else kind
+        return run, acfg, tag(kind, params) if tag else kind
     except KeyError as exc:
         raise InputError(f"attack {kind!r}: missing key {exc}") from None
 
@@ -428,11 +395,8 @@ def stage_extract_features(cfg, model, val_set):
 def _detector_specs(cfg, tags):
     """(kind, hyperparameters, training attacks) of each configured detector
     whose training attacks are among `tags`; its deployable and per-fold models
-    train on them. Raises InputError on an unknown kind or key, or a value
-    unlike its trainer default or against its rule in detectors.DETECTORS."""
+    train on them. Raises InputError on a spec detectors.train_detector refuses."""
     specs = [_spec_params(s, "detector_list") for s in cfg.detector_list]
-    for kind, hyper in specs:
-        _check_keys(detectors.hyperparameters(kind), hyper, f"detector {kind!r}")
     specs = [(kind, hyper, [cfg.train_attack] if detectors.is_supervised(kind, hyper) else [])
              for kind, hyper in specs]
     return [spec for spec in specs if set(spec[2]) <= set(tags)]
@@ -487,7 +451,7 @@ def run_stages(cfg, force=None):
     the chain. The run directory stays locked (lock_run) until the chain ends
     or is closed. The stage functions are resolved at call time, so wrappers
     set on this module's attributes see every call."""
-    keys = unit_keys(cfg)     # raises on a bad spec before the directory is touched
+    keys = check_run(cfg)     # raises on a bad config before the directory is touched
     os.makedirs(cfg.out_dir, exist_ok=True)
     with lock_run(cfg.out_dir):
         tensorio.write_json(os.path.join(cfg.out_dir, CONFIG_FILE), cfg.to_dict())

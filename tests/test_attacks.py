@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -68,12 +69,16 @@ class TestIterationCount:
     pytest.param(attacks.PatchConfig, "seed", False, ">= 0", id="patch-seed-false"),
 ])
 def test_bad_config_raises(config, key, value, rule):
-    """A value against its field's rule fails, naming the kind, the key and the value."""
+    """A value against its field's rule fails, naming the kind, the key and the
+    value; a bool fails its field's type check before the rule."""
     section = {attacks.AttackConfig: "fgsm/ifgsm", attacks.SsmmConfig: "ssmm",
                attacks.DnnmConfig: "dnnm", attacks.PatchConfig: "patch"}[config]
     with pytest.raises(InputError) as exc:
         config(**{key: value})
-    assert str(exc.value) == f"{section} key {key}: must be {rule}, got {value!r}"
+    annotation = {f.name: f.type for f in dataclasses.fields(config)}[key]
+    assert str(exc.value) == f"{section} key {key}: " + (
+        f"expected {annotation.__name__}, got bool" if isinstance(value, bool)
+        else f"must be {rule}, got {value!r}")
 
 
 class TestLeastLikelyTarget:

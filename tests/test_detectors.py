@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segdetect import detectors
+from segdetect import detectors, pipeline
 from segdetect.errors import InputError, TrainingError
 from segdetect.uncertainty import FeatureVector, feature_matrix
 
@@ -158,10 +158,14 @@ class TestLassoDetector:
     ("ellipse", "shrinkage", True, "finite and >= 0"),
 ])
 def test_bad_novelty_hyperparameter_raises(kind, key, value, rule):
-    """A value that would train a detector of meaningless scores fails, naming the key."""
+    """A value that would train a detector of meaningless scores fails, naming
+    the key; a bool fails the type check of a non-None default before the rule."""
     with pytest.raises(InputError) as exc:
         detectors.train_detector(kind, gaussian_features(), **{key: value})
-    assert str(exc.value) == f"{kind} key {key}: must be {rule}, got {value!r}"
+    default = detectors.hyperparameters(kind)[key]
+    assert str(exc.value) == f"{kind} key {key}: " + (
+        f"expected {type(default).__name__}, got bool"
+        if isinstance(value, bool) and default is not None else f"must be {rule}, got {value!r}")
 
 
 def lasso_kkt_residual(model, clean, adv):
@@ -416,6 +420,14 @@ def test_serialization_roundtrip(tmp_path, kind):
 def test_unknown_hyperparameter_names_kind(kind):
     with pytest.raises(InputError, match=kind):
         detectors.train_detector(kind, gaussian_features(), gaussian_features(), foo=1)
+
+
+def test_an_unknown_detector_key_fails_in_one_form_in_code_and_in_a_config():
+    with pytest.raises(InputError) as called:
+        detectors.train_detector("lasso", gaussian_features(), gaussian_features(shift=3.0), foo=1)
+    with pytest.raises(InputError) as loaded:
+        pipeline.ExperimentConfig.from_dict({"detector_list": [{"kind": "lasso", "foo": 1}]})
+    assert str(called.value) == str(loaded.value) == "unknown detector 'lasso' key(s) foo"
 
 
 def test_unknown_kind_raises():

@@ -178,3 +178,39 @@ def test_only_pipeline_names_a_run_record():
              and path != os.path.join("src", "segdetect", "pipeline.py")
              for line, literal in record_names(text)]
     assert found == []
+
+
+# The wordings of a config-key message, an f-string's fields read as "{}".
+CONFIG_KEY_MESSAGE = re.compile(r"key\(s\)|key \S+: expected|: expected object")
+
+
+def config_key_messages(source):
+    """(line, text) of each string literal in `source`, docstrings included, that
+    words a config-key message; an f-string is one text, "{}" for each field."""
+    tree = ast.parse(source)
+    parts = {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+             for part in node.values}
+    texts = [(node.lineno, "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                   for part in node.values)) for node in ast.walk(tree)
+             if isinstance(node, ast.JoinedStr)]
+    texts += [(node.lineno, node.value) for node in ast.walk(tree) if isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and id(node) not in parts]
+    return sorted((line, text) for line, text in texts if CONFIG_KEY_MESSAGE.search(text))
+
+
+def test_the_scan_finds_a_config_key_message():
+    source = ('"""Lists the unknown key(s)."""\nraise E(f"{s} key {k}: expected {t}")\n'
+              'm = "dataset: expected object"\nn = f"{s} key {k}: must be {r}"\nkey = "expected"\n')
+    assert config_key_messages(source) == [(1, "Lists the unknown key(s)."),
+                                           (2, "{} key {}: expected {}"),
+                                           (3, "dataset: expected object")]
+
+
+def test_only_errors_words_a_config_key_message():
+    """errors alone words the messages of an unknown key, a value of the wrong
+    type and a value that is no object, so every config check shares them."""
+    found = [f"{path}:{line}: {text!r}" for path, text in python_sources().items()
+             if path.startswith(os.path.join("src", "segdetect", ""))
+             and path != os.path.join("src", "segdetect", "errors.py")
+             for line, text in config_key_messages(text)]
+    assert found == []

@@ -318,7 +318,7 @@ def test_config_dict_roundtrip():
 
 # The numeric config fields that declare no rule of their own: the one rule of
 # each spans fields. folds must leave MIN_CLEAN_SCORES of the validation images
-# to each fold (ExperimentConfig.from_dict).
+# to each fold (pipeline.check_run).
 CROSS_FIELD_ONLY = {(pipeline.ExperimentConfig, "folds")}
 
 
@@ -344,7 +344,7 @@ def numeric_config_keys():
     detectors.DETECTORS (ocsvm's gamma defaults to None)."""
     keys = []
     for config, section, fixed, fragment in config_sections():
-        defaults = pipeline._defaults(config)
+        defaults = vars(config())
         keys += [(".".join(filter(None, [section, f.name])), defaults[f.name],
                   lambda v, key=f.name, fragment=fragment: fragment({key: v}))
                  for f in dataclasses.fields(config) if f.name not in fixed and (
@@ -364,7 +364,7 @@ def test_every_numeric_config_field_declares_a_rule():
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
     fields = [(config, f) for config, *_ in config_sections() for f in dataclasses.fields(config)]
-    defaults = {config: pipeline._defaults(config) for config, _ in fields}
+    defaults = {config: vars(config()) for config, _ in fields}
     unruled = {(config, f.name) for config, f in fields
                if numeric(defaults[config][f.name]) and "rule" not in f.metadata}
     assert unruled == CROSS_FIELD_ONLY
@@ -406,18 +406,16 @@ def ruled_fields():
 @pytest.mark.parametrize("config,field", [pytest.param(config, f, id=f"{config.__name__}.{f.name}")
                                           for config, f in ruled_fields()])
 def test_config_built_in_code_rejects_a_value_not_of_its_field_type(config, field):
-    """A constructor checks the type from_dict's key check does: an int field
-    takes an integer, a float field a real number, in the same message form;
-    a bool keeps its rule's message. A numpy scalar of the default builds."""
-    default = pipeline._defaults(config)[field.name]
+    """A constructor checks the type a config file gets: an int field takes an
+    integer, a float field a real number, and neither a bool, in one message
+    form. A numpy scalar of the default builds."""
+    default = vars(config())[field.name]
     config(**{field.name: default})
     config(**{field.name: np.asarray(default)[()]})
-    for value in ([2.5] if field.type is int else []) + ["x", None, [1]]:
+    for value in ([2.5] if field.type is int else []) + ["x", None, [1], True]:
         message = f"key {field.name}: expected {field.type.__name__}, got {type(value).__name__}"
         with pytest.raises(InputError, match=rf"^\S+ {message}$"):
             config(**{field.name: value})
-    with pytest.raises(InputError, match=rf"^\S+ key {field.name}: must be .+, got True$"):
-        config(**{field.name: True})
 
 
 def test_ruled_fields_cover_every_section():
@@ -666,8 +664,12 @@ class TestCli:
                      id='{"train": {"lr": -1}}-learning rate'),
         ('{"folz": 2}', "unknown config key(s) folz"),
         ('{"attack_list": [{"kind": "fgsm"}]}', "attack 'fgsm': missing key 'eps'"),
-        ('{"attack_list": [{"kind": "ifgsm", "eps": -2}]}',
-         "eps must be a positive integer for the iteration rule"),
+        pytest.param('{"attack_list": [{"kind": "ifgsm", "eps": -2}]}',
+                     "fgsm/ifgsm key eps: must be finite and > 0, got -2",
+                     id='{"attack_list": [{"kind": "ifgsm", "eps": -2}]}-eps must be a positive '
+                        'integer for the iteration rule'),
+        ('{"attack_list": [{"kind": "ifgsm", "eps": 2.5}]}',
+         "fgsm/ifgsm key eps: must be a whole number >= 1 for the iteration rule, got 2.5"),
         ('{"attack_list": [{"kind": "ifgsm", "eps": 8, "n_iter": 0}]}',
          "fgsm/ifgsm key n_iter: must be >= 1, got 0"),
         ('{"detector_list": [{"kind": "svm"}]}', "unknown detector kind 'svm'"),
@@ -682,13 +684,17 @@ class TestCli:
         ('{"train": {"epochs": "x"}}', "train key epochs: expected int, got str"),
         ('{"dataset": {"height": "64"}}', "dataset key height: expected int, got str"),
         ('{"folds": "2"}', "config key folds: expected int, got str"),
-        ('{"attack_list": [{"kind": "ifgsm", "eps": "8"}]}',
-         "attack 'ifgsm' key eps: expected float, got str"),
+        pytest.param('{"attack_list": [{"kind": "ifgsm", "eps": "8"}]}',
+                     "fgsm/ifgsm key eps: expected float, got str",
+                     id='{"attack_list": [{"kind": "ifgsm", "eps": "8"}]}-attack \'ifgsm\' key eps: '
+                        'expected float, got str'),
         ('{"dataset": {"val_size": 40.5}}', "dataset key val_size: expected int, got float"),
         ('{"train": {"epochs": true}}', "train key epochs: expected int, got bool"),
         ('{"export_heatmaps": 1}', "config key export_heatmaps: expected bool, got int"),
-        ('{"detector_list": [{"kind": "lasso", "lam": "x"}]}',
-         "detector 'lasso' key lam: expected float, got str"),
+        pytest.param('{"detector_list": [{"kind": "lasso", "lam": "x"}]}',
+                     "lasso key lam: expected float, got str",
+                     id='{"detector_list": [{"kind": "lasso", "lam": "x"}]}-detector \'lasso\' key '
+                        'lam: expected float, got str'),
         ('{"attack_list": "fgsm"}', "config key attack_list: expected list, got str"),
         ('{"attack_list": ["fgsm"]}', "attack_list item 'fgsm': expected object, got str"),
         ('{"detector_list": [3]}', "detector_list item 3: expected object, got int"),
@@ -725,8 +731,10 @@ class TestCli:
          "fgsm/ifgsm key eps: must be finite and > 0, got nan"),
         ('{"attack_list": [{"kind": "ifgsm", "eps": 8, "alpha": Infinity}]}',
          "fgsm/ifgsm key alpha: must be finite and > 0, got inf"),
-        ('{"attack_list": [{"kind": "ifgsm", "eps": NaN}]}',
-         "eps must be a positive integer for the iteration rule"),
+        pytest.param('{"attack_list": [{"kind": "ifgsm", "eps": NaN}]}',
+                     "fgsm/ifgsm key eps: must be finite and > 0, got nan",
+                     id='{"attack_list": [{"kind": "ifgsm", "eps": NaN}]}-eps must be a positive '
+                        'integer for the iteration rule'),
         ('{"attack_list": [{"kind": "patch", "alpha": NaN}]}',
          "patch key alpha: must be finite and > 0, got nan"),
         pytest.param('{"train": {"lr": NaN}}', "train key lr: must be finite and >= 0, got nan",
@@ -1428,3 +1436,24 @@ def test_a_config_failing_a_spec_check_leaves_a_finished_run_as_it_was(tiny_mode
     assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
     assert run_cli("report", out) == 0
     assert capsys.readouterr().out == report
+
+
+# Changes to TINY (40 validation images) that no config may hold.
+BAD_RUNS = {"folds-1": {"folds": 1}, "folds-3": {"folds": 3}, "folds-2.5": {"folds": 2.5},
+            "export_heatmaps-no": {"export_heatmaps": "no"}, "train_attack-3": {"train_attack": 3},
+            "attack_list-str": {"attack_list": "fgsm"}, "out_dir-None": {"out_dir": None}}
+
+
+@pytest.mark.parametrize("change", BAD_RUNS.values(), ids=BAD_RUNS)
+def test_a_config_built_in_code_fails_as_its_file_does(change, tmp_path):
+    """run_pipeline of the config built in code, without from_dict, raises the
+    message from_dict gives its document, before out_dir is made."""
+    doc = {**TINY, "out_dir": str(tmp_path / "run"), **change}
+    with pytest.raises(InputError) as loaded:
+        pipeline.ExperimentConfig.from_dict(doc)
+    sections = {"dataset": synthdata.DatasetConfig, "train": TrainConfig}
+    with pytest.raises(InputError) as built:
+        pipeline.run_pipeline(pipeline.ExperimentConfig(**{
+            key: sections[key](**value) if key in sections else value for key, value in doc.items()}))
+    assert str(built.value) == str(loaded.value)
+    assert not (tmp_path / "run").exists()
