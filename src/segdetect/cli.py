@@ -48,10 +48,9 @@ def load_config(args):
         for section in ("dataset", "train"):
             if isinstance(doc.setdefault(section, {}), dict):
                 doc[section]["seed"] = args.seed
-    cfg = pipeline.ExperimentConfig.from_dict(doc)
     if args.out:
-        cfg.out_dir = args.out
-    return cfg
+        doc["out_dir"] = args.out
+    return pipeline.ExperimentConfig.from_dict(doc)
 
 
 # stage -> the line its command prints, from the results of the stages run

@@ -62,8 +62,11 @@ TYPES = {bool: (bool, "bool"), int: (numbers.Integral, "int"), float: (numbers.R
 
 
 def check_type(section, key, value, annotation):
-    """Raises InputError unless `value` is of the annotation's TYPES entry."""
+    """Raises InputError unless `value` is of the annotation's TYPES entry. A
+    nested config is an object in a file, so a dict in its place came from code."""
     accepts, name = TYPES.get(annotation, (annotation, "object"))
+    if name == "object" and isinstance(value, dict):
+        name = annotation.__name__
     if not isinstance(value, accepts) or isinstance(value, bool) != (annotation is bool):
         raise InputError(f"{section} key {key}: expected {name}, got {type(value).__name__}")
 

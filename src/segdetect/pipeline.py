@@ -143,7 +143,10 @@ def unit_keys(cfg):
 
 def check_run(cfg):
     """unit_keys(cfg), which checks every spec, once the fold rule holds as
-    well; raises InputError on what no single field shows."""
+    well; raises InputError on what no single field shows. The config and its
+    sections are checked first as they stand, fields set since they were built too."""
+    for config in (cfg, cfg.dataset, cfg.train):
+        config.__post_init__()
     keys = unit_keys(cfg)
     if cfg.attack_list and cfg.detector_list:
         val, least = cfg.dataset.val_size, metrics.MIN_CLEAN_SCORES
@@ -190,12 +193,13 @@ def unit_outputs(out_dir, name):
             for path in _OUTPUTS[kind] + (_OUTPUTS.get(name, []) if part else [])]
 
 
-def _drop(cfg, units):
-    """Drops the keys of `units`, then their files; an unknown name raises first."""
-    paths = [path for unit in units for path in unit_outputs(cfg.out_dir, unit)]
-    keys = _keys(cfg.out_dir)
+def _drop(out_dir, units):
+    """Forgets `units`, the one way a recorded unit is forgotten: drops their
+    keys, then their files; an unknown name raises first."""
+    paths = [path for unit in units for path in unit_outputs(out_dir, unit)]
+    keys = _keys(out_dir)
     if set(units) & set(keys):
-        _keys(cfg.out_dir, {unit: key for unit, key in keys.items() if unit not in units})
+        _keys(out_dir, {unit: key for unit, key in keys.items() if unit not in units})
     for path in paths:
         if os.path.isdir(path):
             shutil.rmtree(path)
@@ -203,13 +207,13 @@ def _drop(cfg, units):
             os.remove(path)
 
 
-def _unit(cfg, name, compute):
-    """The paths unit_outputs gives unit `name`. Unless keys.json records its
-    key in unit_keys(cfg), first drops the unit, makes its directories, runs
-    compute(*paths) and records the new key."""
-    key, paths = unit_keys(cfg)[name], unit_outputs(cfg.out_dir, name)
+def _unit(cfg, name, key, compute):
+    """The paths unit_outputs gives unit `name`. Unless keys.json records
+    `key`, its key in the table its stage read, first drops the unit, makes
+    its directories, runs compute(*paths) and records the key."""
+    paths = unit_outputs(cfg.out_dir, name)
     if _keys(cfg.out_dir).get(name) != key:
-        _drop(cfg, [name])
+        _drop(cfg.out_dir, [name])
         for path in paths:
             os.makedirs(os.path.dirname(path), exist_ok=True)
         compute(*paths)
@@ -235,7 +239,8 @@ def stage_gen_data(cfg):
             tensorio.load_tensor(os.path.join(images, f"{sid}.ten")).astype(np.float32),
             tensorio.load_tensor(os.path.join(labels, f"{sid}.ten")), sid)
 
-    data_dir, images, labels = _unit(cfg, "gen-data", gen_data)
+    key, _ = _units(cfg, "gen-data")["gen-data"]
+    data_dir, images, labels = _unit(cfg, "gen-data", key, gen_data)
     ids = tensorio.read_json(os.path.join(data_dir, "manifest.json"))
     return [load(sid) for sid in ids["train_ids"]], [load(sid) for sid in ids["val_ids"]]
 
@@ -243,7 +248,8 @@ def stage_gen_data(cfg):
 def stage_train_model(cfg, train_set):
     """The trained model; raises InputError, also on a resumed run, unless it
     has the dataset's classes (train sizes its head by the training labels)."""
-    model = load_model(*_unit(cfg, "train-model", lambda path: save_model(
+    key, _ = _units(cfg, "train-model")["train-model"]
+    model = load_model(*_unit(cfg, "train-model", key, lambda path: save_model(
         train([(s.image, s.labels) for s in train_set], cfg.train), path)))
     if model.num_classes != cfg.dataset.num_classes:
         raise InputError(f"model class count {model.num_classes} (its largest training label "
@@ -254,7 +260,8 @@ def stage_train_model(cfg, train_set):
 def stage_gradcheck(cfg, model, val_set):
     """Finite-difference gradient check; raises InputError when it failed,
     also when the failure was recorded by an earlier run."""
-    path, = _unit(cfg, "gradcheck", lambda path: tensorio.write_json(
+    key, _ = _units(cfg, "gradcheck")["gradcheck"]
+    path, = _unit(cfg, "gradcheck", key, lambda path: tensorio.write_json(
         path, asdict(grad_check(model, val_set[0].image, val_set[0].labels, seed=cfg.seed))))
     doc = tensorio.read_json(path)
     if not doc["passed"]:
@@ -347,7 +354,7 @@ def stage_attack(cfg, model, train_set, val_set):
     """Runs each configured attack on the validation split one image at a time:
     writes it as uint8 images/<id>.ten, its l-inf norm to attack.json. Returns the tags."""
     units = _units(cfg, "attack")
-    for unit, (_, (kind, run, acfg)) in units.items():
+    for unit, (key, (kind, run, acfg)) in units.items():
         def attack(adir, idir, *files):
             attacked, extras = run(cfg, model, acfg, train_set, val_set, *files)
 
@@ -360,14 +367,14 @@ def stage_attack(cfg, model, train_set, val_set):
                 config=dict(asdict(acfg), kind=kind), ids=[s.id for s in val_set],
                 linf_norms=dict(map_items(write, val_set)), **extras))
 
-        _unit(cfg, unit, attack)
+        _unit(cfg, unit, key, attack)
     return [unit.split("/")[1] for unit in units]
 
 
 def stage_extract_features(cfg, model, val_set):
     """Each table's features, and heatmaps, from its source unit's images, one at a time."""
     feats = {}
-    for unit, (_, source) in _units(cfg, "extract-features").items():
+    for unit, (key, source) in _units(cfg, "extract-features").items():
         name, clean = unit.split("/")[-1], source == "gen-data"
         images = unit_outputs(cfg.out_dir, source)[1]
 
@@ -382,11 +389,11 @@ def stage_extract_features(cfg, model, val_set):
             return f
 
         if unit.startswith("extract-features/heatmaps/"):
-            _unit(cfg, unit, lambda hdir: map_items(
+            _unit(cfg, unit, key, lambda hdir: map_items(
                 lambda s: export_entropy_heatmap(predicted(s), os.path.join(hdir, f"{s.id}.pgm")),
                 val_set))
         else:
-            path, = _unit(cfg, unit, lambda path: uncertainty.write_features(
+            path, = _unit(cfg, unit, key, lambda path: uncertainty.write_features(
                 path, map_items(features, val_set)))
             feats[name] = uncertainty.read_features(path)
     return feats.pop("clean"), feats
@@ -406,9 +413,9 @@ def stage_train_detectors(cfg, clean_feats, adv_feats):
     """Full-data detector models written to detectors/<kind>.json (the
     evaluation stage refits per fold; these are the deployable models)."""
     models = {}
-    for unit, (_, (kind, hyper, adv)) in _units(cfg, "train-detector").items():
+    for unit, (key, (kind, hyper, adv)) in _units(cfg, "train-detector").items():
         adv_train = [f for tag in adv for f in adv_feats[tag]]
-        path, = _unit(cfg, unit, lambda path: detectors.save_detector(
+        path, = _unit(cfg, unit, key, lambda path: detectors.save_detector(
             detectors.train_detector(kind, clean_feats, adv_train, **hyper), path))
         models[kind] = detectors.load_detector(path)
     return models
@@ -420,7 +427,7 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
         apsr = {tag: float(np.mean([f.apsr for f in feats]))
                 for tag, feats in {"clean": clean_feats, **adv_feats}.items()}
         report = metrics.EvalReport(rows=[metrics.EvalRow("-", "clean")])
-        for kind, hyper, adv in _units(cfg)["evaluate"][1] if adv_feats else []:
+        for kind, hyper, adv in specs if adv_feats else []:
             report.rows += metrics.cross_validate(clean_feats, adv_feats, kind, hyper, adv,
                                                   cfg.folds, cfg.seed)
         for row in report.rows:
@@ -428,7 +435,8 @@ def stage_evaluate(cfg, clean_feats, adv_feats):
         report.write_csv(csv_path)
         report.write_json(json_path)
 
-    return _unit(cfg, "evaluate", evaluate)[0]
+    key, specs = _units(cfg, "evaluate")["evaluate"]
+    return _unit(cfg, "evaluate", key, evaluate)[0]
 
 
 def lock_run(out_dir, shared=False):
@@ -446,19 +454,18 @@ def lock_run(out_dir, shared=False):
 
 def run_stages(cfg, force=None):
     """Runs the stages in STAGES order, yielding (stage name, result) after
-    each; the recorded units unit_keys(cfg) lacks are dropped, and the stage
-    `force` names and every later one lose their keys. Stop iterating to stop
-    the chain. The run directory stays locked (lock_run) until the chain ends
-    or is closed. The stage functions are resolved at call time, so wrappers
-    set on this module's attributes see every call."""
+    each; first one _drop forgets each recorded unit unit_keys(cfg) lacks or
+    of stage `force` or a later one. Each stage reads the table once. Stop
+    iterating to stop the chain. The run directory stays locked (lock_run)
+    until the chain ends or is closed. The stage functions are resolved at
+    call time, so wrappers set on this module's attributes see every call."""
     keys = check_run(cfg)     # raises on a bad config before the directory is touched
     os.makedirs(cfg.out_dir, exist_ok=True)
     with lock_run(cfg.out_dir):
         tensorio.write_json(os.path.join(cfg.out_dir, CONFIG_FILE), cfg.to_dict())
-        _drop(cfg, sorted(_keys(cfg.out_dir).keys() - keys.keys()))
-        if force:
-            _keys(cfg.out_dir, {unit: key for unit, key in _keys(cfg.out_dir).items()
-                                if STAGES.index(unit.split("/")[0]) < STAGES.index(force)})
+        forced = STAGES[STAGES.index(force):] if force else ()
+        _drop(cfg.out_dir, sorted(unit for unit in _keys(cfg.out_dir)
+                                  if unit not in keys or unit.split("/")[0] in forced))
         train_set, val_set = stage_gen_data(cfg)
         yield "gen-data", (train_set, val_set)
         model = stage_train_model(cfg, train_set)

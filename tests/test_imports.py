@@ -214,3 +214,46 @@ def test_only_errors_words_a_config_key_message():
              and path != os.path.join("src", "segdetect", "errors.py")
              for line, text in config_key_messages(text)]
     assert found == []
+
+
+DELETERS = {("shutil", "rmtree"), ("os", "remove"), ("os", "unlink"), ("os", "rmdir")}
+
+
+def deletions(source):
+    """(line, innermost enclosing function, "module.name") of each use in
+    `source` of a DELETERS function, taken as an attribute (`os.remove`) or
+    imported by name; the function is "" at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                found.extend((child.lineno, where, f"{child.module}.{alias.name}")
+                             for alias in child.names if (child.module, alias.name) in DELETERS)
+            elif (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                  and (child.value.id, child.attr) in DELETERS):
+                found.append((child.lineno, where, f"{child.value.id}.{child.attr}"))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_scan_finds_a_deletion():
+    source = ("import os, shutil\nfrom os import unlink\n\n\ndef drop(p):\n"
+              "    def inner():\n        shutil.rmtree(p)\n    os.remove(p)\n\n\n"
+              "names.remove(1)\nos.rmdir('x')\nos.replace('a', 'b')\n# os.unlink in a comment\n")
+    assert deletions(source) == [(2, "", "os.unlink"), (7, "inner", "shutil.rmtree"),
+                                 (8, "drop", "os.remove"), (12, "", "os.rmdir")]
+
+
+def test_only_drop_deletes_a_file():
+    """pipeline._drop alone removes files or directories, so a recorded unit
+    is forgotten in one way: its key first, then its files."""
+    found = [f"{path}:{line}: {name} in {where or 'module'}"
+             for path, text in python_sources().items()
+             if path.startswith(os.path.join("src", "segdetect", ""))
+             for line, where, name in deletions(text)
+             if (path, where) != (os.path.join("src", "segdetect", "pipeline.py"), "_drop")]
+    assert found == []

@@ -36,8 +36,11 @@ def test_traced_binding_resolves(module, attr):
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
-def test_workload_config_loads(name):
+def test_workload_config_loads(name, tmp_path):
+    """It loads, and passes check_run as it stands once `Bench.config` has set
+    its seeds and out_dir."""
     pipeline.ExperimentConfig.from_dict(copy.deepcopy(run.WORKLOADS[name]["config"]))
+    pipeline.check_run(run.Bench(name, 7919, None, pipeline, checks, None).config(str(tmp_path)))
 
 
 @pytest.mark.parametrize("name,params", [

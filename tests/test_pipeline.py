@@ -444,6 +444,21 @@ def mini_config(out_dir):
     return cfg
 
 
+def file_owners(out_dir):
+    """{path: the recorded units that own it} of each file under out_dir but
+    config.json, keys.json and run.lock: a unit owns each of its unit_outputs
+    paths and what lies under each of its directories."""
+    units = {unit: pipeline.unit_outputs(out_dir, unit) for unit in pipeline._keys(out_dir)}
+
+    def owners(path):
+        return [unit for unit, paths in units.items()
+                if any(p == path or p.endswith(os.sep) and path.startswith(p) for p in paths)]
+
+    files = [os.path.join(d, name) for d, _, names in os.walk(out_dir) for name in names]
+    return {path: owners(path) for path in files
+            if os.path.relpath(path, out_dir) not in ("config.json", "keys.json", "run.lock")}
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini") / "run"
@@ -556,19 +571,9 @@ class TestMiniPipeline:
         recorded unit's unit_outputs paths, or lies under one of its
         directories, for exactly one unit; and each recorded unit owns a file."""
         cfg, _ = mini_run
-        units = {unit: pipeline.unit_outputs(cfg.out_dir, unit)
-                 for unit in pipeline._keys(cfg.out_dir)}
-
-        def owners(path):
-            return [unit for unit, paths in units.items()
-                    if any(p == path or p.endswith(os.sep) and path.startswith(p) for p in paths)]
-
-        files = [os.path.join(d, name) for d, _, names in os.walk(cfg.out_dir) for name in names]
-        owned = {path: owners(path) for path in files
-                 if os.path.relpath(path, cfg.out_dir) not in ("config.json", "keys.json",
-                                                               "run.lock")}
+        owned = file_owners(cfg.out_dir)
         assert {path: names for path, names in owned.items() if len(names) != 1} == {}
-        assert {names[0] for names in owned.values()} == set(units)
+        assert {names[0] for names in owned.values()} == set(pipeline._keys(cfg.out_dir))
 
     def test_gradcheck_recorded_as_passed(self, mini_run):
         cfg, _ = mini_run
@@ -857,6 +862,15 @@ class TestCli:
                        "--detector", os.path.join(cfg.out_dir, "detectors", "entropy.json"),
                        "--features", os.path.join(cfg.out_dir, "features", "clean.csv")])
         assert rc == 0 and len(capsys.readouterr().out.splitlines()) == cfg.dataset.val_size
+
+    def test_out_flag_replaces_the_config_files_out_dir(self, tmp_path):
+        """--out goes into the document before it is checked, as --seed does,
+        so a config file's own out_dir need not be valid."""
+        path = tmp_path / "config.json"
+        path.write_text('{"out_dir": null}')
+        cfg = cli.load_config(cli.build_parser().parse_args(
+            ["gen-data", "--config", str(path), "--out", str(tmp_path / "run")]))
+        assert cfg.out_dir == str(tmp_path / "run")
 
     def test_seed_flag_overrides_config(self, tmp_path):
         from segdetect.cli import build_parser, load_config
@@ -1205,8 +1219,8 @@ class TestStageCommands:
         shutil.copytree(tiny_model_dir, out)
         config = TINY_HEATMAPS_ALL
         names, real = [], pipeline._unit
-        monkeypatch.setattr(pipeline, "_unit", lambda cfg, name, compute: (
-            names.append(name) or real(cfg, name, compute)))
+        monkeypatch.setattr(pipeline, "_unit", lambda cfg, name, key, compute: (
+            names.append(name) or real(cfg, name, key, compute)))
         assert run_cli("run-all", out, config=config) == 0
         assert names == list(pipeline.unit_keys(pipeline.ExperimentConfig.from_dict(config)))
 
@@ -1288,6 +1302,19 @@ def test_resume_under_changed_config_equals_fresh_run(change, recomputed, tiny_8
     assert files.items() >= fresh_files.items() if rc else files == fresh_files
     if not rc:
         assert (resumed / "keys.json").read_bytes() == (fresh / "keys.json").read_bytes()
+
+
+def test_attack_force_forgets_the_later_units_with_their_files(tiny_80_run, tmp_path):
+    """attack --force, which stops after the attack stage, leaves no key of a
+    later stage, and no file that is not one recorded unit's."""
+    out = tmp_path / "run"
+    shutil.copytree(tiny_80_run, out)
+    assert run_cli("attack", out, "--force", config=TINY_80) == 0
+    keys = pipeline._keys(str(out))
+    assert {unit.split("/")[0] for unit in keys} == set(pipeline.STAGES[:4])
+    owned = file_owners(str(out))
+    assert {path: names for path, names in owned.items() if len(names) != 1} == {}
+    assert {names[0] for names in owned.values()} == set(keys)
 
 
 def test_attack_force_then_run_all_rewrites_downstream(tiny_80_run, tmp_path):
@@ -1438,22 +1465,67 @@ def test_a_config_failing_a_spec_check_leaves_a_finished_run_as_it_was(tiny_mode
     assert capsys.readouterr().out == report
 
 
-# Changes to TINY (40 validation images) that no config may hold.
+# Changes to TINY (40 validation images) that no config may hold; a section's
+# changes are to some of its keys.
 BAD_RUNS = {"folds-1": {"folds": 1}, "folds-3": {"folds": 3}, "folds-2.5": {"folds": 2.5},
             "export_heatmaps-no": {"export_heatmaps": "no"}, "train_attack-3": {"train_attack": 3},
-            "attack_list-str": {"attack_list": "fgsm"}, "out_dir-None": {"out_dir": None}}
+            "attack_list-str": {"attack_list": "fgsm"}, "out_dir-None": {"out_dir": None},
+            "dataset.height-31": {"dataset": {"height": 31}},
+            "dataset.hidden_class-9": {"dataset": {"hidden_class": 9}}}
 
 
 @pytest.mark.parametrize("change", BAD_RUNS.values(), ids=BAD_RUNS)
 def test_a_config_built_in_code_fails_as_its_file_does(change, tmp_path):
-    """run_pipeline of the config built in code, without from_dict, raises the
-    message from_dict gives its document, before out_dir is made."""
-    doc = {**TINY, "out_dir": str(tmp_path / "run"), **change}
+    """run_pipeline of the config built in code, without from_dict, and of a
+    good config changed after it was built, raises the message from_dict gives
+    its document, before out_dir is made."""
+    good = {**TINY, "out_dir": str(tmp_path / "run")}
+    doc = {**good, **{key: {**good[key], **value} if isinstance(value, dict) else value
+                      for key, value in change.items()}}
     with pytest.raises(InputError) as loaded:
         pipeline.ExperimentConfig.from_dict(doc)
     sections = {"dataset": synthdata.DatasetConfig, "train": TrainConfig}
     with pytest.raises(InputError) as built:
         pipeline.run_pipeline(pipeline.ExperimentConfig(**{
             key: sections[key](**value) if key in sections else value for key, value in doc.items()}))
-    assert str(built.value) == str(loaded.value)
+    cfg = pipeline.ExperimentConfig.from_dict(good)
+    for key, value in change.items():
+        if isinstance(value, dict):
+            for field, v in value.items():
+                setattr(getattr(cfg, key), field, v)
+        else:
+            setattr(cfg, key, value)
+    with pytest.raises(InputError) as changed:
+        pipeline.run_pipeline(cfg)
+    assert str(built.value) == str(changed.value) == str(loaded.value)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,config", [("dataset", synthdata.DatasetConfig),
+                                            ("train", TrainConfig)])
+def test_a_section_given_as_a_dict_in_code_names_its_config(section, config):
+    """A dict where a nested config belongs, built or set in code, is named
+    against the config's dataclass; a file's object is built into one."""
+    message = f"^config key {section}: expected {config.__name__}, got dict$"
+    with pytest.raises(InputError, match=message):
+        pipeline.ExperimentConfig(**{section: {"seed": 1}})
+    cfg = pipeline.ExperimentConfig()
+    setattr(cfg, section, {"seed": 1})
+    with pytest.raises(InputError, match=message):
+        pipeline.check_run(cfg)
+
+
+def test_each_stage_reads_the_unit_table_once(tmp_path, monkeypatch):
+    """A run builds the unit table once to check the config and once per stage:
+    fresh, resumed, and forced from the attack stage."""
+    cfg = dataclasses.replace(pipeline.ExperimentConfig.from_dict(TINY_ALL),
+                              out_dir=str(tmp_path / "run"))
+    builds, real = [], pipeline._units
+    monkeypatch.setattr(pipeline, "_units", lambda *args: builds.append(args) or real(*args))
+    counts = []
+    for force in (None, None, "attack"):
+        builds.clear()
+        for _ in pipeline.run_stages(cfg, force):
+            pass
+        counts.append(len(builds))
+    assert max(counts) <= 1 + len(pipeline.STAGES), counts
