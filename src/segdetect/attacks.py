@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .errors import (FINITE_POSITIVE, IN_OPEN_UNIT, IN_UNIT, AttackError, InputError, at_least,
-                     check, check_fields, ruled)
+from .errors import (FINITE_POSITIVE, IN_OPEN_UNIT, IN_UNIT, AttackError, Config, InputError,
+                     at_least, check, ruled)
 from .model import loss_input_grad, predict_and_grad
 from .model import predict, predicted_labels  # noqa: F401 - bindings the benchmark's tracer wraps
 
@@ -24,50 +24,38 @@ DNNM_BLOCK = 1024   # hidden pixels per dnnm_target distance block
 
 
 @dataclass
-class AttackConfig:
+class AttackConfig(Config, section="fgsm/ifgsm"):
     eps: float = ruled(8.0, FINITE_POSITIVE)
     alpha: float = ruled(1.0, FINITE_POSITIVE)
     n_iter: int = ruled(1, at_least(1))
     targeted: bool = False
 
-    def __post_init__(self):
-        check_fields(self, "fgsm/ifgsm")
-
 
 @dataclass
-class SsmmConfig:
+class SsmmConfig(Config, section="ssmm"):
     eps: float = ruled(0.1 * 255, FINITE_POSITIVE)
     alpha: float = ruled(0.01 * 255, FINITE_POSITIVE)
     n_iter: int = ruled(60, at_least(0))
     tau: float = ruled(0.75, IN_OPEN_UNIT)
 
-    def __post_init__(self):
-        check_fields(self, "ssmm")
-
 
 @dataclass
-class DnnmConfig:
+class DnnmConfig(Config, section="dnnm"):
     hidden_class: int = ruled(1, at_least(1))
     omega: float = ruled(0.9, IN_UNIT)
     eps: float = ruled(0.1 * 255, FINITE_POSITIVE)
     alpha: float = ruled(0.01 * 255, FINITE_POSITIVE)
     n_iter: int = ruled(60, at_least(0))
 
-    def __post_init__(self):
-        check_fields(self, "dnnm")
-
 
 @dataclass
-class PatchConfig:
+class PatchConfig(Config, section="patch"):
     height: int = ruled(48, at_least(1))
     width: int = ruled(48, at_least(1))
     n_iter: int = ruled(100, at_least(0))
     placements: int = ruled(8, at_least(1))
     alpha: float = ruled(2.0, FINITE_POSITIVE)
     seed: int = ruled(0, at_least(0))
-
-    def __post_init__(self):
-        check_fields(self, "patch")
 
 
 def iteration_count(eps):

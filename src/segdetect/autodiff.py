@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, InternalError
+from .errors import InputError
 
 
 # Every tap's GEMM spans a multiple of this many pixels. The spare pixels
@@ -98,13 +98,13 @@ def conv2d_fwd(x, kernel, bias):
     model did.
     """
     if x.ndim != 3 or kernel.ndim != 4:
-        raise ConfigError(f"conv2d expects CHW input and kkIO kernel, got {x.shape} / {kernel.shape}")
+        raise InputError(f"conv2d expects CHW input and kkIO kernel, got {x.shape} / {kernel.shape}")
     cin, h, w = x.shape
     k, k2, kcin, cout = kernel.shape
     if k != k2 or k % 2 == 0:
-        raise ConfigError(f"kernel must be square with odd size, got {kernel.shape}")
+        raise InputError(f"kernel must be square with odd size, got {kernel.shape}")
     if kcin != cin or bias.shape != (cout,):
-        raise ConfigError(f"channel mismatch: input {cin}, kernel {kcin}, bias {bias.shape}")
+        raise InputError(f"channel mismatch: input {cin}, kernel {kcin}, bias {bias.shape}")
     dtype = np.promote_types(x.dtype, np.float32)
     kernel_d, bias_d = kernel.astype(dtype, copy=False), bias.astype(dtype)
     if k == 1:
@@ -122,7 +122,7 @@ def _checked_grad(node, grad_out):
     _, h, w = node.input_shape
     cout = node.kernel.shape[3]
     if grad_out.shape != (cout, h, w):
-        raise InternalError(f"grad_out shape {grad_out.shape} does not match cached ({cout}, {h}, {w})")
+        raise InputError(f"grad_out shape {grad_out.shape} does not match cached ({cout}, {h}, {w})")
     return grad_out.astype(np.float32, copy=False)
 
 

@@ -33,6 +33,8 @@ def _deep_merge(base, override):
 
 
 def load_config(args):
+    """The config the flags give, its fields checked; run_stages, or cmd_report,
+    checks the whole run before the run directory is touched."""
     doc = {}
     if args.config:
         with open(args.config) as fh:
@@ -43,14 +45,14 @@ def load_config(args):
         except json.JSONDecodeError as exc:
             raise errors.InputError(f"stage-overrides: {exc}") from None
         _deep_merge(doc, errors.check_object(overrides, "stage-overrides"))
-    if getattr(args, "seed", None) is not None:   # before from_dict, which checks it
+    if getattr(args, "seed", None) is not None:   # before build, which checks it
         doc["seed"] = args.seed
         for section in ("dataset", "train"):
             if isinstance(doc.setdefault(section, {}), dict):
                 doc[section]["seed"] = args.seed
     if args.out:
         doc["out_dir"] = args.out
-    return pipeline.ExperimentConfig.from_dict(doc)
+    return errors.build(pipeline.ExperimentConfig, doc, "config")
 
 
 # stage -> the line its command prints, from the results of the stages run
@@ -90,7 +92,9 @@ def cmd_detect(args):
 
 
 def cmd_report(args):
-    sys.stdout.write(pipeline.read_report(load_config(args).out_dir))
+    cfg = load_config(args)
+    pipeline.check_run(cfg)
+    sys.stdout.write(pipeline.read_report(cfg.out_dir))
 
 
 COMMANDS = {**dict.fromkeys(STAGE_LINES, cmd_stage), "detect": cmd_detect, "report": cmd_report,

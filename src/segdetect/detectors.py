@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
-from .errors import (FINITE_NON_NEGATIVE, FINITE_POSITIVE, IN_OPEN_UNIT, InputError, TrainingError,
-                     at_least, check, check_keys, check_type)
+from .errors import (FINITE_NON_NEGATIVE, FINITE_POSITIVE, IN_OPEN_UNIT, Config, InputError,
+                     TrainingError, at_least, build, check_keys, ruled)
 from .uncertainty import feature_matrix
 
 def _hex_encode(arr):
@@ -116,17 +116,14 @@ def _newton_step(g, h, theta, lam, tol):
     return exact if ok and np.all(np.abs(g + h @ (exact - theta))[~on] <= lam) else z
 
 
-def _check(kind, **values):
-    """check_type() on each value against the type of its trainer default, if
-    not None, then check() against its rule in DETECTORS[kind]."""
-    defaults = hyperparameters(kind)
-    for key, val in values.items():
-        if defaults[key] is not None:
-            check_type(kind, key, val, type(defaults[key]))
-    check(kind, [(key, val, DETECTORS[kind][2][key]) for key, val in values.items()])
+@dataclass
+class LassoConfig(Config, section="lasso"):
+    lam: float = ruled(0.01, FINITE_NON_NEGATIVE)
+    tol: float = ruled(1e-9, FINITE_POSITIVE)
+    max_iter: int = ruled(100, at_least(1))
 
 
-def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-9, max_iter=100):
+def train_lasso(clean_features, adv_features, cfg):
     """L1-regularized logistic regression (clean = 1, adversarial = 0) on
     clean-standardized features z: minimises mean(log(1 + e^t) - y t) +
     lam |w|_1 over t = z.w + b, b unpenalised, by proximal Newton (Lee, Sun &
@@ -136,7 +133,7 @@ def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-9, max_iter=100):
     params records the steps taken as "iterations" and r as "kkt_residual".
     Raises TrainingError if max_iter steps leave r >= tol, or on a non-finite
     iterate."""
-    _check("lasso", lam=lam, tol=tol, max_iter=max_iter)
+    lam, max_iter = cfg.lam, cfg.max_iter
     if not clean_features or not adv_features:
         raise InputError("both clean and adversarial features are required")
     xc, xa = feature_matrix(clean_features), feature_matrix(adv_features)
@@ -146,7 +143,7 @@ def train_lasso(clean_features, adv_features, lam=0.01, tol=1e-9, max_iter=100):
     def objective(th):    # log(1 + e^t) - y t, written without cancellation at y = 1
         return np.mean(np.logaddexp(0.0, (1.0 - 2.0 * y) * (x1 @ th))) + lam * np.abs(th[:-1]).sum()
     # no residual below the gradient's rounding, n terms of up to max|x1| each
-    tol = max(tol, len(y) * np.finfo(float).eps * float(np.abs(x1).max()))
+    tol = max(cfg.tol, len(y) * np.finfo(float).eps * float(np.abs(x1).max()))
     theta = np.zeros(x1.shape[1])     # the weights, then the intercept
     for it in range(max_iter + 1):
         t = x1 @ theta
@@ -188,11 +185,20 @@ def median_heuristic_gamma(z):
     return 1.0 / (d * max(med, 1e-12))
 
 
-def train_ocsvm(clean_features, nu=0.1, gamma=None, tol=1e-6, max_updates=100_000):
+@dataclass
+class OcsvmConfig(Config, section="ocsvm"):
+    nu: float = ruled(0.1, IN_OPEN_UNIT)
+    gamma: float | None = ruled(None, (lambda v: v is None or 0 < v < math.inf,
+                                       "None or finite and > 0"))   # None: median_heuristic_gamma
+    tol: float = ruled(1e-6, FINITE_POSITIVE)
+    max_updates: int = ruled(100_000, at_least(1))
+
+
+def train_ocsvm(clean_features, cfg):
     """RBF one-class SVM dual (0 <= a_i <= 1/(nu n), sum a = 1) solved by
     pairwise coordinate updates; p(x) is the empirical CDF of the training
     decision values."""
-    _check("ocsvm", nu=nu, gamma=gamma, tol=tol, max_updates=max_updates)
+    nu, gamma, max_updates = cfg.nu, cfg.gamma, cfg.max_updates
     if len(clean_features) < 10:
         raise InputError("need at least 10 clean features")
     xc = feature_matrix(clean_features)
@@ -215,7 +221,7 @@ def train_ocsvm(clean_features, nu=0.1, gamma=None, tol=1e-6, max_updates=100_00
         low = alpha > 1e-12
         i = int(np.flatnonzero(up)[np.argmin(grad[up])])
         j = int(np.flatnonzero(low)[np.argmax(grad[low])])
-        if grad[j] - grad[i] < tol:
+        if grad[j] - grad[i] < cfg.tol:
             converged = True
             break
         denom = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
@@ -236,10 +242,14 @@ def train_ocsvm(clean_features, nu=0.1, gamma=None, tol=1e-6, max_updates=100_00
         standardizer=std)
 
 
-def train_ellipse(clean_features, shrinkage=1e-3):
+@dataclass
+class EllipseConfig(Config, section="ellipse"):
+    shrinkage: float = ruled(1e-3, FINITE_NON_NEGATIVE)
+
+
+def train_ellipse(clean_features, cfg):
     """Shrinkage-regularized Gaussian fit; p(x) is the empirical survival
     function of the training Mahalanobis distances."""
-    _check("ellipse", shrinkage=shrinkage)
     xc = feature_matrix(clean_features)
     std = Standardizer.fit(xc)
     z = std.transform(xc)
@@ -249,13 +259,13 @@ def train_ellipse(clean_features, shrinkage=1e-3):
     mu = z.mean(axis=0)
     cov = np.cov(z, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)
-    cov_reg = cov + shrinkage * (np.trace(cov) / d) * np.eye(d)
+    cov_reg = cov + cfg.shrinkage * (np.trace(cov) / d) * np.eye(d)
     try:
         precision = np.linalg.inv(cov_reg)
     except np.linalg.LinAlgError as exc:
         raise TrainingError("covariance singular after shrinkage") from exc
     model = DetectorModel(kind="ellipse", standardizer=std,
-                          params={"mu": mu, "precision": precision, "shrinkage": shrinkage})
+                          params={"mu": mu, "precision": precision, "shrinkage": cfg.shrinkage})
     model.params["train_m"] = np.sort(mahalanobis(model, z))
     return model
 
@@ -287,44 +297,33 @@ def _score_ellipse(model, z):
     return (len(tm) - np.searchsorted(tm, mahalanobis(model, z), side="left")) / len(tm)
 
 
-# kind -> (trainer, scorer, {key: rule}), a rule as in errors. Trainers are
-# named, and looked up here when called, so a wrapper set on the module attribute
-# (perfbench/tracing.py) runs. A trainer taking `adv_features` is supervised;
-# its parameters after the features are the detector spec's keys, and the
-# rules say which values it accepts: a config's specs are checked against them
-# when it loads (_trainer), and each trainer checks its arguments again. A
-# scorer maps the n x d feature matrix, standardized when the model has a
+# kind -> (trainer, scorer, config dataclass or None). Trainers are named, and
+# looked up here when called, so a wrapper set on the module attribute
+# (perfbench/tracing.py) runs. A trainer taking `adv_features` is supervised.
+# The config's fields are the detector spec's keys, and a trainer takes the
+# config built of its spec last; a kind without one takes no keys. A scorer
+# maps the n x d feature matrix, standardized when the model has a
 # standardizer, to the n images' scores.
 DETECTORS = {
-    "entropy": ("train_entropy", _score_entropy, {}),
-    "lasso": ("train_lasso", _score_lasso, {
-        "lam": FINITE_NON_NEGATIVE, "tol": FINITE_POSITIVE, "max_iter": at_least(1)}),
-    "ocsvm": ("train_ocsvm", _score_ocsvm, {
-        "nu": IN_OPEN_UNIT,
-        "gamma": (lambda v: v is None or (isinstance(v, (int, float)) and 0 < v < math.inf),
-                  "None or finite and > 0"),
-        "tol": FINITE_POSITIVE, "max_updates": at_least(1)}),
-    "ellipse": ("train_ellipse", _score_ellipse, {"shrinkage": FINITE_NON_NEGATIVE}),
+    "entropy": ("train_entropy", _score_entropy, None),
+    "lasso": ("train_lasso", _score_lasso, LassoConfig),
+    "ocsvm": ("train_ocsvm", _score_ocsvm, OcsvmConfig),
+    "ellipse": ("train_ellipse", _score_ellipse, EllipseConfig),
 }
 
 
-def hyperparameters(kind):
-    """{key: default} of the spec keys `kind` takes: its trainer's parameters
-    after the features. Raises InputError on an unknown kind."""
+def _trainer(kind, hyperparams):
+    """(trainer, supervised, the trainer's arguments after the features) of
+    `kind`: the config errors.build makes of `hyperparams`, if the kind has
+    one. Raises InputError on an unknown kind or key, or a bad value."""
     if kind not in DETECTORS:
         raise InputError(f"unknown detector kind {kind!r}")
-    params = inspect.signature(globals()[DETECTORS[kind][0]]).parameters
-    return {name: p.default for name, p in params.items()
-            if name not in ("clean_features", "adv_features")}
-
-
-def _trainer(kind, hyperparams):
-    """(trainer, supervised) of `kind`; raises InputError on an unknown kind or
-    hyperparameter, or a value its trainer would refuse."""
-    check_keys(f"detector {kind!r}", hyperparams, hyperparameters(kind))
-    _check(kind, **dict(hyperparams))
-    fn = globals()[DETECTORS[kind][0]]
-    return fn, "adv_features" in inspect.signature(fn).parameters
+    name, _, config = DETECTORS[kind]
+    section, fn = f"detector {kind!r}", globals()[name]
+    if config is None:
+        check_keys(section, hyperparams, ())
+    args = [build(config, dict(hyperparams), section)] if config else []
+    return fn, "adv_features" in inspect.signature(fn).parameters, args
 
 
 def is_supervised(kind, hyperparams=()):
@@ -334,8 +333,8 @@ def is_supervised(kind, hyperparams=()):
 
 def train_detector(kind, clean_features, adv_features=None, **hyperparams):
     """Trains a registered kind; adv_features reach only the supervised ones."""
-    fn, supervised = _trainer(kind, hyperparams)
-    return fn(clean_features, *([adv_features] if supervised else []), **hyperparams)
+    fn, supervised, args = _trainer(kind, hyperparams)
+    return fn(clean_features, *([adv_features] if supervised else []), *args)
 
 
 def score_many(model, features):

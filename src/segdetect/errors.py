@@ -3,22 +3,15 @@
 import math
 import numbers
 from dataclasses import field, fields, is_dataclass
+from types import UnionType
 
 
 class SegdetectError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(SegdetectError):
-    """Invalid configuration or incompatible shapes at setup time."""
-
-
 class InputError(SegdetectError):
-    """Invalid runtime input (bad values, shape mismatch, out-of-range labels)."""
-
-
-class InternalError(SegdetectError):
-    """Inconsistent internal state, e.g. cached activations not matching."""
+    """Invalid config or runtime input (bad values, shape mismatch, out-of-range labels)."""
 
 
 class TrainingError(SegdetectError):
@@ -62,8 +55,13 @@ TYPES = {bool: (bool, "bool"), int: (numbers.Integral, "int"), float: (numbers.R
 
 
 def check_type(section, key, value, annotation):
-    """Raises InputError unless `value` is of the annotation's TYPES entry. A
-    nested config is an object in a file, so a dict in its place came from code."""
+    """Raises InputError unless `value` is of the annotation's TYPES entry; an
+    optional annotation, T | None, takes None as well. A nested config is an
+    object in a file, so a dict in its place came from code."""
+    if isinstance(annotation, UnionType):
+        if value is None:
+            return
+        annotation = annotation.__args__[0]
     accepts, name = TYPES.get(annotation, (annotation, "object"))
     if name == "object" and isinstance(value, dict):
         name = annotation.__name__
@@ -71,13 +69,20 @@ def check_type(section, key, value, annotation):
         raise InputError(f"{section} key {key}: expected {name}, got {type(value).__name__}")
 
 
-def check_fields(config, section):
-    """check_type() on each field of dataclass `config` against its annotation,
-    then check() on each field that declares a rule, in field order."""
-    for f in fields(config):
-        check_type(section, f.name, getattr(config, f.name), f.type)
-    check(section, [(f.name, getattr(config, f.name), f.metadata["rule"])
-                    for f in fields(config) if "rule" in f.metadata])
+class Config:
+    """Base of every config dataclass, whose class statement names its section:
+    `class C(Config, section="train")`. Constructing one runs check_type() on
+    each field against its annotation, then check() on each field that
+    declares a rule, in field order."""
+
+    def __init_subclass__(cls, section):
+        cls.section = section
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_type(self.section, f.name, getattr(self, f.name), f.type)
+        check(self.section, [(f.name, getattr(self, f.name), f.metadata["rule"])
+                             for f in fields(self) if "rule" in f.metadata])
 
 
 def check_object(doc, section):

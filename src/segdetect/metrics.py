@@ -18,7 +18,8 @@ from . import detectors, tensorio
 from .errors import InputError
 
 KAPPA_GRID = np.arange(40) / 39.0
-MIN_CLEAN_SCORES = 20   # the least a 5% FPR threshold can be read from
+FPR_CAP = 0.05   # the clean false positive rate TPR5% allows
+MIN_CLEAN_SCORES = round(1 / FPR_CAP)   # 20, the fewest an FPR_CAP threshold can be read from
 
 
 @dataclass
@@ -64,14 +65,14 @@ def auroc(scores):
     return float(wins / (len(scores.clean) * len(scores.adv)))
 
 
-def tpr_at_fpr(scores, fpr_cap=0.05):
+def tpr_at_fpr(scores):
     """TPR on perturbed scores at the largest threshold whose clean FPR does
-    not exceed fpr_cap (empirical clean quantile, not the kappa grid)."""
+    not exceed FPR_CAP (empirical clean quantile, not the kappa grid)."""
     n_clean = len(scores.clean)
     if n_clean < MIN_CLEAN_SCORES:
-        raise InputError(f"need at least {MIN_CLEAN_SCORES} clean scores for a 5% FPR")
+        raise InputError(f"need at least {MIN_CLEAN_SCORES} clean scores for a {FPR_CAP:.0%} FPR")
     sorted_clean = np.sort(scores.clean)
-    k = int(np.floor(fpr_cap * n_clean))
+    k = int(np.floor(FPR_CAP * n_clean))
     kappa = sorted_clean[k]
     return float(np.mean(scores.adv < kappa))
 

@@ -11,21 +11,18 @@ import numpy as np
 from . import tensorio, workers
 from .autodiff import (conv2d_bwd, conv2d_fwd, conv2d_input_grad, relu_bwd, relu_fwd, softmax,
                        softmax_ce)
-from .errors import FINITE_NON_NEGATIVE, InputError, TrainingError, at_least, check_fields, ruled
+from .errors import FINITE_NON_NEGATIVE, Config, InputError, TrainingError, at_least, ruled
 
 HIDDEN = 16
 MEAN = SCALE = 127.5    # every model's input normalization
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config, section="train"):
     epochs: int = ruled(30, at_least(1))
     lr: float = ruled(0.05, FINITE_NON_NEGATIVE)
     batch_size: int = ruled(8, at_least(1))
     seed: int = ruled(0, at_least(0))
-
-    def __post_init__(self):
-        check_fields(self, "train")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import attacks, detectors, metrics, synthdata, tensorio, uncertainty
-from .errors import InputError, at_least, build, check, check_fields, check_object, ruled
+from .errors import Config, InputError, at_least, build, check, check_object, ruled
 from .model import TrainConfig, grad_check, load_model, predict, save_model, train
 from .model import predicted_labels  # noqa: F401 - a binding the benchmark's tracer wraps
 from .synthdata import DatasetConfig
@@ -55,7 +55,7 @@ def default_attack_list():
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Config, section="config"):
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     attack_list: list = field(default_factory=default_attack_list)
@@ -68,9 +68,6 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
     export_heatmaps: bool = False
     ssmm_train_size: int = ruled(20, at_least(1))
-
-    def __post_init__(self):
-        check_fields(self, "config")
 
     def to_dict(self):
         return asdict(self)
@@ -160,8 +157,8 @@ def read_report(out_dir):
     if not os.path.exists(os.path.join(out_dir, KEYS_FILE)):
         raise InputError(f"{out_dir} holds no run")
     with lock_run(out_dir, shared=True):
-        run = ExperimentConfig.from_dict(tensorio.read_json(os.path.join(out_dir, CONFIG_FILE)))
-        recorded, keys = _keys(out_dir), unit_keys(run)
+        doc = tensorio.read_json(os.path.join(out_dir, CONFIG_FILE))
+        recorded, keys = _keys(out_dir), check_run(build(ExperimentConfig, doc, "config"))
         if recorded.get("evaluate") != keys["evaluate"]:
             stale = ", ".join(unit for unit, key in keys.items() if recorded.get(unit) != key)
             raise ValueError(f"stale report: keys.json differs from config.json for {stale}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FINITE_NON_NEGATIVE, at_least, check, check_fields, ruled
+from .errors import FINITE_NON_NEGATIVE, Config, at_least, check, ruled
 
 # Muted palette on purpose: class colors close enough that the trained model
 # keeps small margins, so sign-gradient attacks have measurable effect.
@@ -35,7 +35,7 @@ def _numbers(values, kind=numbers.Real):
 
 
 @dataclass
-class DatasetConfig:
+class DatasetConfig(Config, section="dataset"):
     height: int = ruled(64, at_least(32))
     width: int = ruled(64, at_least(32))
     num_classes: int = ruled(4, at_least(3))   # background, a hideable class, its complement
@@ -48,7 +48,7 @@ class DatasetConfig:
     hidden_class: int = ruled(1, at_least(1))   # the class the deletion attack targets
 
     def __post_init__(self):
-        check_fields(self, "dataset")
+        super().__post_init__()
         self._check_across()
 
     def _check_across(self):

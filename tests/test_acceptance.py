@@ -160,13 +160,13 @@ def test_a7_detector_sanity(announce):
             for i, v in enumerate(rng.normal(size=(50, d)))]
     adv = [FeatureVector(values=v, image_id=f"a{i}", label="adv")
            for i, v in enumerate(rng.normal(size=(80, d)) + 8.0)]
-    lasso = detectors.train_lasso(train, adv, lam=1e-4)
+    lasso = detectors.train_lasso(train, adv, detectors.LassoConfig(lam=1e-4))
     train_acc = np.mean(np.concatenate(
         [detectors.score_many(lasso, train) >= 0.5, detectors.score_many(lasso, adv) < 0.5]))
     far = FeatureVector(values=np.full(d, 10.0))   # 10 training std per coordinate
     ok = train_acc == 1.0
-    for trainer in (detectors.train_ocsvm, detectors.train_ellipse):
-        m = trainer(train)
+    for kind in ("ocsvm", "ellipse"):
+        m = detectors.train_detector(kind, train)
         if detectors.score_many(m, [far])[0] > 0.05:
             ok = False
         if np.median(detectors.score_many(m, held)) < 0.5:

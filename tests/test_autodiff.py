@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segdetect import autodiff
-from segdetect.errors import ConfigError, InputError
+from segdetect.errors import InputError
 
 
 def chw(a):
@@ -115,9 +115,9 @@ class TestConv2d:
     def test_dim_mismatch_raises(self):
         x = np.zeros((3, 3, 2), np.float32)
         k = np.zeros((3, 3, 4, 1), np.float32)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             autodiff.conv2d_fwd(chw(x), k, np.zeros(1, np.float32))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             autodiff.conv2d_fwd(chw(x), np.zeros((2, 2, 2, 1), np.float32), np.zeros(1, np.float32))
 
 

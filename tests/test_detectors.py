@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,14 +67,14 @@ class TestLassoDetector:
     def test_huge_lambda_zeroes_weights(self):
         clean = gaussian_features(seed=1)
         adv = gaussian_features(seed=2, shift=3.0)
-        m = detectors.train_lasso(clean, adv, lam=1e6)
+        m = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=1e6))
         assert np.all(m.params["w"] == 0)
         assert m.params["iterations"] == 0 and m.params["kkt_residual"] == 0.0
 
     def test_separable_perfect_at_half(self):
         clean = gaussian_features(n=40, seed=3)
         adv = gaussian_features(n=40, seed=4, shift=10.0)
-        m = detectors.train_lasso(clean, adv, lam=1e-4)
+        m = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=1e-4))
         for p in detectors.score_many(m, clean):
             assert detectors.classify(p, 0.5) == "clean"
         for p in detectors.score_many(m, adv):
@@ -83,7 +85,7 @@ class TestLassoDetector:
         # convergence the logistic gradient must vanish
         clean = gaussian_features(n=80, seed=5)
         adv = gaussian_features(n=80, seed=6, shift=0.5)
-        m = detectors.train_lasso(clean, adv, lam=0.0, tol=1e-12)
+        m = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=0.0, tol=1e-12))
         std = m.standardizer
         from segdetect.uncertainty import feature_matrix
         x = np.vstack([std.transform(feature_matrix(clean)),
@@ -101,8 +103,8 @@ class TestLassoDetector:
         clean, adv = make_features(base_c), make_features(base_a, "adv")
         dup_c = make_features(np.hstack([base_c, base_c[:, :1]]))
         dup_a = make_features(np.hstack([base_a, base_a[:, :1]]), "adv")
-        m1 = detectors.train_lasso(clean, adv, lam=0.01)
-        m2 = detectors.train_lasso(dup_c, dup_a, lam=0.01)
+        m1 = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=0.01))
+        m2 = detectors.train_lasso(dup_c, dup_a, detectors.LassoConfig(lam=0.01))
         s1 = detectors.score_many(m1, clean)
         s2 = detectors.score_many(m2, dup_c)
         np.testing.assert_allclose(s1, s2, atol=1e-4)
@@ -112,9 +114,9 @@ class TestLassoDetector:
         adv = gaussian_features(n=50, seed=9, shift=1.0)
         rng = np.random.default_rng(10)
         perm = rng.permutation(50)
-        m1 = detectors.train_lasso(clean, adv, lam=0.01)
+        m1 = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=0.01))
         m2 = detectors.train_lasso([clean[i] for i in perm],
-                                   [adv[i] for i in perm], lam=0.01)
+                                   [adv[i] for i in perm], detectors.LassoConfig(lam=0.01))
         np.testing.assert_allclose(detectors.score_many(m1, clean),
                                    detectors.score_many(m2, clean), atol=1e-4)
 
@@ -122,9 +124,9 @@ class TestLassoDetector:
         clean = gaussian_features(n=40, seed=3)
         adv = gaussian_features(n=40, seed=4, shift=3.0)
         with pytest.raises(TrainingError, match="KKT residual .* after 2 iterations"):
-            detectors.train_lasso(clean, adv, lam=0.01, max_iter=2)
-        easy = detectors.train_lasso(clean, adv, lam=0.5)
-        assert 1 <= easy.params["iterations"] < detectors.hyperparameters("lasso")["max_iter"]
+            detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=0.01, max_iter=2))
+        easy = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=0.5))
+        assert 1 <= easy.params["iterations"] < detectors.LassoConfig().max_iter
         assert easy.params["kkt_residual"] < 1e-9
 
     @pytest.mark.parametrize("key,value", [
@@ -133,12 +135,12 @@ class TestLassoDetector:
         ("max_iter", True)])
     def test_bad_hyperparameter_raises(self, key, value):
         with pytest.raises(InputError, match=f"lasso key {key}"):
-            detectors.train_lasso(gaussian_features(), gaussian_features(shift=3.0),
-                                  **{key: value})
+            detectors.train_detector("lasso", gaussian_features(), gaussian_features(shift=3.0),
+                                     **{key: value})
 
     def test_missing_side_raises(self):
         with pytest.raises(InputError):
-            detectors.train_lasso(gaussian_features(), [])
+            detectors.train_lasso(gaussian_features(), [], detectors.LassoConfig())
 
 
 @pytest.mark.parametrize("kind,key,value,rule", [
@@ -159,13 +161,16 @@ class TestLassoDetector:
 ])
 def test_bad_novelty_hyperparameter_raises(kind, key, value, rule):
     """A value that would train a detector of meaningless scores fails, naming
-    the key; a bool fails the type check of a non-None default before the rule."""
+    the key; a value that is no number, a bool included, fails the type check
+    of its config field before the rule, ocsvm's optional gamma too."""
     with pytest.raises(InputError) as exc:
         detectors.train_detector(kind, gaussian_features(), **{key: value})
-    default = detectors.hyperparameters(kind)[key]
-    assert str(exc.value) == f"{kind} key {key}: " + (
-        f"expected {type(default).__name__}, got bool"
-        if isinstance(value, bool) and default is not None else f"must be {rule}, got {value!r}")
+    annotation = {f.name: f.type for f in dataclasses.fields(detectors.DETECTORS[kind][2])}[key]
+    name = getattr(annotation, "__args__", [annotation])[0].__name__    # float of float | None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    tail = (f"must be {rule}, got {value!r}" if number
+            else f"expected {name}, got {type(value).__name__}")
+    assert str(exc.value) == f"{kind} key {key}: {tail}"
 
 
 def lasso_kkt_residual(model, clean, adv):
@@ -210,7 +215,7 @@ class TestLassoCertificate:
     ], ids=["a7", "separable_shift10", "lambda0_overlap", "duplicated_column", "lambda1e6"])
     def test_certified(self, case):
         clean, adv, lam = case()
-        m = detectors.train_lasso(clean, adv, lam=lam)
+        m = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=lam))
         assert m.params["kkt_residual"] < 1e-9
         assert lasso_kkt_residual(m, clean, adv) < 1e-9
         assert m.params["iterations"] <= 20
@@ -221,7 +226,7 @@ class TestLassoCertificate:
     def test_random_problems_certify(self, n, d, shift, lam, seed):
         clean = gaussian_features(n=n, d=d, seed=seed)
         adv = gaussian_features(n=n, d=d, seed=seed + 1, shift=shift)
-        m = detectors.train_lasso(clean, adv, lam=lam)
+        m = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=lam))
         assert lasso_kkt_residual(m, clean, adv) < 1e-9
 
     @pytest.mark.parametrize("lam", [1e-8, 0.01])
@@ -231,7 +236,7 @@ class TestLassoCertificate:
         rng = np.random.default_rng(0)
         clean = make_features(rng.normal(size=(30, 1)))
         adv = make_features(-1e12 * (1.0 + rng.uniform(size=(30, 1))), "adv")
-        m = detectors.train_lasso(clean, adv, lam=lam)
+        m = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=lam))
         z = m.standardizer.transform(np.vstack([feature_matrix(clean), feature_matrix(adv)]))
         assert m.params["kkt_residual"] < 60 * np.finfo(float).eps * np.abs(z).max()
         assert detectors.score_many(m, clean).min() > 0.99
@@ -243,7 +248,7 @@ class TestLassoCertificate:
         rng = np.random.default_rng(3)
         clean = make_features(rng.normal(size=(40, 1)))
         adv = make_features(12.0 + 3.0 * rng.normal(size=(40, 1)), "adv")
-        m = detectors.train_lasso(clean, adv, lam=0.01)
+        m = detectors.train_lasso(clean, adv, detectors.LassoConfig(lam=0.01))
         z = m.standardizer.transform(np.vstack([feature_matrix(clean), feature_matrix(adv)]))
         x1 = np.hstack([z, np.ones((80, 1))])
         y = np.concatenate([np.ones(40), np.zeros(40)])
@@ -305,7 +310,7 @@ class TestNewtonStep:
 
 class TestOcsvmDetector:
     def test_dual_constraints(self):
-        m = detectors.train_ocsvm(gaussian_features(n=60, seed=11), nu=0.1)
+        m = detectors.train_ocsvm(gaussian_features(n=60, seed=11), detectors.OcsvmConfig(nu=0.1))
         alpha = m.params["alpha"]
         n = len(alpha)
         box = 1.0 / (0.1 * n)
@@ -314,7 +319,7 @@ class TestOcsvmDetector:
 
     def test_center_scores_high_outlier_low(self):
         feats = gaussian_features(n=80, d=4, seed=12)
-        m = detectors.train_ocsvm(feats, nu=0.1)
+        m = detectors.train_ocsvm(feats, detectors.OcsvmConfig(nu=0.1))
         center = FeatureVector(values=np.zeros(4))
         far = FeatureVector(values=np.full(4, 10.0))
         assert detectors.score_many(m, [center])[0] >= 0.5
@@ -323,25 +328,25 @@ class TestOcsvmDetector:
     def test_shuffle_invariance(self):
         feats = gaussian_features(n=50, d=4, seed=13)
         perm = np.random.default_rng(14).permutation(50)
-        m1 = detectors.train_ocsvm(feats, nu=0.2)
-        m2 = detectors.train_ocsvm([feats[i] for i in perm], nu=0.2)
+        m1 = detectors.train_ocsvm(feats, detectors.OcsvmConfig(nu=0.2))
+        m2 = detectors.train_ocsvm([feats[i] for i in perm], detectors.OcsvmConfig(nu=0.2))
         probe = gaussian_features(n=20, d=4, seed=15)
         np.testing.assert_allclose(detectors.score_many(m1, probe),
                                    detectors.score_many(m2, probe), atol=1e-3)
 
     def test_bad_nu_raises(self):
         with pytest.raises(InputError):
-            detectors.train_ocsvm(gaussian_features(), nu=1.5)
+            detectors.train_ocsvm(gaussian_features(), detectors.OcsvmConfig(nu=1.5))
 
     def test_too_few_samples_raises(self):
         with pytest.raises(InputError):
-            detectors.train_ocsvm(gaussian_features(n=5))
+            detectors.train_ocsvm(gaussian_features(n=5), detectors.OcsvmConfig())
 
 
 class TestEllipseDetector:
     def test_train_mean_scores_one(self):
         feats = gaussian_features(n=60, d=3, seed=16)
-        m = detectors.train_ellipse(feats)
+        m = detectors.train_ellipse(feats, detectors.EllipseConfig())
         # the training mean has Mahalanobis distance ~0: every training point
         # is at least as far out, so the survival probability is 1
         mean_vals = np.mean([f.values for f in feats], axis=0)
@@ -349,7 +354,7 @@ class TestEllipseDetector:
 
     def test_far_point_scores_zero(self):
         feats = gaussian_features(n=60, d=3, seed=17)
-        m = detectors.train_ellipse(feats)
+        m = detectors.train_ellipse(feats, detectors.EllipseConfig())
         assert detectors.score_many(m, [FeatureVector(values=np.full(3, 50.0))])[0] == 0.0
 
     def test_mahalanobis_2x2_oracle(self):
@@ -367,15 +372,15 @@ class TestEllipseDetector:
     def test_shuffle_invariance(self):
         feats = gaussian_features(n=50, d=4, seed=18)
         perm = np.random.default_rng(19).permutation(50)
-        m1 = detectors.train_ellipse(feats)
-        m2 = detectors.train_ellipse([feats[i] for i in perm])
+        m1 = detectors.train_ellipse(feats, detectors.EllipseConfig())
+        m2 = detectors.train_ellipse([feats[i] for i in perm], detectors.EllipseConfig())
         probe = gaussian_features(n=20, d=4, seed=20)
         np.testing.assert_allclose(detectors.score_many(m1, probe),
                                    detectors.score_many(m2, probe), atol=1e-4)
 
     def test_too_few_samples_raises(self):
         with pytest.raises(InputError):
-            detectors.train_ellipse(gaussian_features(n=4, d=5))
+            detectors.train_ellipse(gaussian_features(n=4, d=5), detectors.EllipseConfig())
 
 
 class TestClassify:

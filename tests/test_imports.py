@@ -216,6 +216,31 @@ def test_only_errors_words_a_config_key_message():
     assert found == []
 
 
+def check_type_calls(source):
+    """Line of each call in `source` of check_type, by its name or as an
+    attribute (`errors.check_type(...)`)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and "check_type" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_the_scan_finds_a_check_type_call():
+    source = ("from .errors import check_type\ncheck_type(s, k, v, int)\n"
+              "# check_type(s, k, v, int) in a comment\nerrors.check_type(s, k, v, float)\n"
+              "text = 'check_type(v)'\ncheck = check_type\ncheck_types(v)\n")
+    assert check_type_calls(source) == [2, 4]
+
+
+def test_only_errors_calls_check_type():
+    """errors.check_fields alone checks a config value's type, so every config
+    field, a detector kind's keys included, is checked in one form."""
+    found = [f"{path}:{line}" for path, text in python_sources().items()
+             if path.startswith(os.path.join("src", "segdetect", ""))
+             and path != os.path.join("src", "segdetect", "errors.py")
+             for line in check_type_calls(text)]
+    assert found == []
+
+
 DELETERS = {("shutil", "rmtree"), ("os", "remove"), ("os", "unlink"), ("os", "rmdir")}
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -324,7 +325,8 @@ CROSS_FIELD_ONLY = {(pipeline.ExperimentConfig, "folds")}
 
 def config_sections():
     """(dataclass config, its spec or file section, its fields the kind fixes, a
-    fragment that holds the section) of each config that declares field rules."""
+    fragment that holds the section) of each config that declares field rules:
+    the run's, its dataset's and training's, and each attack and detector kind's."""
     sections = [(pipeline.ExperimentConfig, None, (), lambda part: part),
                 (synthdata.DatasetConfig, "dataset", (), lambda part: {"dataset": part}),
                 (TrainConfig, "train", (), lambda part: {"train": part})]
@@ -332,6 +334,10 @@ def config_sections():
         spec = {"kind": kind, "eps": 4} if config is attacks.AttackConfig else {"kind": kind}
         sections.append((config, kind, fixed,
                          lambda part, spec=spec: {"attack_list": [{**spec, **part}]}))
+    for kind, (_, _, config) in detectors.DETECTORS.items():
+        if config is not None:
+            sections.append((config, kind, (), lambda part, kind=kind: {
+                "detector_list": [{"kind": kind, **part}]}))
     return sections
 
 
@@ -339,9 +345,8 @@ def numeric_config_keys():
     """(name, default, fragment) of every number a config file sets, read from
     the rule declarations: fragment(v) is the config of that key set to v.
     Covers each field that declares a rule or is in CROSS_FIELD_ONLY, of
-    ExperimentConfig, DatasetConfig, TrainConfig and every pipeline.ATTACKS
-    config less the fields its kind fixes, and each key with a rule in
-    detectors.DETECTORS (ocsvm's gamma defaults to None)."""
+    every config_sections() config less the fields its kind fixes (ocsvm's
+    gamma defaults to None)."""
     keys = []
     for config, section, fixed, fragment in config_sections():
         defaults = vars(config())
@@ -349,17 +354,12 @@ def numeric_config_keys():
                   lambda v, key=f.name, fragment=fragment: fragment({key: v}))
                  for f in dataclasses.fields(config) if f.name not in fixed and (
                      "rule" in f.metadata or (config, f.name) in CROSS_FIELD_ONLY)]
-    for kind, (_, _, rules) in detectors.DETECTORS.items():
-        defaults = detectors.hyperparameters(kind)
-        keys += [(f"{kind}.{key}", defaults[key], lambda v, kind=kind, key=key: {
-            "detector_list": [{"kind": kind, key: v}]}) for key in rules]
     return keys
 
 
 def test_every_numeric_config_field_declares_a_rule():
     """A number a config sets has its own rule, or its one rule spans fields
-    and it is listed in CROSS_FIELD_ONLY; every detector hyperparameter has a
-    rule in DETECTORS."""
+    and it is listed in CROSS_FIELD_ONLY."""
     def numeric(value):
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -368,8 +368,6 @@ def test_every_numeric_config_field_declares_a_rule():
     unruled = {(config, f.name) for config, f in fields
                if numeric(defaults[config][f.name]) and "rule" not in f.metadata}
     assert unruled == CROSS_FIELD_ONLY
-    for kind, (_, _, rules) in detectors.DETECTORS.items():
-        assert set(rules) == set(detectors.hyperparameters(kind)), kind
 
 
 @pytest.mark.parametrize("name,default,fragment", [pytest.param(*key, id=key[0])
@@ -408,12 +406,18 @@ def ruled_fields():
 def test_config_built_in_code_rejects_a_value_not_of_its_field_type(config, field):
     """A constructor checks the type a config file gets: an int field takes an
     integer, a float field a real number, and neither a bool, in one message
-    form. A numpy scalar of the default builds."""
+    form; an optional field (float | None) takes None as well. A numpy scalar
+    of the default builds."""
     default = vars(config())[field.name]
     config(**{field.name: default})
     config(**{field.name: np.asarray(default)[()]})
-    for value in ([2.5] if field.type is int else []) + ["x", None, [1], True]:
-        message = f"key {field.name}: expected {field.type.__name__}, got {type(value).__name__}"
+    optional = isinstance(field.type, types.UnionType)
+    annotation = field.type.__args__[0] if optional else field.type
+    if optional:
+        config(**{field.name: None})
+    values = ([2.5] if annotation is int else []) + ["x", [1], True] + ([] if optional else [None])
+    for value in values:
+        message = f"key {field.name}: expected {annotation.__name__}, got {type(value).__name__}"
         with pytest.raises(InputError, match=rf"^\S+ {message}$"):
             config(**{field.name: value})
 
@@ -422,7 +426,8 @@ def test_ruled_fields_cover_every_section():
     assert {(config.__name__, f.name) for config, f in ruled_fields()} >= {
         ("ExperimentConfig", "seed"), ("DatasetConfig", "height"), ("TrainConfig", "epochs"),
         ("AttackConfig", "n_iter"), ("SsmmConfig", "tau"), ("DnnmConfig", "omega"),
-        ("PatchConfig", "height")}
+        ("PatchConfig", "height"), ("LassoConfig", "lam"), ("OcsvmConfig", "gamma"),
+        ("EllipseConfig", "shrinkage")}
 
 
 def mini_config(out_dir):
@@ -777,8 +782,10 @@ class TestCli:
          "patch key height: must be <= the image height 64, got 65"),
         ('{"attack_list": [{"kind": "patch", "seed": -1}]}',
          "patch key seed: must be >= 0, got -1"),
-        ('{"detector_list": [{"kind": "ocsvm", "gamma": true}]}',
-         "ocsvm key gamma: must be None or finite and > 0, got True"),
+        pytest.param('{"detector_list": [{"kind": "ocsvm", "gamma": true}]}',
+                     "ocsvm key gamma: expected float, got bool",
+                     id='{"detector_list": [{"kind": "ocsvm", "gamma": true}]}-ocsvm key gamma: '
+                        'must be None or finite and > 0, got True'),
         ('{"detector_list": [{"kind": "ocsvm", "tol": Infinity}]}',
          "ocsvm key tol: must be finite and > 0, got inf"),
         ('{"detector_list": [{"kind": "lasso", "tol": Infinity}]}',
@@ -1517,7 +1524,8 @@ def test_a_section_given_as_a_dict_in_code_names_its_config(section, config):
 
 def test_each_stage_reads_the_unit_table_once(tmp_path, monkeypatch):
     """A run builds the unit table once to check the config and once per stage:
-    fresh, resumed, and forced from the attack stage."""
+    fresh, resumed, forced from the attack stage and as `segdetect run-all`;
+    reading the report builds it once."""
     cfg = dataclasses.replace(pipeline.ExperimentConfig.from_dict(TINY_ALL),
                               out_dir=str(tmp_path / "run"))
     builds, real = [], pipeline._units
@@ -1528,4 +1536,10 @@ def test_each_stage_reads_the_unit_table_once(tmp_path, monkeypatch):
         for _ in pipeline.run_stages(cfg, force):
             pass
         counts.append(len(builds))
+    builds.clear()
+    assert run_cli("run-all", cfg.out_dir, config=TINY_ALL) == 0
+    counts.append(len(builds))
     assert max(counts) <= 1 + len(pipeline.STAGES), counts
+    builds.clear()
+    pipeline.read_report(cfg.out_dir)
+    assert len(builds) == 1
