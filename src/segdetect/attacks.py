@@ -279,8 +279,3 @@ def apply_patch(image, patch, top, left):
     adv = image.astype(np.float32).copy()
     adv[top:top + ph, left:left + pw] = np.clip(np.rint(patch), 0, 255)
     return adv
-
-
-def target_agreement(pred, target):
-    """Fraction of pixels predicted as their target label."""
-    return float(np.mean(pred == target))

@@ -33,8 +33,8 @@ def _deep_merge(base, override):
 
 
 def load_config(args):
-    """The config the flags give, its fields checked; run_stages, or cmd_report,
-    checks the whole run before the run directory is touched."""
+    """The config the flags give, its fields checked; run_stages checks the
+    whole run before the run directory is touched."""
     doc = {}
     if args.config:
         with open(args.config) as fh:
@@ -45,7 +45,7 @@ def load_config(args):
         except json.JSONDecodeError as exc:
             raise errors.InputError(f"stage-overrides: {exc}") from None
         _deep_merge(doc, errors.check_object(overrides, "stage-overrides"))
-    if getattr(args, "seed", None) is not None:   # before build, which checks it
+    if args.seed is not None:   # before build, which checks it
         doc["seed"] = args.seed
         for section in ("dataset", "train"):
             if isinstance(doc.setdefault(section, {}), dict):
@@ -92,9 +92,7 @@ def cmd_detect(args):
 
 
 def cmd_report(args):
-    cfg = load_config(args)
-    pipeline.check_run(cfg)
-    sys.stdout.write(pipeline.read_report(cfg.out_dir))
+    sys.stdout.write(pipeline.read_report(args.out))
 
 
 COMMANDS = {**dict.fromkeys(STAGE_LINES, cmd_stage), "detect": cmd_detect, "report": cmd_report,
@@ -111,11 +109,12 @@ def build_parser():
             p.add_argument("--detector", required=True, help="detector JSON file")
             p.add_argument("--features", required=True, help="feature CSV to score")
             p.add_argument("--kappa", type=float, default=0.5)
-            continue
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--stage-overrides", help="JSON fragment merged into the config")
-        if name != "report":
+        elif name == "report":
+            p.add_argument("--out", default=pipeline.ExperimentConfig.out_dir, help="run directory")
+        else:
+            p.add_argument("--config", help="experiment config JSON")
+            p.add_argument("--out", help="output directory")
+            p.add_argument("--stage-overrides", help="JSON fragment merged into the config")
             p.add_argument("--seed", type=int, help="override the global seed")
             p.add_argument("--force", action="store_true", help="recompute this and later stages")
     return parser

@@ -284,17 +284,21 @@ def _score_lasso(model, z):
     return _sigmoid(z @ model.params["w"] + model.params["b"])
 
 
+def _ecdf(train, stat):
+    """Share of the sorted training statistics `train` at or below each `stat`,
+    where higher means cleaner; NaN where `stat` is NaN."""
+    p = np.searchsorted(train, stat, side="right") / len(train)
+    return np.where(np.isnan(stat), np.nan, p)
+
+
 def _score_ocsvm(model, z):
     k = _rbf(z, model.params["sv"], model.params["gamma"])
-    d = k @ model.params["alpha"] - model.params["rho"]
-    td = model.params["train_decisions"]
-    return np.searchsorted(td, d, side="right") / len(td)
+    return _ecdf(model.params["train_decisions"], k @ model.params["alpha"] - model.params["rho"])
 
 
 def _score_ellipse(model, z):
-    tm = model.params["train_m"]
-    # fraction of training points at least as far out
-    return (len(tm) - np.searchsorted(tm, mahalanobis(model, z), side="left")) / len(tm)
+    # the share of training points at least as far out
+    return _ecdf(-model.params["train_m"][::-1], -mahalanobis(model, z))
 
 
 # kind -> (trainer, scorer, config dataclass or None). Trainers are named, and

@@ -161,7 +161,7 @@ def read_report(out_dir):
         recorded, keys = _keys(out_dir), check_run(build(ExperimentConfig, doc, "config"))
         if recorded.get("evaluate") != keys["evaluate"]:
             stale = ", ".join(unit for unit, key in keys.items() if recorded.get(unit) != key)
-            raise ValueError(f"stale report: keys.json differs from config.json for {stale}")
+            raise InputError(f"stale report: keys.json differs from config.json for {stale}")
         with open(unit_outputs(out_dir, "evaluate")[0]) as fh:
             return fh.read()
 

@@ -174,6 +174,17 @@ def test_a7_detector_sanity(announce):
     announce("A7 detector sanity", ok)
 
 
+def target_agreement(pred, target):
+    """Fraction of pixels predicted as their target label."""
+    return float(np.mean(pred == target))
+
+
+def test_target_agreement():
+    pred = np.array([[0, 1], [1, 1]])
+    target = np.array([[0, 1], [0, 1]])
+    assert target_agreement(pred, target) == pytest.approx(0.75)
+
+
 def test_a8_ssmm_efficacy(full_run, announce):
     cfg, _ = full_run
     train_set, _ = pipeline.stage_gen_data(cfg)
@@ -181,9 +192,9 @@ def test_a8_ssmm_efficacy(full_run, announce):
     xi = tensorio.load_tensor(os.path.join(cfg.out_dir, "ssmm_noise.ten"))
     target = tensorio.load_tensor(os.path.join(cfg.out_dir, "ssmm_target.ten"))
     subset = train_set[:cfg.ssmm_train_size]
-    before = np.mean([attacks.target_agreement(predicted_labels(model, s.image), target)
+    before = np.mean([target_agreement(predicted_labels(model, s.image), target)
                       for s in subset])
-    after = np.mean([attacks.target_agreement(
+    after = np.mean([target_agreement(
         predicted_labels(model, np.clip(s.image + xi, 0, 255).astype(np.float32)),
         target) for s in subset])
     ok = (after - before >= 0.20) and np.max(np.abs(xi)) <= 25.5

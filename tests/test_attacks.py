@@ -429,9 +429,3 @@ class TestOneForwardPerGradient:
             xi = np.clip(xi + step, -eps, eps)
         got = attacks.ssmm_train(m, subset, target, cfg)
         assert got.dtype == np.float32 and got.tobytes() == xi.tobytes()
-
-
-def test_target_agreement():
-    pred = np.array([[0, 1], [1, 1]])
-    target = np.array([[0, 1], [0, 1]])
-    assert attacks.target_agreement(pred, target) == pytest.approx(0.75)

@@ -383,6 +383,22 @@ class TestEllipseDetector:
             detectors.train_ellipse(gaussian_features(n=4, d=5), detectors.EllipseConfig())
 
 
+@pytest.mark.parametrize("kind,params,key,statistic", [
+    ("ocsvm", {"sv": np.zeros((1, 1)), "alpha": np.ones(1), "rho": 0.0, "gamma": 1.0},
+     "train_decisions", lambda z: detectors._rbf(z, np.zeros((1, 1)), 1.0)[:, 0]),
+    ("ellipse", {"mu": np.zeros(1), "precision": np.ones((1, 1))}, "train_m",
+     lambda z: np.abs(z[:, 0]))])
+def test_novelty_score_counts_the_training_points_a_point_ties(kind, params, key, statistic):
+    """p(x) is the share of training points at most as clean as x: a point
+    whose statistic equals a training point's counts that point. A NaN
+    statistic scores NaN, which classify refuses."""
+    train = np.array([[1.0], [2.0], [2.0], [3.0]])
+    model = detectors.DetectorModel(kind=kind, params={**params, key: np.sort(statistic(train))})
+    probes = make_features([[0.0], [1.0], [2.0], [2.5], [3.0], [4.0], [np.nan]])
+    p = detectors.score_many(model, probes)
+    assert p[:-1].tolist() == [1.0, 1.0, 0.75, 0.25, 0.25, 0.0] and np.isnan(p[-1])
+
+
 class TestClassify:
     def test_boundary_counts_as_clean(self):
         assert detectors.classify(0.5, 0.5) == "clean"

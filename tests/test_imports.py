@@ -58,16 +58,18 @@ def top_level_names(source):
 def dead_definitions(sources):
     """"<path>: <name>" of each top-level definition of a file under
     src/segdetect/ whose name, as a whole word, occurs in that file only at its
-    definition and in no other file of `sources` ({path: text}), except files
-    that define that name themselves (which then mean their own)."""
-    defined = {path: set(top_level_names(text)) for path, text in sources.items()}
-    words = {path: collections.Counter(re.findall(r"\w+", text))
-             for path, text in sources.items()}
-    return [f"{path}: {name}" for path, text in sources.items()
+    definition and in no other file of `sources` ({path: text}) under src/ or
+    perfbench/, except files that define that name themselves (which then mean
+    their own). A use in tests/ alone does not keep a definition."""
+    users = {path: text for path, text in sources.items()
+             if path.split(os.sep)[0] in ("src", "perfbench")}
+    defined = {path: set(top_level_names(text)) for path, text in users.items()}
+    words = {path: collections.Counter(re.findall(r"\w+", text)) for path, text in users.items()}
+    return [f"{path}: {name}" for path, text in users.items()
             if path.startswith(os.path.join("src", "segdetect", ""))
             for name in top_level_names(text)
             if words[path][name] < 2 and not any(
-                words[other][name] for other in sources
+                words[other][name] for other in users
                 if other != path and name not in defined[other])]
 
 
@@ -88,12 +90,15 @@ def test_the_scan_finds_a_dead_definition():
     package = os.path.join("src", "segdetect", "a.py")
     sources = {package: ("X = 1\nY, (Z, W) = 2, (3, 4)\nT: int = 5\n\n\ndef f():\n"
                          "    return X + Y + W\n\n\nclass C:\n    pass\n\n\n"
-                         "def unit_keys():\n    pass\n"),
-               os.path.join("tests", "t.py"): "f()\nkeys = unit_keys_of(C_)\nprint(Z)\n",
-               # its own Z and T: no use of the package's
-               os.path.join("perfbench", "b.py"): "Z = 0\n\n\ndef T():\n    return T\n"}
-    assert dead_definitions(sources) == [f"{package}: T", f"{package}: C",
-                                         f"{package}: unit_keys"]
+                         "def unit_keys():\n    pass\n\n\ndef g():\n    pass\n"),
+               # f and Z are used by a test alone: they count as unused
+               os.path.join("tests", "t.py"): "f()\nprint(Z, g)\n",
+               # its own Z and T: no use of the package's; g is used, C and
+               # unit_keys are not (whole words only)
+               os.path.join("perfbench", "b.py"): ("Z = 0\n\n\ndef T():\n"
+                                                   "    return T(g, unit_keys_of(C_))\n")}
+    assert dead_definitions(sources) == [f"{package}: Z", f"{package}: T", f"{package}: f",
+                                         f"{package}: C", f"{package}: unit_keys"]
 
 
 def test_no_package_definition_goes_unused():

@@ -855,6 +855,8 @@ class TestCli:
         ["detect", "--detector", "d.json", "--features", "f.csv", "--force"],
         ["report", "--seed", "1"],
         ["report", "--force"],
+        ["report", "--config", "c.json"],
+        ["report", "--stage-overrides", "{}"],
         ["evaluate", "--kappa", "0.5"],
     ])
     def test_command_refuses_a_flag_it_does_not_read(self, argv, capsys):
@@ -869,6 +871,19 @@ class TestCli:
                        "--detector", os.path.join(cfg.out_dir, "detectors", "entropy.json"),
                        "--features", os.path.join(cfg.out_dir, "features", "clean.csv")])
         assert rc == 0 and len(capsys.readouterr().out.splitlines()) == cfg.dataset.val_size
+
+    def test_report_reads_no_config(self, mini_run, monkeypatch, capsys):
+        """report reads the run's own config.json, not one the flags give."""
+        cfg, csv_path = mini_run
+        monkeypatch.setattr(cli, "load_config", lambda args: pytest.fail("loaded a config"))
+        assert cli.main(["report", "--out", cfg.out_dir]) == 0
+        assert capsys.readouterr().out == open(csv_path).read()
+
+    def test_report_defaults_to_the_config_default_out_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["report"]) == 1
+        assert capsys.readouterr().err == "segdetect: report: runs/default holds no run\n"
+        assert list(tmp_path.rglob("*")) == []
 
     def test_out_flag_replaces_the_config_files_out_dir(self, tmp_path):
         """--out goes into the document before it is checked, as --seed does,
@@ -952,6 +967,8 @@ def test_report_refuses_a_stale_report(tmp_path, capsys):
     assert captured.err == (
         "segdetect: report: stale report: keys.json differs from config.json for attack/fgsm_e8, "
         "extract-features/clean, extract-features/fgsm_e8, train-detector/entropy, evaluate\n")
+    with pytest.raises(InputError, match="^stale report: "):
+        pipeline.read_report(str(out))
 
 
 @pytest.mark.parametrize("exists", [True, False], ids=["empty", "missing"])
@@ -1401,7 +1418,7 @@ def test_second_run_on_a_running_directory_fails_and_the_first_finishes_unmixed(
         pipeline.run_pipeline(run_b)
     assert run_cli("run-all", out, config=dict(TINY, seed=7)) == 1
     assert capsys.readouterr().err == f"segdetect: run-all: {out} is in use by another run\n"
-    assert run_cli("report", out) == 1
+    assert cli.main(["report", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"segdetect: report: {out} is in use by another run\n"
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
     assert [name for name, _ in stages] == ["attack", "extract-features", "train-detector",
@@ -1409,7 +1426,8 @@ def test_second_run_on_a_running_directory_fails_and_the_first_finishes_unmixed(
     assert run_cli("run-all", fresh) == 0
     assert run_files(out) == run_files(fresh)
     assert (out / "keys.json").read_bytes() == (fresh / "keys.json").read_bytes()
-    assert run_cli("report", out) == 0    # a shared lock, once no run holds the directory
+    # a shared lock, once no run holds the directory
+    assert cli.main(["report", "--out", str(out)]) == 0
 
 
 def test_a_forked_workers_exit_leaves_the_lock_held(tmp_path, monkeypatch):
@@ -1459,7 +1477,7 @@ def test_a_config_failing_a_spec_check_leaves_a_finished_run_as_it_was(tiny_mode
     shutil.copytree(tiny_model_dir, out)
     assert run_cli("run-all", out) == 0
     capsys.readouterr()
-    assert run_cli("report", out) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
     report = capsys.readouterr().out
     before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
     bad = pipeline.ExperimentConfig(dataset=synthdata.DatasetConfig(height=40, width=40),
@@ -1468,7 +1486,7 @@ def test_a_config_failing_a_spec_check_leaves_a_finished_run_as_it_was(tiny_mode
                                          "got 48$"):
         pipeline.run_pipeline(bad)
     assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
-    assert run_cli("report", out) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
     assert capsys.readouterr().out == report
 
 
@@ -1525,7 +1543,7 @@ def test_a_section_given_as_a_dict_in_code_names_its_config(section, config):
 def test_each_stage_reads_the_unit_table_once(tmp_path, monkeypatch):
     """A run builds the unit table once to check the config and once per stage:
     fresh, resumed, forced from the attack stage and as `segdetect run-all`;
-    reading the report builds it once."""
+    reading the report builds it once, as `segdetect report`."""
     cfg = dataclasses.replace(pipeline.ExperimentConfig.from_dict(TINY_ALL),
                               out_dir=str(tmp_path / "run"))
     builds, real = [], pipeline._units
@@ -1542,4 +1560,7 @@ def test_each_stage_reads_the_unit_table_once(tmp_path, monkeypatch):
     assert max(counts) <= 1 + len(pipeline.STAGES), counts
     builds.clear()
     pipeline.read_report(cfg.out_dir)
+    assert len(builds) == 1
+    builds.clear()
+    assert cli.main(["report", "--out", cfg.out_dir]) == 0
     assert len(builds) == 1
